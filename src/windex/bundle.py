@@ -6,18 +6,25 @@ directed edge, inverse on the reverse edge.  Fibers come in two modes:
 
 * link mode: the fiber at v is link(v) itself, so transports only exist
   where the two endpoint degrees agree;
-* refined(N) mode: every fiber is a fresh N-gon with the link labels
-  embedded at positions k * N/deg(v); N must be divisible by every degree.
-  Refinement decouples fiber size from vertex degree, which is what lets
-  arbitrary surfaces carry connections.
+* refined(N) mode: every fiber is link(v) subdivided into an N-gon, link
+  label k at position k * N/deg(v) and the fresh points ``x~j`` after it;
+  N must be divisible by every degree.  Refinement decouples fiber size
+  from vertex degree, which is what lets arbitrary surfaces carry
+  connections.  Link mode is the same with N = deg(v).
 
-Holonomy around a face is the composite transport along its boundary, a
-rotation of the basepoint fiber; its step count r_F in [0, n) divided by
-the fiber size is the curvature of the face, in turns.  A flatness lift is
-an integer representative f_F = r_F + k * n of that rotation, i.e. a choice
-of homotopy class of paths from the identity to the holonomy.  Summing
-lifts over all faces gives the total flatness winding, the exact integer
-the index theorem compares against.
+Fibers are virtual: a point is its position mod the fiber size n, read
+off its label on demand.  A transport is an offset o_ij with
+pos_j(t(x)) = pos_i(x) + o_ij (mod n).  Holonomy around a face is the
+composite transport along its boundary, a rotation of the basepoint fiber
+by r_F = the sum of the boundary offsets mod n, tabulated when the
+connection is built; r_F / n is the curvature of the face, in turns.  A
+flatness lift is an integer representative f_F = r_F + k * n of that
+rotation, i.e. a choice of homotopy class of paths from the identity to
+the holonomy.  Summing lifts over all faces gives the total flatness
+winding, the exact integer the index theorem compares against.
+Explicit polygons and isomorphisms (``fiber``, ``transport``,
+``holonomy_iso``) are built only on request, for the polygon algebra and
+as reference oracles.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .complex import OrientedFace, OrientedSurface
 from .errors import (
@@ -38,7 +46,7 @@ from .errors import (
     UnknownLabel,
     ValidationFailed,
 )
-from .polygon import PRESERVING, REVERSING, Polygon, PolyIso, Turns
+from .polygon import Polygon, PolyIso, Turns
 
 LINK_MODE = "link"
 
@@ -59,31 +67,6 @@ def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
     return [(a, b), (b, c), (c, a)]
 
 
-def _refined_fiber(link: Polygon, size: int) -> Polygon:
-    arc = size // link.n
-    labels: list[str] = []
-    for lab in link.labels:
-        labels.append(lab)
-        labels.extend(f"{lab}~{j}" for j in range(1, arc))
-    return Polygon(tuple(labels))
-
-
-def make_fibers(surface: OrientedSurface, fiber_mode) -> dict[str, Polygon]:
-    """Fiber polygons for every vertex; ``fiber_mode`` is ``"link"`` or an
-    integer refinement size."""
-    if fiber_mode == LINK_MODE:
-        return dict(surface.links)
-    size = int(fiber_mode)
-    for v in surface.vertices:
-        deg = surface.degree(v)
-        if size % deg != 0:
-            raise ValidationFailed(
-                "invalid fiber refinement",
-                _single("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}"),
-            )
-    return {v: _refined_fiber(surface.links[v], size) for v in surface.vertices}
-
-
 def _single(rule, element, message):
     collector = ReportCollector()
     collector.add(rule, element, message)
@@ -101,80 +84,64 @@ def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Fibers plus transports, validated; immutable afterwards."""
+    """Transport offsets o_ij in [0, n) and the face -> r_F holonomy table,
+    validated; immutable afterwards."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
-    fibers: dict[str, Polygon] = field(repr=False)
-    transports: dict[tuple[str, str], PolyIso] = field(repr=False)
+    offsets: dict[tuple[str, str], int] = field(repr=False)
+    holonomy: dict[OrientedFace, int] = field(repr=False, compare=False)
+    _fibers: dict[str, Polygon] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    @property
-    def fiber_mode(self):
-        return LINK_MODE if self.refined is None else self.refined
+    def size(self, v: str) -> int:
+        return self.surface.degree(v) if self.refined is None else self.refined
+
+    def position(self, v: str, label: str) -> int:
+        """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
+        arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
+        link = self.surface.link(v)
+        base, tilde, j = label.partition("~")
+        if base in link:
+            arc = (self.refined or link.n) // link.n
+            if not tilde:
+                return link.position(base) * arc
+            # only the spelling subdivide produces: ASCII digits, no leading 0
+            if j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+                return link.position(base) * arc + int(j)
+        raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+
+    def label_at(self, v: str, position: int) -> str:
+        link = self.surface.link(v)
+        n = self.refined or link.n
+        k, j = divmod(position % n, n // link.n)
+        return link.labels[k] if j == 0 else f"{link.labels[k]}~{j}"
 
     def fiber(self, v: str) -> Polygon:
-        return self.fibers[v]
+        if v not in self._fibers:
+            link = self.surface.link(v)
+            self._fibers[v] = link.subdivide(self.size(v) // link.n)[0]
+        return self._fibers[v]
 
     def transport(self, i: str, j: str) -> PolyIso:
         try:
-            return self.transports[(i, j)]
+            o = self.offsets[(i, j)]
         except KeyError:
             raise NotIncident(f"({i},{j}) is not a directed edge of the surface") from None
+        return PolyIso(self.fiber(i), self.fiber(j), (self.label_at(i, 0), self.label_at(j, o)))
 
     def uniform_size(self) -> int:
-        sizes = {p.n for p in self.fibers.values()}
+        sizes = {self.size(v) for v in self.surface.vertices}
         if len(sizes) != 1:
             raise NonUniformFiber(f"fiber sizes are not uniform: {sorted(sizes)}")
         return sizes.pop()
 
 
-def _coerce_iso(src: Polygon, dst: Polygon, value, edge, collector) -> PolyIso | None:
-    """Accept an anchor pair, a full label map, or a ready PolyIso."""
-    if isinstance(value, PolyIso):
-        if value.source != src or value.target != dst:
-            collector.add("UnknownLabel", edge, "isomorphism does not match the edge fibers")
-            return None
-        if value.orientation != PRESERVING:
-            collector.add("OrientationReversing", edge, "transports must preserve orientation")
-            return None
-        return value
-    if isinstance(value, dict):
-        items = {str(k): str(v) for k, v in value.items()}
-        if set(items) != set(src.labels) or set(items.values()) != set(dst.labels):
-            collector.add("UnknownLabel", edge, "full map must cover the two fibers exactly")
-            return None
-        base = src.labels[0]
-        for orientation in (PRESERVING, REVERSING):
-            iso = PolyIso(src, dst, (base, items[base]), orientation)
-            if all(iso(k) == v for k, v in items.items()):
-                if orientation == REVERSING:
-                    collector.add("OrientationReversing", edge, "transports must preserve orientation")
-                    return None
-                return iso
-        collector.add("UnknownLabel", edge, "map does not respect the cyclic structure")
-        return None
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        collector.add("UnknownLabel", edge, f"cannot read transport spec {value!r}")
-        return None
-    try:
-        return PolyIso(src, dst, (str(a), str(b)), PRESERVING)
-    except UnknownLabel as exc:
-        collector.add("UnknownLabel", edge, str(exc))
-        return None
-
-
-def build_connection(surface: OrientedSurface, fiber_mode, transports) -> DiscreteConnection:
-    """Validate and assemble a connection.
-
-    ``transports`` maps directed edges to transport specs (anchor pair,
-    full label map, or PolyIso).  One direction per undirected edge
-    suffices; if both are supplied they must be mutually inverse.
-    """
-    collector = ReportCollector()
-
+def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
+    """A connection without transports, once the fiber mode fits the surface."""
     if fiber_mode == LINK_MODE:
+        collector = ReportCollector()
         for a, b in surface.edges:
             if surface.degree(a) != surface.degree(b):
                 collector.add(
@@ -183,50 +150,120 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
                     f"link-mode transport needs equal degrees, got {surface.degree(a)} and {surface.degree(b)}",
                 )
         collector.raise_if_failed("invalid connection")
-    fibers = make_fibers(surface, fiber_mode)
+        return DiscreteConnection(surface, None, {}, {})
+    size = int(fiber_mode)
+    for v in surface.vertices:
+        deg = surface.degree(v)
+        if size % deg != 0:
+            raise ValidationFailed(
+                "invalid fiber refinement",
+                _single("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}"),
+            )
+    return DiscreteConnection(surface, size, {}, {})
 
+
+def _close(conn: DiscreteConnection) -> DiscreteConnection:
+    """Fill the holonomy table from the offsets; a face's three fibers have
+    one size, so r_F does not depend on the basepoint."""
+    o = conn.offsets
+    for face in conn.surface.faces:
+        a, b, c = face.vertices
+        conn.holonomy[face] = (o[(a, b)] + o[(b, c)] + o[(c, a)]) % conn.size(a)
+    return conn
+
+
+def make_fibers(surface: OrientedSurface, fiber_mode) -> dict[str, Polygon]:
+    """Explicit fiber polygons for every vertex; ``fiber_mode`` is
+    ``"link"`` or an integer refinement size."""
+    if fiber_mode == LINK_MODE:
+        return dict(surface.links)
+    conn = _empty_connection(surface, fiber_mode)
+    return {v: conn.fiber(v) for v in surface.vertices}
+
+
+def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
+    """One integer per directed edge from values supplied on one direction
+    of every edge or both: ``read(i, j, value)`` gives the integer (None
+    once it has reported a bad value), the reverse is its negation, reduced
+    mod ``modulus(a)`` unless ``modulus`` is None, and values supplied both
+    ways must cancel, mod that or exactly, else the rule ``clash`` is
+    reported."""
     given: dict[tuple[str, str], object] = {}
     edge_set = set(surface.edges)
-    for key, value in transports.items():
+    for key, value in supplied.items():
         i, j = (str(x) for x in key)
         if tuple(sorted((i, j))) not in edge_set:
             collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
             continue
         given[(i, j)] = value
 
-    isos: dict[tuple[str, str], PolyIso] = {}
+    resolved: dict[tuple[str, str], int] = {}
     for a, b in surface.edges:
-        fwd = given.get((a, b))
-        bwd = given.get((b, a))
-        if fwd is None and bwd is None:
-            collector.add("MissingEdge", f"{{{a},{b}}}", "no transport supplied")
+        got = {e: read(*e, given[e]) for e in ((a, b), (b, a)) if e in given}
+        if not got:
+            collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
+        if not got or None in got.values():
             continue
-        iso_f = _coerce_iso(fibers[a], fibers[b], fwd, f"({a},{b})", collector) if fwd is not None else None
-        iso_b = _coerce_iso(fibers[b], fibers[a], bwd, f"({b},{a})", collector) if bwd is not None else None
-        if fwd is not None and iso_f is None:
+        n = modulus(a) if modulus else 0
+        total = sum(got.values())
+        if len(got) == 2 and (total % n if n else total) != 0:
+            collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {got[(a, b)]} and "
+                          f"({b},{a}) gives {got[(b, a)]}, which do not cancel")
             continue
-        if bwd is not None and iso_b is None:
-            continue
-        if iso_f is not None and iso_b is not None and iso_b != iso_f.invert():
-            collector.add("NotInverse", f"{{{a},{b}}}", "the two directions are not mutually inverse")
-            continue
-        if iso_f is None:
-            iso_f = iso_b.invert()
-        isos[(a, b)] = iso_f
-        isos[(b, a)] = iso_f.invert()
+        d = got[(a, b)] if (a, b) in got else -got[(b, a)]
+        resolved[(a, b)], resolved[(b, a)] = (d % n, -d % n) if n else (d, -d)
+    return resolved
 
+
+def _read_offset(conn: DiscreteConnection, collector, i: str, j: str, value) -> int | None:
+    """The offset of an anchor pair or of a full label map."""
+    edge, n = f"({i},{j})", conn.size(j)
+    if isinstance(value, dict):
+        try:
+            pairs = [(conn.position(i, str(x)), conn.position(j, str(y))) for x, y in value.items()]
+        except UnknownLabel:
+            pairs = []
+        if len(pairs) != n or len({q for _, q in pairs}) != n:
+            collector.add("UnknownLabel", edge, "full map must cover the two fibers exactly")
+        elif len({(q - p) % n for p, q in pairs}) == 1:
+            return (pairs[0][1] - pairs[0][0]) % n
+        elif len({(q + p) % n for p, q in pairs}) == 1:
+            collector.add("OrientationReversing", edge, "transports must preserve orientation")
+        else:
+            collector.add("UnknownLabel", edge, "map does not respect the cyclic structure")
+        return None
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        collector.add("UnknownLabel", edge, f"cannot read transport spec {value!r}")
+        return None
+    try:
+        return (conn.position(j, str(b)) - conn.position(i, str(a))) % n
+    except UnknownLabel as exc:
+        collector.add("UnknownLabel", edge, str(exc))
+        return None
+
+
+def build_connection(surface: OrientedSurface, fiber_mode, transports) -> DiscreteConnection:
+    """Validate and assemble a connection.
+
+    ``transports`` maps directed edges to transport specs (anchor pair or
+    full label map).  One direction per undirected edge suffices; if both
+    are supplied they must be mutually inverse.
+    """
+    conn = _empty_connection(surface, fiber_mode)
+    collector = ReportCollector()
+    read = partial(_read_offset, conn, collector)
+    conn.offsets.update(antisymmetric(
+        surface, transports, collector, "transport", read, "NotInverse", conn.size
+    ))
     collector.raise_if_failed("invalid connection")
-    return DiscreteConnection(
-        surface=surface,
-        refined=None if fiber_mode == LINK_MODE else int(fiber_mode),
-        fibers=fibers,
-        transports=isos,
-    )
+    return _close(conn)
 
 
 def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> PolyIso:
     """Composite transport around the face boundary, an endomorphism of the
-    basepoint fiber."""
+    basepoint fiber.  The explicit form of ``holonomy_steps``."""
     v = basepoint(face, base)
     iso = PolyIso.identity(conn.fiber(v))
     for i, j in boundary(face, v):
@@ -235,21 +272,21 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
 
 
 def holonomy_steps(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> int:
-    return holonomy_iso(conn, face, base).rotation_steps()
+    """r_F in [0, n), the same at every basepoint."""
+    basepoint(face, base)  # an override must still lie on the face
+    return conn.holonomy[face]
 
 
 def curvature_turns(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> Turns:
-    v = basepoint(face, base)
-    return Fraction(holonomy_steps(conn, face, base), conn.fiber(v).n)
+    return Fraction(holonomy_steps(conn, face, base), conn.size(basepoint(face, base)))
 
 
 def net_holonomy(conn: DiscreteConnection) -> Turns:
     """Sum of face curvatures, reduced mod 1.  Zero for every valid
     connection: each directed edge appears in exactly one face boundary, so
     the per-edge rotation offsets cancel in pairs."""
-    conn.uniform_size()
-    total = sum((curvature_turns(conn, f) for f in conn.surface.faces), Fraction(0))
-    return total % 1
+    n = conn.uniform_size()
+    return Fraction(sum(conn.holonomy.values()) % n, n)
 
 
 @dataclass(frozen=True)
@@ -267,10 +304,10 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     steps mod the fiber size."""
     collector = ReportCollector()
     resolved: dict[OrientedFace, int] = {}
-    by_key = {f.key: f for f in conn.surface.faces}
     for key, value in lifts.items():
-        face = key if isinstance(key, OrientedFace) else by_key.get(str(key))
-        if face is None or face.key not in by_key:
+        try:
+            face = conn.surface.face_by_key(key.key if isinstance(key, OrientedFace) else str(key))
+        except NotIncident:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
             continue
         resolved[face] = int(value)
@@ -278,8 +315,8 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
         if face not in resolved:
             collector.add("MissingFace", face.key, "no lift supplied")
             continue
-        n = conn.fiber(basepoint(face)).n
-        r = holonomy_steps(conn, face)
+        n = conn.size(basepoint(face))
+        r = conn.holonomy[face]
         if resolved[face] % n != r:
             collector.add(
                 "LiftIncongruent",
@@ -292,7 +329,7 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
 
 def canonical_flatness(conn: DiscreteConnection) -> FlatnessStructure:
     """The least nonnegative lift on every face: f_F = r_F."""
-    return FlatnessStructure({f: holonomy_steps(conn, f) for f in conn.surface.faces})
+    return FlatnessStructure(dict(conn.holonomy))
 
 
 def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure) -> int:
@@ -300,8 +337,7 @@ def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure
     vanishes mod 1, which validation guarantees."""
     total = Fraction(0)
     for face in conn.surface.faces:
-        n = conn.fiber(basepoint(face)).n
-        total += Fraction(flatness.lift(face), n)
+        total += Fraction(flatness.lift(face), conn.size(basepoint(face)))
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
     return int(total)
@@ -329,8 +365,8 @@ def face_reports(
     rows = []
     for face in conn.surface.faces:
         v = basepoint(face, overrides.get(face.key))
-        n = conn.fiber(v).n
-        r = holonomy_steps(conn, face, v)
+        n = conn.size(v)
+        r = conn.holonomy[face]
         f = flatness.lift(face)
         rows.append(FaceReport(face.key, v, n, r, f, Fraction(r, n), Fraction(f, n)))
     return rows
@@ -346,28 +382,24 @@ class GaugeTransformation:
     def at(self, v: str) -> int:
         return self.steps.get(v, 0)
 
-    def normalized(self, conn: DiscreteConnection) -> "GaugeTransformation":
-        return GaugeTransformation(
-            {v: self.at(v) % conn.fiber(v).n for v in conn.surface.vertices}
-        )
-
     def then(self, other: "GaugeTransformation") -> "GaugeTransformation":
         keys = set(self.steps) | set(other.steps)
         return GaugeTransformation({v: self.at(v) + other.at(v) for v in keys})
 
 
 def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> DiscreteConnection:
-    """Conjugate every transport: t'(i,j) = rot_j(g_j) o t(i,j) o rot_i(-g_i).
+    """Conjugate every transport: t'(i,j) = rot_j(g_j) o t(i,j) o rot_i(-g_i),
+    i.e. o'_ij = o_ij + g_j - g_i.
 
-    Face holonomies are conjugated by a rotation of the basepoint fiber,
-    and rotations commute, so every holonomy step count is unchanged.
+    The gauge steps cancel around every face boundary, so every holonomy
+    step count is unchanged; the table is recomputed from the new offsets
+    all the same.
     """
-    new: dict[tuple[str, str], PolyIso] = {}
-    for a, b in conn.surface.edges:
-        rot_out = PolyIso.rotation(conn.fiber(b), gauge.at(b))
-        rot_in = PolyIso.rotation(conn.fiber(a), -gauge.at(a))
-        new[(a, b)] = rot_out.compose(conn.transport(a, b)).compose(rot_in)
-    return build_connection(conn.surface, conn.fiber_mode, new)
+    offsets = {
+        (i, j): (o + gauge.at(j) - gauge.at(i)) % conn.size(j)
+        for (i, j), o in conn.offsets.items()
+    }
+    return _close(DiscreteConnection(conn.surface, conn.refined, offsets, {}))
 
 
 def trivialize_face(
@@ -394,8 +426,7 @@ def trivialize_face(
     for i, j in boundary(face, v0):
         transition = charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
         composite = transition.compose(composite)
-    n = conn.fiber(v0).n
-    if composite.rotation_steps() != flatness.lift(face) % n:
+    if composite.rotation_steps() != flatness.lift(face) % conn.size(v0):
         raise LiftIncongruent(
             f"cocycle of face {face.key} disagrees with its flatness lift"
         )
@@ -416,19 +447,17 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
             LINK_MODE if len(degs) == 1 and degs.pop() % 2 == 0
             else default_refinement(surface, even=True)
         )
-    fibers = make_fibers(surface, fiber_mode)
-    sizes = {v: fibers[v].n for v in surface.vertices}
-    for v, n in sizes.items():
-        if n % 2 != 0:
+    conn = _empty_connection(surface, fiber_mode)
+    for v in surface.vertices:
+        if conn.size(v) % 2 != 0:
             raise ValidationFailed(
                 "no straightest transport",
-                _single("SizeMismatch", v, f"fiber size {n} is odd, antipodes undefined"),
+                _single("SizeMismatch", v, f"fiber size {conn.size(v)} is odd, antipodes undefined"),
             )
-    transports = {}
     for a, b in surface.directed_edges():
-        antipode = fibers[b].label_at(fibers[b].position(a) + sizes[b] // 2)
-        transports[(a, b)] = (b, antipode)
-    return build_connection(surface, fiber_mode, transports)
+        n = conn.size(b)
+        conn.offsets[(a, b)] = (conn.position(b, a) + n // 2 - conn.position(a, b)) % n
+    return _close(conn)
 
 
 def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:
@@ -436,9 +465,6 @@ def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnec
     if fiber_mode is None:
         degs = set(surface.degrees().values())
         fiber_mode = LINK_MODE if len(degs) == 1 else default_refinement(surface)
-    fibers = make_fibers(surface, fiber_mode)
-    transports = {
-        (a, b): (fibers[a].labels[0], fibers[b].labels[0])
-        for a, b in surface.directed_edges()
-    }
-    return build_connection(surface, fiber_mode, transports)
+    conn = _empty_connection(surface, fiber_mode)
+    conn.offsets.update(dict.fromkeys(surface.directed_edges(), 0))
+    return _close(conn)

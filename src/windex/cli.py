@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import SIGN_CONVENTIONS
 from .bundle import (
@@ -82,6 +83,17 @@ def _need(scene: SceneFile, what: str):
     return value
 
 
+def _report(args, payload: dict, lines) -> None:
+    """Print a report stamped with the sign conventions: ``payload`` as
+    JSON under --json, else the text ``lines``."""
+    if args.json:
+        _emit(json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2))
+    else:
+        _emit(f"sign conventions {SIGN_CONVENTIONS}")
+        for line in lines:
+            _emit(line)
+
+
 def _cmd_validate(scene: SceneFile, args) -> int:
     # a scene that parsed has already passed every builder's validation;
     # an invalid one exits 2 with the full report on stderr before this runs
@@ -89,25 +101,14 @@ def _cmd_validate(scene: SceneFile, args) -> int:
     for part in ("connection", "flatness", "field"):
         if getattr(scene, part) is not None:
             sections[part] = "ok"
-    if args.json:
-        _emit(json.dumps({"conventions": SIGN_CONVENTIONS, "reports": sections, "ok": True},
-                         sort_keys=True, indent=2))
-    else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        for name, text in sections.items():
-            _emit(f"{name}: {text}")
+    _report(args, {"reports": sections, "ok": True},
+            (f"{name}: {text}" for name, text in sections.items()))
     return EXIT_OK
 
 
 def _cmd_links(scene: SceneFile, args) -> int:
     links = {v: list(scene.surface.link(v).labels) for v in scene.surface.vertices}
-    if args.json:
-        _emit(json.dumps({"conventions": SIGN_CONVENTIONS, "links": links},
-                         sort_keys=True, indent=2))
-    else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        for v, cycle in links.items():
-            _emit(f"{v}: {' '.join(cycle)}")
+    _report(args, {"links": links}, (f"{v}: {' '.join(cycle)}" for v, cycle in links.items()))
     return EXIT_OK
 
 
@@ -118,25 +119,21 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
     rows = face_reports(conn, flatness, overrides)
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
-    if args.json:
-        _emit(json.dumps({
-            "conventions": SIGN_CONVENTIONS,
-            "faces": [{
-                "face": r.face, "basepoint": r.basepoint, "size": r.size,
-                "holonomy_steps": r.holonomy_steps, "lift": r.lift,
-                "curvature": str(r.curvature), "lift_turns": str(r.lift_turns),
-            } for r in rows],
-            "net_holonomy": str(net),
-            "total_flatness_winding": total,
-        }, sort_keys=True, indent=2))
-    else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        _emit(f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'curvature':<11}lift turns")
-        for r in rows:
-            _emit(f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
-                  f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}")
-        _emit(f"net holonomy: {net}")
-        _emit(f"total flatness winding: {total}")
+    payload = {
+        "faces": [{
+            "face": r.face, "basepoint": r.basepoint, "size": r.size,
+            "holonomy_steps": r.holonomy_steps, "lift": r.lift,
+            "curvature": str(r.curvature), "lift_turns": str(r.lift_turns),
+        } for r in rows],
+        "net_holonomy": str(net),
+        "total_flatness_winding": total,
+    }
+    _report(args, payload, chain(
+        [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'curvature':<11}lift turns"],
+        (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
+         f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}" for r in rows),
+        [f"net holonomy: {net}", f"total flatness winding: {total}"],
+    ))
     return EXIT_OK
 
 
@@ -150,48 +147,40 @@ def _index_payload(scene: SceneFile, args):
 
 def _cmd_index(scene: SceneFile, args) -> int:
     report = _index_payload(scene, args)
-    if args.json:
-        _emit(json.dumps({
-            "conventions": SIGN_CONVENTIONS,
-            "faces": [{
-                "face": r.face, "basepoint": r.basepoint, "size": r.size,
-                "holonomy_steps": r.holonomy_steps, "lift": r.lift,
-                "swirl": r.swirl, "index": r.index,
-            } for r in report.rows],
-            "total_swirl": str(report.total_swirl),
-            "total_index": report.total_index,
-            "total_flatness_winding": report.total_flatness_winding,
-            "theorem_holds": report.theorem_holds,
-        }, sort_keys=True, indent=2))
-    else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        _emit(f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'swirl':<7}index")
-        for r in report.rows:
-            _emit(f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
-                  f"{r.lift:<6}{r.swirl:<7}{r.index}")
-        _emit(f"total swirl: {report.total_swirl}")
-        _emit(f"total index: {report.total_index}")
-        _emit(f"total flatness winding: {report.total_flatness_winding}")
-        _emit(f"theorem holds: {report.theorem_holds}")
+    payload = {
+        "faces": [{
+            "face": r.face, "basepoint": r.basepoint, "size": r.size,
+            "holonomy_steps": r.holonomy_steps, "lift": r.lift,
+            "swirl": r.swirl, "index": r.index,
+        } for r in report.rows],
+        "total_swirl": str(report.total_swirl),
+        "total_index": report.total_index,
+        "total_flatness_winding": report.total_flatness_winding,
+        "theorem_holds": report.theorem_holds,
+    }
+    _report(args, payload, chain(
+        [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'swirl':<7}index"],
+        (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
+         f"{r.lift:<6}{r.swirl:<7}{r.index}" for r in report.rows),
+        [f"total swirl: {report.total_swirl}",
+         f"total index: {report.total_index}",
+         f"total flatness winding: {report.total_flatness_winding}",
+         f"theorem holds: {report.theorem_holds}"],
+    ))
     return EXIT_OK
 
 
 def _cmd_check(scene: SceneFile, args) -> int:
     report = _index_payload(scene, args)
     verdict = "PASS" if report.theorem_holds else "FAIL"
-    if args.json:
-        _emit(json.dumps({
-            "conventions": SIGN_CONVENTIONS,
-            "total_index": report.total_index,
-            "total_flatness_winding": report.total_flatness_winding,
-            "total_swirl": str(report.total_swirl),
-            "verdict": verdict,
-        }, sort_keys=True, indent=2))
-    else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        _emit(f"total index {report.total_index} "
-              f"{'==' if report.theorem_holds else '!='} "
-              f"total flatness winding {report.total_flatness_winding}: {verdict}")
+    _report(args, {
+        "total_index": report.total_index,
+        "total_flatness_winding": report.total_flatness_winding,
+        "total_swirl": str(report.total_swirl),
+        "verdict": verdict,
+    }, [f"total index {report.total_index} "
+        f"{'==' if report.theorem_holds else '!='} "
+        f"total flatness winding {report.total_flatness_winding}: {verdict}"])
     return EXIT_OK if report.theorem_holds else EXIT_ASSERTION
 
 

@@ -69,10 +69,6 @@ class OrientedFace:
         return self.key
 
 
-def induced_edge_order(face: OrientedFace, edge: frozenset[str] | set[str]) -> tuple[str, str]:
-    return face.induced_edge_order(edge)
-
-
 @dataclass(frozen=True)
 class OrientedSurface:
     """A validated closed oriented surface.
@@ -88,6 +84,10 @@ class OrientedSurface:
     edges: tuple[tuple[str, str], ...] = field(compare=False)
     links: dict[str, Polygon] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
+    _by_key: dict[str, OrientedFace] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_key", {f.key: f for f in self.faces})
 
     def link(self, v: str) -> Polygon:
         try:
@@ -102,10 +102,10 @@ class OrientedSurface:
         return {v: self.links[v].n for v in self.vertices}
 
     def face_by_key(self, key: str) -> OrientedFace:
-        for f in self.faces:
-            if f.key == key:
-                return f
-        raise NotIncident(f"no face with key {key!r}")
+        try:
+            return self._by_key[key]
+        except KeyError:
+            raise NotIncident(f"no face with key {key!r}") from None
 
     def directed_edges(self) -> list[tuple[str, str]]:
         return [e for (a, b) in self.edges for e in ((a, b), (b, a))]
@@ -182,10 +182,13 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
 
     # closure: edges are exactly the 2-subsets of faces
     edge_faces: dict[frozenset, list[OrientedFace]] = {}
+    vertex_faces: dict[str, list[OrientedFace]] = {}
     for face in oriented:
         a, b, c = face.vertices
         for pair in ((a, b), (b, c), (c, a)):
             edge_faces.setdefault(frozenset(pair), []).append(face)
+        for v in face.vertices:
+            vertex_faces.setdefault(v, []).append(face)
 
     for edge, incident in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
         name = "{%s}" % ",".join(sorted(edge))
@@ -202,7 +205,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
 
     links: dict[str, Polygon] = {}
     for v in sorted(vert_set):
-        incident = [f for f in oriented if v in f]
+        incident = vertex_faces.get(v)
         if not incident:
             collector.add("NonPolygonLink", v, "vertex lies in no face")
             continue
@@ -248,7 +251,3 @@ def validate_surface(vertices, faces, positions=None) -> ValidationReport:
     """Like build_surface but never raises; returns the report."""
     _, report = _build(vertices, faces, positions)
     return report
-
-
-def link(surface: OrientedSurface, v: str) -> Polygon:
-    return surface.link(v)

@@ -2,17 +2,19 @@
 
 A field consists of a fiber point X_v at every vertex and, for every
 directed edge (i, j), a signed step count d_ij recording the path in
-fiber(j) from the transported value transport(i,j)(X_i) to X_j.  Two
-invariants tie the data together:
+fiber(j) from the transported value transport(i,j)(X_i) to X_j.  Fiber
+points are stored as labels and read as positions, so with transport
+offsets o_ij two invariants tie the data together:
 
-* endpoint congruence, d_ij = pos(X_j) - pos(transport(i,j)(X_i)) mod n_j;
+* endpoint congruence, d_ij = pos_j(X_j) - pos_i(X_i) - o_ij mod n_j;
 * reversal antisymmetry, d_ij + d_ji = 0 as exact integers.
 
 The swirl of a face is the sum of d over its boundary.  Because transports
 preserve step counts, this equals the step count of the fully transported
 boundary concatenation (``swirl_path`` builds that concatenation
-explicitly; ``swirl`` just adds integers).  The index of a face is
-(lift + swirl) / fiber size, an exact integer.
+explicitly from polygon isomorphisms, as a reference; ``swirl`` just adds
+integers).  The index of a face is (lift + swirl) / fiber size, an exact
+integer division.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ from .bundle import (
     DiscreteConnection,
     FlatnessStructure,
     GaugeTransformation,
+    antisymmetric,
     basepoint,
     boundary,
     gauge_transform,
-    holonomy_steps,
     total_flatness_winding,
 )
 from .complex import OrientedFace
-from .errors import NonIntegralIndex, NotALoop, NotIncident, ReportCollector
-from .polygon import PolyIso, PolyPath, RotationPath, Turns
+from .errors import NonIntegralIndex, NotIncident, ReportCollector, UnknownLabel
+from .polygon import PolyPath, Turns
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,8 @@ class VectorField:
 
 def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
     """The congruence class (mod n_j) every valid d_ij must lie in."""
-    fiber_j = conn.fiber(j)
-    moved = conn.transport(i, j)(at[i])
-    return (fiber_j.position(at[j]) - fiber_j.position(moved)) % fiber_j.n
+    pos_i, pos_j = conn.position(i, at[i]), conn.position(j, at[j])
+    return (pos_j - pos_i - conn.offsets[(i, j)]) % conn.size(j)
 
 
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
@@ -76,45 +77,26 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
             collector.add("MissingVertex", v, "no fiber point supplied")
             continue
         label = str(at[v])
-        if label not in conn.fiber(v):
+        try:
+            conn.position(v, label)
+        except UnknownLabel:
             collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
             continue
         values[v] = label
     collector.raise_if_failed("invalid vector field")
 
-    given: dict[tuple[str, str], int] = {}
-    edge_set = set(surface.edges)
-    for key, value in steps.items():
-        i, j = (str(x) for x in key)
-        if tuple(sorted((i, j))) not in edge_set:
-            collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
-            continue
-        given[(i, j)] = int(value)
-
-    resolved: dict[tuple[str, str], int] = {}
-    for a, b in surface.edges:
-        fwd, bwd = given.get((a, b)), given.get((b, a))
-        if fwd is None and bwd is None:
-            collector.add("MissingEdge", f"{{{a},{b}}}", "no step count supplied")
-            continue
-        if fwd is not None and bwd is not None and fwd + bwd != 0:
+    resolved = antisymmetric(
+        surface, steps, collector, "step count", lambda i, j, value: int(value),
+        "AntisymmetryViolation", None,
+    )
+    for (i, j), d_ij in resolved.items():
+        want = expected_step_class(conn, values, i, j)
+        if d_ij % conn.size(j) != want:
             collector.add(
-                "AntisymmetryViolation",
-                f"{{{a},{b}}}",
-                f"d({a},{b}) = {fwd} and d({b},{a}) = {bwd} do not cancel",
+                "EndpointIncongruent",
+                f"({i},{j})",
+                f"step {d_ij} is not congruent to {want} mod {conn.size(j)}",
             )
-            continue
-        d = fwd if fwd is not None else -bwd
-        for (i, j), d_ij in (((a, b), d), ((b, a), -d)):
-            want = expected_step_class(conn, values, i, j)
-            if d_ij % conn.fiber(j).n != want:
-                collector.add(
-                    "EndpointIncongruent",
-                    f"({i},{j})",
-                    f"step {d_ij} is not congruent to {want} mod {conn.fiber(j).n}",
-                )
-        resolved[(a, b)] = d
-        resolved[(b, a)] = -d
 
     collector.raise_if_failed("invalid vector field")
     return VectorField(conn, values, resolved)
@@ -153,17 +135,15 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
 
 
 def index(vf: VectorField, flatness: FlatnessStructure, face: OrientedFace) -> int:
-    """(lift + swirl) / fiber size, via the loop of rotations the two paths
-    concatenate into."""
-    fiber = vf.conn.fiber(basepoint(face))
-    lift_path = RotationPath(fiber, flatness.lift(face))
-    swirl_as_rotations = RotationPath(fiber, swirl(vf, face))
-    try:
-        return lift_path.concat(swirl_as_rotations).winding()
-    except NotALoop as exc:
+    """(lift + swirl) / fiber size, which must divide exactly."""
+    n = vf.conn.size(basepoint(face))
+    total = flatness.lift(face) + swirl(vf, face)
+    turns, rest = divmod(total, n)
+    if rest:
         raise NonIntegralIndex(
-            f"face {face.key}: lift + swirl is not a whole number of turns ({exc})"
-        ) from None
+            f"face {face.key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
+        )
+    return turns
 
 
 @dataclass(frozen=True)
@@ -212,7 +192,7 @@ def totals(
         s = swirl(vf, face)
         i = index(vf, flatness, face)
         rows.append(
-            IndexRow(face.key, v, size, holonomy_steps(conn, face, v), flatness.lift(face), s, i)
+            IndexRow(face.key, v, size, conn.holonomy[face], flatness.lift(face), s, i)
         )
         total_swirl += Fraction(s, size)
         total_index += i
@@ -228,8 +208,8 @@ def gauge_transform_field(vf: VectorField, gauge: GaugeTransformation) -> Vector
     """Carry a field along a gauge transformation: fiber points rotate with
     their fibers, edge steps are untouched."""
     conn = gauge_transform(vf.conn, gauge)
-    at = {}
-    for v in vf.conn.surface.vertices:
-        rot = PolyIso.rotation(vf.conn.fiber(v), gauge.at(v))
-        at[v] = rot(vf.value(v))
+    at = {
+        v: conn.label_at(v, conn.position(v, label) + gauge.at(v))
+        for v, label in vf.at.items()
+    }
     return build_field(conn, at, dict(vf.steps))

@@ -100,7 +100,7 @@ class Polygon:
         d = (self.position(y) - self.position(x)) % self.n
         return d if 2 * d <= self.n else d - self.n
 
-    def collapse(self, v: str) -> tuple["Polygon", "PathTransfer"]:
+    def collapse(self, v: str) -> tuple["Polygon", Callable[["PolyPath"], "PolyPath"]]:
         """Remove ``v`` by shrinking the arc from ``v`` to its successor.
 
         Returns the smaller polygon and a transfer map on paths.  Crossings
@@ -132,7 +132,7 @@ class Polygon:
 
         return small, transfer
 
-    def subdivide(self, k: int) -> tuple["Polygon", "PathTransfer"]:
+    def subdivide(self, k: int) -> tuple["Polygon", Callable[["PolyPath"], "PolyPath"]]:
         """Insert k - 1 fresh points into every arc.
 
         An original label at position i lands at position k * i; a path of
@@ -155,9 +155,6 @@ class Polygon:
 
     def __str__(self) -> str:
         return "(" + " ".join(self.labels) + ")"
-
-
-PathTransfer = Callable[["PolyPath"], "PolyPath"]
 
 
 @dataclass(frozen=True)

@@ -35,21 +35,21 @@ def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> Disc
 def random_lifts(conn: DiscreteConnection, rng: Random, spread: int = 2) -> FlatnessStructure:
     lifts = {}
     for face in conn.surface.faces:
-        n = conn.fiber(min(face.vertices)).n
+        n = conn.size(min(face.vertices))
         lifts[face] = holonomy_steps(conn, face) + n * rng.randint(-spread, spread)
     return attach_flatness(conn, lifts)
 
 
 def random_field(conn: DiscreteConnection, rng: Random, spread: int = 2) -> VectorField:
-    at = {v: rng.choice(conn.fiber(v).labels) for v in conn.surface.vertices}
+    at = {v: conn.label_at(v, rng.randrange(conn.size(v))) for v in conn.surface.vertices}
     steps = {}
     for a, b in conn.surface.edges:
         base = expected_step_class(conn, at, a, b)
-        steps[(a, b)] = base + conn.fiber(b).n * rng.randint(-spread, spread)
+        steps[(a, b)] = base + conn.size(b) * rng.randint(-spread, spread)
     return build_field(conn, at, steps)
 
 
 def random_gauge(conn: DiscreteConnection, rng: Random) -> GaugeTransformation:
     return GaugeTransformation(
-        {v: rng.randrange(conn.fiber(v).n) for v in conn.surface.vertices}
+        {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
     )

@@ -246,8 +246,8 @@ def scene_to_obj(scene: SceneFile) -> dict:
         mode = "link" if conn.refined is None else {"refined": conn.refined}
         entries = []
         for a, b in conn.surface.edges:
-            iso = conn.transport(a, b)
-            entries.append({"edge": [a, b], "anchor": list(iso.anchor)})
+            anchor = [conn.label_at(a, 0), conn.label_at(b, conn.offsets[(a, b)])]
+            entries.append({"edge": [a, b], "anchor": anchor})
         obj["connection"] = {"fiber_mode": mode, "transports": entries}
     if scene.flatness is not None:
         obj["flatness"] = {

@@ -64,7 +64,7 @@ class TestBuild:
         anchored = {
             edge: conn.transport(*edge).anchor for edge in OCTAHEDRON_TRANSPORTS
         }
-        assert build_connection(octa, "link", anchored).transports == conn.transports
+        assert build_connection(octa, "link", anchored).offsets == conn.offsets
 
     def test_transport_tables_reproduced(self, conn):
         iso = conn.transport("w", "r")
@@ -82,7 +82,7 @@ class TestBuild:
         transports = dict(OCTAHEDRON_TRANSPORTS)
         transports[("r", "w")] = conn.transport("r", "w").mapping()
         rebuilt = build_connection(octa, "link", transports)
-        assert rebuilt.transports == conn.transports
+        assert rebuilt.offsets == conn.offsets
 
     def test_missing_edge(self, octa):
         transports = dict(OCTAHEDRON_TRANSPORTS)
@@ -262,7 +262,7 @@ class TestGauge:
 
 class TestTangentAndTrivialization:
     def test_tangent_connection_matches_tables(self, octa, conn):
-        assert tangent_connection(octa, "link").transports == conn.transports
+        assert tangent_connection(octa, "link").offsets == conn.offsets
 
     def test_tangent_requires_even_size(self):
         with pytest.raises(ValidationFailed):
