@@ -44,7 +44,6 @@ from .errors import (
     NotIncident,
     ReportCollector,
     UnknownLabel,
-    ValidationFailed,
 )
 from .polygon import Polygon, PolyIso, Turns
 
@@ -67,12 +66,6 @@ def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
     return [(a, b), (b, c), (c, a)]
 
 
-def _single(rule, element, message):
-    collector = ReportCollector()
-    collector.add(rule, element, message)
-    return collector.report()
-
-
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
     """Least common multiple of the vertex degrees (doubled if an even size
     is required and the lcm is odd)."""
@@ -80,6 +73,13 @@ def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
     if even and size % 2 == 1:
         size *= 2
     return size
+
+
+def _default_mode(surface: OrientedSurface, even: bool = False):
+    """Link mode when every degree equals the default refinement, else that
+    refinement."""
+    size = default_refinement(surface, even)
+    return LINK_MODE if set(surface.degrees().values()) == {size} else size
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,8 @@ class DiscreteConnection:
 
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
     """A connection without transports, once the fiber mode fits the surface."""
+    collector = ReportCollector()
     if fiber_mode == LINK_MODE:
-        collector = ReportCollector()
         for a, b in surface.edges:
             if surface.degree(a) != surface.degree(b):
                 collector.add(
@@ -155,10 +155,8 @@ def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnectio
     for v in surface.vertices:
         deg = surface.degree(v)
         if size % deg != 0:
-            raise ValidationFailed(
-                "invalid fiber refinement",
-                _single("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}"),
-            )
+            collector.add("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}")
+    collector.raise_if_failed("invalid fiber refinement")
     return DiscreteConnection(surface, size, {}, {})
 
 
@@ -170,15 +168,6 @@ def _close(conn: DiscreteConnection) -> DiscreteConnection:
         a, b, c = face.vertices
         conn.holonomy[face] = (o[(a, b)] + o[(b, c)] + o[(c, a)]) % conn.size(a)
     return conn
-
-
-def make_fibers(surface: OrientedSurface, fiber_mode) -> dict[str, Polygon]:
-    """Explicit fiber polygons for every vertex; ``fiber_mode`` is
-    ``"link"`` or an integer refinement size."""
-    if fiber_mode == LINK_MODE:
-        return dict(surface.links)
-    conn = _empty_connection(surface, fiber_mode)
-    return {v: conn.fiber(v) for v in surface.vertices}
 
 
 def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
@@ -442,18 +431,13 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     otherwise use a refined mode with even size (the default).
     """
     if fiber_mode is None:
-        degs = set(surface.degrees().values())
-        fiber_mode = (
-            LINK_MODE if len(degs) == 1 and degs.pop() % 2 == 0
-            else default_refinement(surface, even=True)
-        )
+        fiber_mode = _default_mode(surface, even=True)
     conn = _empty_connection(surface, fiber_mode)
+    collector = ReportCollector()
     for v in surface.vertices:
         if conn.size(v) % 2 != 0:
-            raise ValidationFailed(
-                "no straightest transport",
-                _single("SizeMismatch", v, f"fiber size {conn.size(v)} is odd, antipodes undefined"),
-            )
+            collector.add("SizeMismatch", v, f"fiber size {conn.size(v)} is odd, antipodes undefined")
+    collector.raise_if_failed("no straightest transport")
     for a, b in surface.directed_edges():
         n = conn.size(b)
         conn.offsets[(a, b)] = (conn.position(b, a) + n // 2 - conn.position(a, b)) % n
@@ -463,8 +447,7 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
 def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:
     """Position-preserving transports; every holonomy is the identity."""
     if fiber_mode is None:
-        degs = set(surface.degrees().values())
-        fiber_mode = LINK_MODE if len(degs) == 1 else default_refinement(surface)
+        fiber_mode = _default_mode(surface)
     conn = _empty_connection(surface, fiber_mode)
     conn.offsets.update(dict.fromkeys(surface.directed_edges(), 0))
     return _close(conn)

@@ -3,10 +3,11 @@
 A field consists of a fiber point X_v at every vertex and, for every
 directed edge (i, j), a signed step count d_ij recording the path in
 fiber(j) from the transported value transport(i,j)(X_i) to X_j.  Fiber
-points are stored as labels and read as positions, so with transport
+points are stored as positions x_v, read from labels once when the field is
+built and printed as labels again only on request, so with transport
 offsets o_ij two invariants tie the data together:
 
-* endpoint congruence, d_ij = pos_j(X_j) - pos_i(X_i) - o_ij mod n_j;
+* endpoint congruence, d_ij = x_j - x_i - o_ij mod n_j;
 * reversal antisymmetry, d_ij + d_ji = 0 as exact integers.
 
 The swirl of a face is the sum of d over its boundary.  Because transports
@@ -39,14 +40,15 @@ from .polygon import PolyPath, Turns
 
 @dataclass(frozen=True)
 class VectorField:
-    """A section over the 1-skeleton of the connection's surface."""
+    """A section over the 1-skeleton of the connection's surface: ``at``
+    holds the position of X_v in its fiber, ``value`` prints it as a label."""
 
     conn: DiscreteConnection
-    at: dict[str, str] = field(repr=False)
+    at: dict[str, int] = field(repr=False)
     steps: dict[tuple[str, str], int] = field(repr=False)
 
     def value(self, v: str) -> str:
-        return self.at[v]
+        return self.conn.label_at(v, self.at[v])
 
     def step(self, i: str, j: str) -> int:
         try:
@@ -56,14 +58,15 @@ class VectorField:
 
 
 def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
-    """The congruence class (mod n_j) every valid d_ij must lie in."""
-    pos_i, pos_j = conn.position(i, at[i]), conn.position(j, at[j])
-    return (pos_j - pos_i - conn.offsets[(i, j)]) % conn.size(j)
+    """The congruence class (mod n_j) every valid d_ij must lie in, given
+    the fiber positions ``at``."""
+    return (at[j] - at[i] - conn.offsets[(i, j)]) % conn.size(j)
 
 
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     """Validate and assemble a field.
 
+    ``at`` maps vertices to fiber labels, each parsed once into a position.
     ``steps`` maps directed edges to integers; one direction per undirected
     edge suffices (the reverse is its negation), and if both are given they
     must cancel exactly.
@@ -71,18 +74,16 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     collector = ReportCollector()
     surface = conn.surface
 
-    values: dict[str, str] = {}
+    positions: dict[str, int] = {}
     for v in surface.vertices:
         if v not in at:
             collector.add("MissingVertex", v, "no fiber point supplied")
             continue
         label = str(at[v])
         try:
-            conn.position(v, label)
+            positions[v] = conn.position(v, label)
         except UnknownLabel:
             collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
-            continue
-        values[v] = label
     collector.raise_if_failed("invalid vector field")
 
     resolved = antisymmetric(
@@ -90,7 +91,7 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
         "AntisymmetryViolation", None,
     )
     for (i, j), d_ij in resolved.items():
-        want = expected_step_class(conn, values, i, j)
+        want = expected_step_class(conn, positions, i, j)
         if d_ij % conn.size(j) != want:
             collector.add(
                 "EndpointIncongruent",
@@ -99,7 +100,7 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
             )
 
     collector.raise_if_failed("invalid vector field")
-    return VectorField(conn, values, resolved)
+    return VectorField(conn, positions, resolved)
 
 
 def swirl(vf: VectorField, face: OrientedFace) -> int:
@@ -134,16 +135,19 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
     return total
 
 
-def index(vf: VectorField, flatness: FlatnessStructure, face: OrientedFace) -> int:
-    """(lift + swirl) / fiber size, which must divide exactly."""
-    n = vf.conn.size(basepoint(face))
-    total = flatness.lift(face) + swirl(vf, face)
+def _whole_turns(face: OrientedFace, total: int, n: int) -> int:
     turns, rest = divmod(total, n)
     if rest:
         raise NonIntegralIndex(
             f"face {face.key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
         )
     return turns
+
+
+def index(vf: VectorField, flatness: FlatnessStructure, face: OrientedFace) -> int:
+    """(lift + swirl) / fiber size, which must divide exactly."""
+    n = vf.conn.size(basepoint(face))
+    return _whole_turns(face, flatness.lift(face) + swirl(vf, face), n)
 
 
 @dataclass(frozen=True)
@@ -185,20 +189,18 @@ def totals(
     size = conn.uniform_size()
     overrides = basepoints or {}
     rows = []
-    total_swirl = Fraction(0)
-    total_index = 0
+    total_swirl = total_index = 0
     for face in conn.surface.faces:
         v = basepoint(face, overrides.get(face.key))
         s = swirl(vf, face)
-        i = index(vf, flatness, face)
-        rows.append(
-            IndexRow(face.key, v, size, conn.holonomy[face], flatness.lift(face), s, i)
-        )
-        total_swirl += Fraction(s, size)
+        lift = flatness.lift(face)
+        i = _whole_turns(face, lift + s, size)
+        rows.append(IndexRow(face.key, v, size, conn.holonomy[face], lift, s, i))
+        total_swirl += s
         total_index += i
     return IndexReport(
         rows=tuple(rows),
-        total_swirl=total_swirl,
+        total_swirl=Fraction(total_swirl, size),
         total_index=total_index,
         total_flatness_winding=total_flatness_winding(conn, flatness),
     )
@@ -206,10 +208,8 @@ def totals(
 
 def gauge_transform_field(vf: VectorField, gauge: GaugeTransformation) -> VectorField:
     """Carry a field along a gauge transformation: fiber points rotate with
-    their fibers, edge steps are untouched."""
+    their fibers, edge steps are untouched.  The result is validated again
+    by ``build_field``."""
     conn = gauge_transform(vf.conn, gauge)
-    at = {
-        v: conn.label_at(v, conn.position(v, label) + gauge.at(v))
-        for v, label in vf.at.items()
-    }
+    at = {v: conn.label_at(v, x + gauge.at(v)) for v, x in vf.at.items()}
     return build_field(conn, at, dict(vf.steps))

@@ -17,18 +17,20 @@ from .bundle import (
     GaugeTransformation,
     attach_flatness,
     build_connection,
+    flat_connection,
     holonomy_steps,
-    make_fibers,
 )
 from .complex import OrientedSurface
 from .field import VectorField, build_field, expected_step_class
 
 
 def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> DiscreteConnection:
-    fibers = make_fibers(surface, fiber_mode)
+    fibers = flat_connection(surface, fiber_mode)  # read for fiber sizes and labels only
     transports = {}
     for a, b in surface.edges:
-        transports[(a, b)] = (rng.choice(fibers[a].labels), rng.choice(fibers[b].labels))
+        transports[(a, b)] = tuple(
+            fibers.label_at(v, rng.randrange(fibers.size(v))) for v in (a, b)
+        )
     return build_connection(surface, fiber_mode, transports)
 
 
@@ -41,12 +43,12 @@ def random_lifts(conn: DiscreteConnection, rng: Random, spread: int = 2) -> Flat
 
 
 def random_field(conn: DiscreteConnection, rng: Random, spread: int = 2) -> VectorField:
-    at = {v: conn.label_at(v, rng.randrange(conn.size(v))) for v in conn.surface.vertices}
+    at = {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
     steps = {}
     for a, b in conn.surface.edges:
         base = expected_step_class(conn, at, a, b)
         steps[(a, b)] = base + conn.size(b) * rng.randint(-spread, spread)
-    return build_field(conn, at, steps)
+    return build_field(conn, {v: conn.label_at(v, x) for v, x in at.items()}, steps)
 
 
 def random_gauge(conn: DiscreteConnection, rng: Random) -> GaugeTransformation:

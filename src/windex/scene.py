@@ -32,6 +32,7 @@ parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,8 +201,10 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
 def parse_scene_text(text: str) -> SceneFile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise SceneParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SceneParseError("not valid JSON: nested too deeply") from None
     _require_keys(obj, {"surface", "connection", "flatness", "field"}, {"surface"}, "scene")
     surface = _parse_surface(obj["surface"])
     connection = flatness = field = None
@@ -220,12 +223,18 @@ def parse_scene_text(text: str) -> SceneFile:
 
 def parse_scene(path: str) -> SceneFile:
     """Read a scene from a file path, or from stdin when path is '-'."""
-    if path == "-":
-        import sys
-
-        return parse_scene_text(sys.stdin.read())
-    with open(path, encoding="utf-8") as handle:
-        return parse_scene_text(handle.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            # stdin may decode with surrogateescape, which turns every byte
+            # that is not UTF-8 into a lone surrogate instead of failing
+            text.encode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeError:
+        raise SceneParseError("not valid UTF-8") from None
+    return parse_scene_text(text)
 
 
 def scene_to_obj(scene: SceneFile) -> dict:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs that tests/test_golden.py compares.
 
-Writes the input scenes to ``tests/golden/scenes/`` (the four bundled
-fixtures plus seeded random instances from ``windex.sampling``, in link
-and refined modes) and, for every scene, the stdout and exit code of each
+Writes the input scenes that ``scene_texts`` returns to
+``tests/golden/scenes/`` (the four bundled fixtures plus seeded random
+instances from ``windex.sampling``, in link and refined modes) and, for
+every scene, the stdout and exit code of each
 scene subcommand with and without ``--json`` to ``tests/golden/outputs.json``.
 
 Outputs are a contract: regenerate only when a change is meant to alter
@@ -103,15 +104,9 @@ def invocations(name: str, scene: dict) -> list[list[str]]:
     return runs
 
 
-def main() -> int:
-    SCENES.mkdir(exist_ok=True)
-    outputs: dict[str, dict] = {}
-    texts: dict[str, str] = {}
-    for name in FIXTURES:
-        result = run(["fixture", name])
-        outputs[f"fixture {name}"] = result
-        texts[f"fixture-{name}"] = result["stdout"]
-
+def scene_texts() -> dict[str, str]:
+    """Scene name -> the text of its golden input scene."""
+    texts = {f"fixture-{name}": run(["fixture", name])["stdout"] for name in FIXTURES}
     rng = Random(SEED)
     for name, make, mode, sections in SAMPLED:
         surface = make()
@@ -119,7 +114,13 @@ def main() -> int:
         flat = random_lifts(conn, rng) if "lifts" in sections else None
         field = random_field(conn, rng) if "field" in sections else None
         texts[name] = serialize_scene(SceneFile(surface, conn, flat, field))
+    return texts
 
+
+def main() -> int:
+    SCENES.mkdir(exist_ok=True)
+    outputs = {f"fixture {name}": run(["fixture", name]) for name in FIXTURES}
+    texts = scene_texts()
     for name, text in texts.items():
         path = SCENES / f"{name}.json"
         path.write_text(text, encoding="utf-8")

@@ -17,7 +17,6 @@ from windex.bundle import (
     flat_connection,
     gauge_transform,
     holonomy_steps,
-    make_fibers,
     net_holonomy,
     tangent_connection,
     total_flatness_winding,
@@ -119,8 +118,7 @@ class TestBuild:
         assert conn.uniform_size() == 20
 
     def test_refined_fibers_embed_links(self, octa):
-        fibers = make_fibers(octa, 8)
-        fiber = fibers["w"]
+        fiber = flat_connection(octa, 8).fiber("w")
         assert fiber.n == 8
         link = octa.link("w")
         for k, lab in enumerate(link.labels):
@@ -128,7 +126,17 @@ class TestBuild:
 
     def test_refined_size_must_divide(self, octa):
         with pytest.raises(ValidationFailed):
-            make_fibers(octa, 6)
+            flat_connection(octa, 6)
+
+    @pytest.mark.parametrize("build, make, mode, failing", [
+        (flat_connection, octahedron, 6, 6),  # 6 is not a multiple of degree 4
+        (tangent_connection, icosahedron, 5, 12),  # odd fibers have no antipodes
+    ])
+    def test_every_size_mismatch_reported(self, build, make, mode, failing):
+        with pytest.raises(ValidationFailed) as excinfo:
+            build(make(), mode)
+        rules = [v.rule for v in excinfo.value.report.violations]
+        assert rules == ["SizeMismatch"] * failing
 
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))

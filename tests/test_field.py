@@ -5,7 +5,13 @@ from random import Random
 
 import pytest
 
-from windex.bundle import GaugeTransformation, canonical_flatness, holonomy_iso
+from windex.bundle import (
+    DiscreteConnection,
+    GaugeTransformation,
+    canonical_flatness,
+    flat_connection,
+    holonomy_iso,
+)
 from windex.errors import NonIntegralIndex, ValidationFailed
 from windex.field import (
     VectorField,
@@ -18,6 +24,7 @@ from windex.field import (
 )
 from windex.fixtures import (
     OCTAHEDRON_SPIN_AT,
+    csaszar_torus,
     OCTAHEDRON_SPIN_PATHS,
     octahedron_connection,
     octahedron_spin_field,
@@ -84,6 +91,21 @@ class TestBuild:
         with pytest.raises(ValidationFailed) as excinfo:
             build_field(conn, at, dict(spin.steps))
         assert any(v.rule == "UnknownLabel" for v in excinfo.value.report.violations)
+
+    def test_each_label_parsed_once(self, monkeypatch):
+        torus = flat_connection(csaszar_torus(), 6)
+        vf = random_field(torus, Random(5))
+        labels = {v: vf.value(v) for v in torus.surface.vertices}
+        parsed = []
+        position = DiscreteConnection.position
+
+        def counted(self, v, label):
+            parsed.append(v)
+            return position(self, v, label)
+
+        monkeypatch.setattr(DiscreteConnection, "position", counted)
+        assert build_field(torus, labels, vf.steps) == vf
+        assert sorted(parsed) == sorted(torus.surface.vertices)
 
     def test_tables_name_the_forced_endpoints(self, conn):
         # each table entry is a path from the transported value to the

@@ -250,6 +250,40 @@ class TestCli:
         assert code == 0
         assert "PASS" in out
 
+    # a valid scene once vertex "0" is renamed to the byte 0xff
+    NOT_UTF8 = json.dumps(MINIMAL).encode().replace(b'"0"', b'"\xff"')
+
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        scene = tmp_path / "latin1.json"
+        scene.write_bytes(self.NOT_UTF8)
+        code, _, err = run(capsys, "validate", str(scene))
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin_is_parse_error(self, capsys, monkeypatch, errors):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run(capsys, "validate")
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"surface": ' + "1" * 5000 + "}",  # past Python's int_max_str_digits
+    ], ids=["deep-nesting", "long-integer"])
+    def test_json_decoder_limits_are_parse_errors(self, capsys, tmp_path, text):
+        scene = tmp_path / "hostile.json"
+        scene.write_text(text)
+        code, _, err = run(capsys, "check", str(scene))
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
     def test_json_keys_sorted(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
         scene.write_text(fixture_scene(capsys, "octahedron"))
