@@ -96,20 +96,20 @@ class DiscreteConnection:
     )
 
     def size(self, v: str) -> int:
-        return self.surface.degree(v) if self.refined is None else self.refined
+        return self.refined or self.surface.degree(v)
 
     def position(self, v: str, label: str) -> int:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
         link = self.surface.link(v)
-        base, tilde, j = label.partition("~")
-        if base in link:
-            arc = (self.refined or link.n) // link.n
-            if not tilde:
-                return link.position(base) * arc
-            # only the spelling subdivide produces: ASCII digits, no leading 0
-            if j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-                return link.position(base) * arc + int(j)
+        n = link.n
+        arc = (self.refined or n) // n
+        if label in link:
+            return link.position(label) * arc
+        base, _, j = label.partition("~")
+        # only the spelling subdivide produces: ASCII digits, no leading 0
+        if base in link and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+            return link.position(base) * arc + int(j)
         raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
 
     def label_at(self, v: str, position: int) -> str:
@@ -180,26 +180,28 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     given: dict[tuple[str, str], object] = {}
     edge_set = set(surface.edges)
     for key, value in supplied.items():
-        i, j = (str(x) for x in key)
-        if tuple(sorted((i, j))) not in edge_set:
+        i, j = map(str, key)
+        if ((i, j) if i < j else (j, i)) not in edge_set:
             collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
             continue
         given[(i, j)] = value
 
     resolved: dict[tuple[str, str], int] = {}
     for a, b in surface.edges:
-        got = {e: read(*e, given[e]) for e in ((a, b), (b, a)) if e in given}
-        if not got:
+        forward, backward = (a, b) in given, (b, a) in given
+        if not (forward or backward):
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
-        if not got or None in got.values():
+            continue
+        d = read(a, b, given[(a, b)]) if forward else 0
+        e = read(b, a, given[(b, a)]) if backward else 0
+        if d is None or e is None:
             continue
         n = modulus(a) if modulus else 0
-        total = sum(got.values())
-        if len(got) == 2 and (total % n if n else total) != 0:
-            collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {got[(a, b)]} and "
-                          f"({b},{a}) gives {got[(b, a)]}, which do not cancel")
+        if forward and backward and ((d + e) % n if n else d + e):
+            collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {d} and "
+                          f"({b},{a}) gives {e}, which do not cancel")
             continue
-        d = got[(a, b)] if (a, b) in got else -got[(b, a)]
+        d = d if forward else -e
         resolved[(a, b)], resolved[(b, a)] = (d % n, -d % n) if n else (d, -d)
     return resolved
 
@@ -301,16 +303,17 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
             continue
         resolved[face] = int(value)
     for face in conn.surface.faces:
-        if face not in resolved:
+        lift = resolved.get(face)
+        if lift is None:
             collector.add("MissingFace", face.key, "no lift supplied")
             continue
-        n = conn.size(basepoint(face))
+        n = conn.size(face.vertices[0])
         r = conn.holonomy[face]
-        if resolved[face] % n != r:
+        if lift % n != r:
             collector.add(
                 "LiftIncongruent",
                 face.key,
-                f"lift {resolved[face]} is not congruent to holonomy {r} mod {n}",
+                f"lift {lift} is not congruent to holonomy {r} mod {n}",
             )
     collector.raise_if_failed("invalid flatness structure")
     return FlatnessStructure(resolved)
@@ -323,10 +326,13 @@ def canonical_flatness(conn: DiscreteConnection) -> FlatnessStructure:
 
 def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure) -> int:
     """Sum of lift turns over all faces; integral whenever the net holonomy
-    vanishes mod 1, which validation guarantees."""
-    total = Fraction(0)
+    vanishes mod 1, which validation guarantees.  The lifts are summed as
+    integers per fiber size and each sum is divided once."""
+    lifts_by_size: dict[int, int] = {}
     for face in conn.surface.faces:
-        total += Fraction(flatness.lift(face), conn.size(basepoint(face)))
+        n = conn.size(face.vertices[0])
+        lifts_by_size[n] = lifts_by_size.get(n, 0) + flatness.lifts[face]
+    total = sum(Fraction(lift, n) for n, lift in lifts_by_size.items())
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
     return int(total)

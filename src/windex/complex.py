@@ -10,6 +10,7 @@ vertex link chains into a single cycle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import NotIncident, ReportCollector, ValidationFailed, ValidationReport
@@ -85,9 +86,11 @@ class OrientedSurface:
     links: dict[str, Polygon] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
     _by_key: dict[str, OrientedFace] = field(init=False, compare=False, repr=False)
+    _degrees: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_key", {f.key: f for f in self.faces})
+        object.__setattr__(self, "_degrees", {v: p.n for v, p in self.links.items()})
 
     def link(self, v: str) -> Polygon:
         try:
@@ -96,10 +99,13 @@ class OrientedSurface:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def degree(self, v: str) -> int:
-        return self.link(v).n
+        try:
+            return self._degrees[v]
+        except KeyError:
+            raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def degrees(self) -> dict[str, int]:
-        return {v: self.links[v].n for v in self.vertices}
+        return dict(self._degrees)
 
     def face_by_key(self, key: str) -> OrientedFace:
         try:
@@ -116,18 +122,16 @@ def euler_characteristic(surface: OrientedSurface) -> int:
     return len(surface.vertices) - len(surface.edges) + len(surface.faces)
 
 
-def _trace_link(v: str, incident: list[OrientedFace], collector: ReportCollector) -> Polygon | None:
-    """Chain the arcs contributed by faces at ``v`` into one cycle."""
+def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> Polygon | None:
+    """Chain the link arcs at ``v`` into one cycle.  ``arcs`` is flat, two
+    labels per arc: a face (v, a, b) contributes the arc a -> b."""
     succ: dict[str, str] = {}
-    heads: set[str] = set()
-    for face in incident:
-        _, a, b = face.corner_order(v)
+    for a, b in zip(arcs[::2], arcs[1::2]):
         if a in succ:
             collector.add("NonPolygonLink", v, f"two arcs leave {a!r} in the link")
             return None
         succ[a] = b
-        heads.add(b)
-    if set(succ) != heads:
+    if succ.keys() != set(succ.values()):
         collector.add("NonPolygonLink", v, "link arcs do not pair up head-to-tail")
         return None
     if len(succ) < 3:
@@ -136,11 +140,9 @@ def _trace_link(v: str, incident: list[OrientedFace], collector: ReportCollector
     start = min(succ)
     cycle = [start]
     cur = succ[start]
-    while cur != start:
+    while cur != start:  # succ is a bijection, so this comes back to start
         cycle.append(cur)
         cur = succ[cur]
-        if len(cycle) > len(succ):
-            break
     if len(cycle) != len(succ):
         collector.add("NonPolygonLink", v, "link arcs split into more than one cycle")
         return None
@@ -148,6 +150,12 @@ def _trace_link(v: str, incident: list[OrientedFace], collector: ReportCollector
 
 
 def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, ValidationReport]:
+    """Validate and assemble a surface.  After the per-face checks, one pass
+    over the three directed edges (x, y) of every face, at corner x with
+    third vertex z, collects everything else: the edge {x, y}, keyed by its
+    sorted pair, gets the tail x and the face, and the link of x gets the
+    arc y -> z.  Both are flat lists, so a valid edge holds four items and
+    no tuple is made per entry."""
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]
@@ -181,35 +189,41 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
         return None, report
 
     # closure: edges are exactly the 2-subsets of faces
-    edge_faces: dict[frozenset, list[OrientedFace]] = {}
-    vertex_faces: dict[str, list[OrientedFace]] = {}
+    edge_faces: dict[tuple[str, str], list] = defaultdict(list)
+    arcs: dict[str, list[str]] = defaultdict(list)
     for face in oriented:
         a, b, c = face.vertices
-        for pair in ((a, b), (b, c), (c, a)):
-            edge_faces.setdefault(frozenset(pair), []).append(face)
-        for v in face.vertices:
-            vertex_faces.setdefault(v, []).append(face)
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            entry = edge_faces[(x, y) if x < y else (y, x)]
+            entry.append(x)
+            entry.append(face)
+            link = arcs[x]
+            link.append(y)
+            link.append(z)
 
-    for edge, incident in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
-        name = "{%s}" % ",".join(sorted(edge))
-        if len(incident) != 2:
-            collector.add("BoundaryEdge", name, f"edge lies in {len(incident)} faces, need exactly 2")
+    edges = tuple(sorted(edge_faces))
+    for edge in edges:
+        entry = edge_faces[edge]
+        name = "{%s,%s}" % edge
+        if len(entry) != 4:
+            collector.add("BoundaryEdge", name, f"edge lies in {len(entry) // 2} faces, need exactly 2")
             continue
-        first, second = (f.induced_edge_order(edge) for f in incident)
-        if first == second:
+        tail, first, other_tail, second = entry
+        if tail == other_tail:
+            order = edge if tail == edge[0] else edge[::-1]
             collector.add(
                 "OrientationClash",
                 name,
-                f"faces {incident[0].key} and {incident[1].key} induce the same order {first}",
+                f"faces {first.key} and {second.key} induce the same order {order}",
             )
+    del edge_faces
 
     links: dict[str, Polygon] = {}
     for v in sorted(vert_set):
-        incident = vertex_faces.get(v)
-        if not incident:
+        if v not in arcs:
             collector.add("NonPolygonLink", v, "vertex lies in no face")
             continue
-        cycle = _trace_link(v, incident, collector)
+        cycle = _trace_link(v, arcs.pop(v), collector)
         if cycle is not None:
             links[v] = cycle
 
@@ -230,7 +244,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
     surface = OrientedSurface(
         vertices=tuple(sorted(vert_set)),
         faces=tuple(sorted(oriented, key=lambda f: f.key)),
-        edges=tuple(sorted(tuple(sorted(e)) for e in edge_faces)),
+        edges=edges,
         links=links,
         positions=pos,
     )

@@ -90,13 +90,15 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
         surface, steps, collector, "step count", lambda i, j, value: int(value),
         "AntisymmetryViolation", None,
     )
+    offsets = conn.offsets
     for (i, j), d_ij in resolved.items():
-        want = expected_step_class(conn, positions, i, j)
-        if d_ij % conn.size(j) != want:
+        n = conn.size(j)
+        want = (positions[j] - positions[i] - offsets[(i, j)]) % n  # expected_step_class, inlined
+        if d_ij % n != want:
             collector.add(
                 "EndpointIncongruent",
                 f"({i},{j})",
-                f"step {d_ij} is not congruent to {want} mod {conn.size(j)}",
+                f"step {d_ij} is not congruent to {want} mod {n}",
             )
 
     collector.raise_if_failed("invalid vector field")
@@ -188,14 +190,17 @@ def totals(
     conn = vf.conn
     size = conn.uniform_size()
     overrides = basepoints or {}
+    steps, lifts, holonomy = vf.steps, flatness.lifts, conn.holonomy
     rows = []
     total_swirl = total_index = 0
     for face in conn.surface.faces:
-        v = basepoint(face, overrides.get(face.key))
-        s = swirl(vf, face)
-        lift = flatness.lift(face)
+        a, b, c = face.vertices
+        key = face.key
+        v = basepoint(face, overrides[key]) if key in overrides else a
+        s = steps[(a, b)] + steps[(b, c)] + steps[(c, a)]  # swirl(vf, face), inlined
+        lift = lifts[face]
         i = _whole_turns(face, lift + s, size)
-        rows.append(IndexRow(face.key, v, size, conn.holonomy[face], lift, s, i))
+        rows.append(IndexRow(key, v, size, holonomy[face], lift, s, i))
         total_swirl += s
         total_index += i
     return IndexReport(

@@ -63,6 +63,8 @@ class SceneFile:
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise SceneParseError(f"{where}: expected an object")
+    if obj.keys() <= allowed and required <= obj.keys():
+        return
     unknown = set(obj) - allowed
     if unknown:
         raise SceneParseError(f"{where}: unknown keys {sorted(unknown)}")
@@ -80,7 +82,15 @@ def _coordinate(value, where: str) -> Fraction:
         if isinstance(value, float):
             return Fraction(str(value))
         if isinstance(value, str):
-            return Fraction(value)
+            # the cap on JSON integers: beyond it a coordinate cannot be
+            # printed again, and a huge exponent stalls Fraction() itself
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            exponent = value.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > limit + len(value):
+                raise ValueError
+            frac = Fraction(value)
+            if max(abs(frac.numerator), frac.denominator) < 10**limit:
+                return frac
     except (ValueError, ZeroDivisionError):
         pass
     raise SceneParseError(f"{where}: cannot read {value!r} as a rational coordinate")

@@ -7,6 +7,13 @@ instances from ``windex.sampling``, in link and refined modes) and, for
 every scene, the stdout and exit code of each
 scene subcommand with and without ``--json`` to ``tests/golden/outputs.json``.
 
+It also writes the invalid scenes that ``rejected_texts`` returns to
+``tests/golden/rejected/`` (one per rule and message the builders report,
+made by editing the valid scenes above, plus scenes that break several
+rules at once) and the stdout, stderr and exit code of ``validate`` and
+``validate --json`` on each to ``tests/golden/rejected.json``, so the
+violation reports keep their rules, elements, messages and order.
+
 Outputs are a contract: regenerate only when a change is meant to alter
 what the CLI prints, and say so where the change is recorded.
 
@@ -31,6 +38,8 @@ from windex.scene import SceneFile, serialize_scene
 HERE = Path(__file__).resolve().parent
 SCENES = HERE / "scenes"
 OUTPUTS = HERE / "outputs.json"
+REJECTED = HERE / "rejected"
+REJECTED_OUTPUTS = HERE / "rejected.json"
 FIXTURES = ("octahedron", "icosahedron", "tetrahedron", "torus")
 SEED = 2026
 
@@ -80,11 +89,14 @@ SAMPLED = [
 ]
 
 
-def run(argv) -> dict:
+def run(argv, stderr: bool = False) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return {"code": code, "stdout": out.getvalue()}
+    result = {"code": code, "stdout": out.getvalue()}
+    if stderr:
+        result["stderr"] = err.getvalue()
+    return result
 
 
 def invocations(name: str, scene: dict) -> list[list[str]]:
@@ -117,6 +129,140 @@ def scene_texts() -> dict[str, str]:
     return texts
 
 
+def _load(name: str) -> dict:
+    return json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _entry(section: list, a: str, b: str) -> dict:
+    return next(e for e in section if e["edge"] == [a, b])
+
+
+def _surface(vertices, faces) -> dict:
+    return {"surface": {"vertices": list(vertices), "faces": [list(f) for f in faces]}}
+
+
+def _edit(base: str, edit) -> dict:
+    scene = _load(base)
+    edit(scene)
+    return scene
+
+
+TET = [("0", "1", "2"), ("0", "2", "3"), ("0", "3", "1"), ("1", "3", "2")]
+
+
+def _pinched():
+    """Two tetrahedra sharing the vertex v: its link is two triangles."""
+    faces = []
+    for a, b, c in (("a", "b", "c"), ("d", "e", "f")):
+        faces += [("v", a, b), ("v", b, c), ("v", c, a), (a, c, b)]
+    return _surface("vabcdef", faces)
+
+
+def _transports(s):
+    return s["connection"]["transports"]
+
+
+def _map(a: str, b: str, mapping: dict):
+    """Replace the anchor of edge (a, b) by a full label map."""
+    def edit(s):
+        entry = _entry(_transports(s), a, b)
+        del entry["anchor"]
+        entry["map"] = mapping
+    return edit
+
+
+def rejected_texts() -> dict[str, str]:
+    """Scene name -> the text of an invalid scene.  Surface faults are
+    written out; connection, flatness and field faults edit the committed
+    tet-link, octa-link-a and bipyramid-r20 scenes.  NonPolygonLink's "link
+    has only k vertices" has no scene: a link of two arcs needs two faces
+    on one vertex set, which DuplicateFace rejects first."""
+    scenes = {
+        # surface
+        "bad-face-repeated": _surface("0123", TET + [("0", "1", "1")]),
+        "bad-face-undeclared": _surface("0123", TET + [("0", "1", "9")]),
+        "duplicate-face": _surface("0123", TET + [("0", "2", "1")]),
+        "boundary-edge": _surface("0123", TET[:3]),
+        "orientation-clash": _surface("0123", TET[:3] + [("1", "2", "3")]),
+        "link-no-face": _surface("01239", TET),
+        "link-two-cycles": _pinched(),
+        "several-faces": _surface(
+            "0123", [("3", "3", "1")] + TET + [("2", "1", "0"), ("0", "x", "1"), ("1", "0", "2")]
+        ),
+        # the octahedron with face b,r,w reversed, b,y,r left out and a vertex z in no face
+        "several-surface": _surface(
+            "bgorwyz",
+            [("b", "o", "y"), ("b", "w", "r"), ("b", "w", "o"), ("g", "o", "w"),
+             ("g", "r", "y"), ("g", "w", "r"), ("g", "y", "o")],
+        ),
+        # connection
+        "missing-edge-not-an-edge": _edit("octa-link-a", lambda s: _transports(s).insert(
+            0, {"edge": ["w", "y"], "anchor": ["b", "b"]})),
+        "missing-edge-absent": _edit("tet-link", lambda s: _transports(s).pop(2)),
+        "not-inverse": _edit("tet-link", lambda s: _transports(s).append(
+            {"edge": ["1", "0"], "anchor": ["2", "2"]})),
+        "unknown-label-anchor": _edit("tet-link", lambda s: _entry(
+            _transports(s), "1", "2").update(anchor=["0", "q"])),
+        "unknown-label-map-cover": _edit("octa-link-a", _map("b", "o", {"o": "b", "y": "w", "r": "g"})),
+        "unknown-label-map-cyclic": _edit(
+            "octa-link-a", _map("b", "o", {"o": "b", "y": "w", "r": "y", "w": "g"})
+        ),
+        "orientation-reversing": _edit(
+            "octa-link-a", _map("b", "o", {"o": "b", "y": "y", "r": "g", "w": "w"})
+        ),
+        "size-mismatch-link": _edit("bipyramid-r20", lambda s: s["connection"].update(
+            fiber_mode="link")),
+        "size-mismatch-refined": _edit("tet-link", lambda s: s["connection"].update(
+            fiber_mode={"refined": 8})),
+        "several-connection": _edit("octa-link-a", _several_connection),
+        # flatness
+        "missing-face-not-a-face": _edit("tet-link", lambda s: s["flatness"].update({"0,2,1": 0})),
+        "missing-face-absent": _edit("tet-link", lambda s: s["flatness"].pop("0,3,1")),
+        "lift-incongruent": _edit("tet-link", lambda s: s["flatness"].update({"0,1,2": 4})),
+        "several-flatness": _edit("octa-link-a", _several_flatness),
+        # field
+        "missing-vertex": _edit("tet-link", lambda s: s["field"]["at"].pop("3")),
+        "field-unknown-label": _edit("tet-link", lambda s: s["field"]["at"].update({"0": "9"})),
+        "field-missing-edge": _edit("octa-link-a", lambda s: s["field"]["steps"].pop(4)),
+        "antisymmetry-violation": _edit("tet-link", lambda s: s["field"]["steps"].append(
+            {"edge": ["1", "0"], "steps": 4})),
+        "endpoint-incongruent": _edit("tet-link", lambda s: _entry(
+            s["field"]["steps"], "0", "1").update(steps=-4)),
+        "several-field": _edit("octa-link-a", _several_field),
+    }
+    return {name: json.dumps(scene, indent=2, sort_keys=True) + "\n"
+            for name, scene in scenes.items()}
+
+
+def _several_connection(s):
+    _map("b", "o", {"o": "b", "y": "y", "r": "g", "w": "w"})(s)
+    transports = _transports(s)
+    _entry(transports, "g", "r")["anchor"] = ["q", "b"]
+    transports.remove(_entry(transports, "o", "w"))
+    transports.append({"edge": ["y", "w"], "anchor": ["b", "b"]})
+    transports.append({"edge": ["r", "b"], "anchor": ["w", "w"]})
+    transports.insert(3, {"edge": ["r", "o"], "anchor": ["b", "b"]})
+
+
+def _several_flatness(s):
+    lifts = s["flatness"]
+    lifts["g,w,r"] += 1
+    lifts["b,o,y"] -= 6
+    del lifts["b,w,o"]
+    lifts["o,b,y"] = 0
+    lifts["b,r,w"] += 2
+
+
+def _several_field(s):
+    steps = s["field"]["steps"]
+    _entry(steps, "r", "w")["steps"] += 1
+    _entry(steps, "b", "o")["steps"] -= 1
+    steps.append({"edge": ["w", "g"], "steps": 5 - _entry(steps, "g", "w")["steps"]})
+    steps.append({"edge": ["y", "r"], "steps": -_entry(steps, "r", "y")["steps"]})
+    steps.insert(2, {"edge": ["w", "y"], "steps": 0})
+    steps.remove(_entry(steps, "o", "y"))
+
+
 def main() -> int:
     SCENES.mkdir(exist_ok=True)
     outputs = {f"fixture {name}": run(["fixture", name]) for name in FIXTURES}
@@ -126,9 +272,20 @@ def main() -> int:
         path.write_text(text, encoding="utf-8")
         for argv in invocations(name, json.loads(text)):
             outputs[" ".join([name] + argv)] = run(argv + [str(path)])
-
     OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{len(texts)} scenes, {len(outputs)} outputs")
+
+    REJECTED.mkdir(exist_ok=True)
+    rejected = {}
+    for name, text in rejected_texts().items():
+        path = REJECTED / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["validate"], ["validate", "--json"]):
+            rejected[" ".join([name] + argv)] = run(argv + [str(path)], stderr=True)
+    REJECTED_OUTPUTS.write_text(
+        json.dumps(rejected, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"{len(texts)} scenes, {len(outputs)} outputs; "
+          f"{len(rejected) // 2} rejected scenes, {len(rejected)} outputs")
     return 0
 
 

@@ -1,0 +1,49 @@
+"""Call budget of ``windex check``: Python function calls per face on
+sampled torus grids, counted with cProfile, so a slower algorithm shows up
+as a count rather than as timing noise."""
+
+import contextlib
+import cProfile
+import io
+import pstats
+from random import Random
+
+from windex import cli
+from windex.complex import build_surface
+from windex.sampling import random_connection, random_field, random_lifts
+from windex.scene import SceneFile, serialize_scene
+
+
+def torus_grid(m: int):
+    """The m x m torus grid, each square cut along its diagonal; every
+    vertex has degree 6, so link mode applies."""
+    def v(i, j):
+        return f"v{i % m}_{j % m}"
+
+    faces = []
+    for i in range(m):
+        for j in range(m):
+            faces += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i + 1, j + 1), v(i, j + 1))]
+    return build_surface([v(i, j) for i in range(m) for j in range(m)], faces)
+
+
+def check_calls(m: int, tmp_path) -> int:
+    rng = Random(m)
+    surface = torus_grid(m)
+    conn = random_connection(surface, "link", rng)
+    scene = SceneFile(surface, conn, random_lifts(conn, rng), random_field(conn, rng))
+    path = tmp_path / f"grid{m}.json"
+    path.write_text(serialize_scene(scene), encoding="utf-8")
+    profile = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = profile.runcall(cli.main, ["check", str(path)])
+    assert code == 0
+    return pstats.Stats(profile).total_calls
+
+
+def test_check_calls_per_face(tmp_path):
+    small, large = check_calls(16, tmp_path), check_calls(32, tmp_path)
+    faces = 2 * 32 * 32
+    assert large / faces <= 250, f"{large} calls on {faces} faces"
+    assert large / small <= 4.2, f"{small} calls at 16x16, {large} at 32x32"

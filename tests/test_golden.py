@@ -1,4 +1,5 @@
-"""Golden CLI outputs: stdout and exit code must stay byte-identical.
+"""Golden CLI outputs: stdout and exit code must stay byte-identical, and
+so must stderr on the rejected (invalid) scenes.
 
 The expected outputs and their input scenes live in tests/golden/ and are
 written by tests/golden/generate.py.  Keys are the scene name followed by
@@ -36,3 +37,29 @@ def test_cli_output_unchanged(capsys, key):
     want = OUTPUTS[key]
     assert capsys.readouterr().out == want["stdout"]
     assert code == want["code"]
+
+
+REJECTED = json.loads((GOLDEN / "rejected.json").read_text(encoding="utf-8"))
+
+
+def _generate_module():
+    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rejected_scenes_regenerate_byte_for_byte():
+    texts = {name: text.encode("utf-8") for name, text in _generate_module().rejected_texts().items()}
+    assert texts == {p.stem: p.read_bytes() for p in (GOLDEN / "rejected").glob("*.json")}
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED))
+def test_rejected_scene_output_unchanged(capsys, key):
+    """Invalid scenes: stdout, stderr (the full violation report, in
+    order) and the exit code stay byte-identical."""
+    name, *argv = key.split(" ")
+    code = cli.main(argv + [str(GOLDEN / "rejected" / f"{name}.json")])
+    got = capsys.readouterr()
+    want = REJECTED[key]
+    assert (got.out, got.err, code) == (want["stdout"], want["stderr"], want["code"])

@@ -1,6 +1,7 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -280,6 +281,21 @@ class TestCli:
         scene = tmp_path / "hostile.json"
         scene.write_text(text)
         code, _, err = run(capsys, "check", str(scene))
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("coordinate", ["1e10000000", "1e-10000000", "1e5000"])
+    def test_oversized_coordinates_are_parse_errors(self, capsys, tmp_path, coordinate):
+        obj = dict(MINIMAL)
+        obj["surface"] = dict(MINIMAL["surface"], positions={
+            "0": [coordinate, 0, 0], "1": [1, 0, 0], "2": [0, 1, 0], "3": [0, 0, 1],
+        })
+        scene = tmp_path / "far.json"
+        scene.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "export", str(scene))
+        assert time.perf_counter() - start < 0.5
         assert code == 1
         assert err.startswith("parse error:")
         assert "Traceback" not in err
