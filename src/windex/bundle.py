@@ -84,32 +84,42 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Transport offsets o_ij in [0, n) and the face -> r_F holonomy table,
-    validated; immutable afterwards."""
+    """Transport offsets o_ij in [0, n) and the face key -> r_F holonomy
+    table, validated; immutable afterwards.  ``sizes`` maps each vertex to
+    its fiber size."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
     offsets: dict[tuple[str, str], int] = field(repr=False)
-    holonomy: dict[OrientedFace, int] = field(repr=False, compare=False)
+    holonomy: dict[str, int] = field(repr=False, compare=False)
+    sizes: dict[str, int] = field(init=False, repr=False, compare=False)
     _fibers: dict[str, Polygon] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        sizes = self.surface.degrees()
+        if self.refined is not None:
+            sizes = dict.fromkeys(sizes, self.refined)
+        object.__setattr__(self, "sizes", sizes)
+
     def size(self, v: str) -> int:
-        return self.refined or self.surface.degree(v)
+        try:
+            return self.sizes[v]
+        except KeyError:
+            raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def position(self, v: str, label: str) -> int:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
-        link = self.surface.link(v)
-        n = link.n
-        arc = (self.refined or n) // n
-        if label in link:
-            return link.position(label) * arc
+        table = self.surface.link(v)._pos
+        arc = self.sizes[v] // len(table)
+        if label in table:
+            return table[label] * arc
         base, _, j = label.partition("~")
         # only the spelling subdivide produces: ASCII digits, no leading 0
-        if base in link and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-            return link.position(base) * arc + int(j)
+        if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+            return table[base] * arc + int(j)
         raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
 
     def label_at(self, v: str, position: int) -> str:
@@ -132,7 +142,7 @@ class DiscreteConnection:
         return PolyIso(self.fiber(i), self.fiber(j), (self.label_at(i, 0), self.label_at(j, o)))
 
     def uniform_size(self) -> int:
-        sizes = {self.size(v) for v in self.surface.vertices}
+        sizes = set(self.sizes.values())
         if len(sizes) != 1:
             raise NonUniformFiber(f"fiber sizes are not uniform: {sorted(sizes)}")
         return sizes.pop()
@@ -141,19 +151,20 @@ class DiscreteConnection:
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
     """A connection without transports, once the fiber mode fits the surface."""
     collector = ReportCollector()
+    degrees = surface.degrees()
     if fiber_mode == LINK_MODE:
         for a, b in surface.edges:
-            if surface.degree(a) != surface.degree(b):
+            if degrees[a] != degrees[b]:
                 collector.add(
                     "SizeMismatch",
                     f"{{{a},{b}}}",
-                    f"link-mode transport needs equal degrees, got {surface.degree(a)} and {surface.degree(b)}",
+                    f"link-mode transport needs equal degrees, got {degrees[a]} and {degrees[b]}",
                 )
         collector.raise_if_failed("invalid connection")
         return DiscreteConnection(surface, None, {}, {})
     size = int(fiber_mode)
     for v in surface.vertices:
-        deg = surface.degree(v)
+        deg = degrees[v]
         if size % deg != 0:
             collector.add("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}")
     collector.raise_if_failed("invalid fiber refinement")
@@ -163,22 +174,25 @@ def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnectio
 def _close(conn: DiscreteConnection) -> DiscreteConnection:
     """Fill the holonomy table from the offsets; a face's three fibers have
     one size, so r_F does not depend on the basepoint."""
-    o = conn.offsets
+    o, sizes, holonomy = conn.offsets, conn.sizes, conn.holonomy
     for face in conn.surface.faces:
         a, b, c = face.vertices
-        conn.holonomy[face] = (o[(a, b)] + o[(b, c)] + o[(c, a)]) % conn.size(a)
+        holonomy[face.key] = (o[(a, b)] + o[(b, c)] + o[(c, a)]) % sizes[a]
     return conn
+
+
+_ABSENT = object()
 
 
 def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
     """One integer per directed edge from values supplied on one direction
     of every edge or both: ``read(i, j, value)`` gives the integer (None
     once it has reported a bad value), the reverse is its negation, reduced
-    mod ``modulus(a)`` unless ``modulus`` is None, and values supplied both
+    mod ``modulus[a]`` unless ``modulus`` is None, and values supplied both
     ways must cancel, mod that or exactly, else the rule ``clash`` is
     reported."""
     given: dict[tuple[str, str], object] = {}
-    edge_set = set(surface.edges)
+    edge_set = surface.edge_set
     for key, value in supplied.items():
         i, j = map(str, key)
         if ((i, j) if i < j else (j, i)) not in edge_set:
@@ -188,50 +202,60 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
 
     resolved: dict[tuple[str, str], int] = {}
     for a, b in surface.edges:
-        forward, backward = (a, b) in given, (b, a) in given
-        if not (forward or backward):
+        forward, backward = given.get((a, b), _ABSENT), given.get((b, a), _ABSENT)
+        if forward is _ABSENT and backward is _ABSENT:
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
-        d = read(a, b, given[(a, b)]) if forward else 0
-        e = read(b, a, given[(b, a)]) if backward else 0
+        d = 0 if forward is _ABSENT else read(a, b, forward)
+        e = 0 if backward is _ABSENT else read(b, a, backward)
         if d is None or e is None:
             continue
-        n = modulus(a) if modulus else 0
-        if forward and backward and ((d + e) % n if n else d + e):
+        n = modulus[a] if modulus else 0
+        if forward is _ABSENT:
+            d = -e
+        elif backward is not _ABSENT and ((d + e) % n if n else d + e):
             collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {d} and "
                           f"({b},{a}) gives {e}, which do not cancel")
             continue
-        d = d if forward else -e
         resolved[(a, b)], resolved[(b, a)] = (d % n, -d % n) if n else (d, -d)
     return resolved
 
 
 def _read_offset(conn: DiscreteConnection, collector, i: str, j: str, value) -> int | None:
-    """The offset of an anchor pair or of a full label map."""
-    edge, n = f"({i},{j})", conn.size(j)
+    """The offset of an anchor pair or of a full label map.  Both fibers of
+    an edge have size n.  An anchor's link labels are read off the link
+    position tables (link label k sits at k * n / degree); any other label
+    goes through ``conn.position``."""
+    n = conn.sizes[j]
     if isinstance(value, dict):
         try:
             pairs = [(conn.position(i, str(x)), conn.position(j, str(y))) for x, y in value.items()]
         except UnknownLabel:
             pairs = []
         if len(pairs) != n or len({q for _, q in pairs}) != n:
-            collector.add("UnknownLabel", edge, "full map must cover the two fibers exactly")
+            rule, why = "UnknownLabel", "full map must cover the two fibers exactly"
         elif len({(q - p) % n for p, q in pairs}) == 1:
             return (pairs[0][1] - pairs[0][0]) % n
         elif len({(q + p) % n for p, q in pairs}) == 1:
-            collector.add("OrientationReversing", edge, "transports must preserve orientation")
+            rule, why = "OrientationReversing", "transports must preserve orientation"
         else:
-            collector.add("UnknownLabel", edge, "map does not respect the cyclic structure")
+            rule, why = "UnknownLabel", "map does not respect the cyclic structure"
+        collector.add(rule, f"({i},{j})", why)
         return None
     try:
         a, b = value
     except (TypeError, ValueError):
-        collector.add("UnknownLabel", edge, f"cannot read transport spec {value!r}")
+        collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
         return None
+    a, b = str(a), str(b)
+    links = conn.surface.links
+    from_i, to_j = links[i]._pos, links[j]._pos
+    if a in from_i and b in to_j:
+        return (to_j[b] * (n // len(to_j)) - from_i[a] * (n // len(from_i))) % n
     try:
-        return (conn.position(j, str(b)) - conn.position(i, str(a))) % n
+        return (conn.position(j, b) - conn.position(i, a)) % n
     except UnknownLabel as exc:
-        collector.add("UnknownLabel", edge, str(exc))
+        collector.add("UnknownLabel", f"({i},{j})", str(exc))
         return None
 
 
@@ -246,7 +270,7 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     collector = ReportCollector()
     read = partial(_read_offset, conn, collector)
     conn.offsets.update(antisymmetric(
-        surface, transports, collector, "transport", read, "NotInverse", conn.size
+        surface, transports, collector, "transport", read, "NotInverse", conn.sizes
     ))
     collector.raise_if_failed("invalid connection")
     return _close(conn)
@@ -265,7 +289,7 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
 def holonomy_steps(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> int:
     """r_F in [0, n), the same at every basepoint."""
     basepoint(face, base)  # an override must still lie on the face
-    return conn.holonomy[face]
+    return conn.holonomy[face.key]
 
 
 def curvature_turns(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> Turns:
@@ -282,37 +306,43 @@ def net_holonomy(conn: DiscreteConnection) -> Turns:
 
 @dataclass(frozen=True)
 class FlatnessStructure:
-    """A chosen integer lift f_F of each face's holonomy rotation."""
+    """A chosen integer lift f_F of each face's holonomy rotation, keyed by
+    the face key."""
 
-    lifts: dict[OrientedFace, int] = field(repr=False)
+    lifts: dict[str, int] = field(repr=False)
 
     def lift(self, face: OrientedFace) -> int:
-        return self.lifts[face]
+        return self.lifts[face.key]
 
 
 def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
-    """Validate a lift per face: each must be congruent to the holonomy
-    steps mod the fiber size."""
+    """Validate a lift per face, given by face key or by face: each must be
+    congruent to the holonomy steps mod the fiber size."""
     collector = ReportCollector()
-    resolved: dict[OrientedFace, int] = {}
+    surface = conn.surface
+    resolved: dict[str, int] = {}
     for key, value in lifts.items():
+        if type(key) is not str:
+            key = key.key if isinstance(key, OrientedFace) else str(key)
         try:
-            face = conn.surface.face_by_key(key.key if isinstance(key, OrientedFace) else str(key))
+            surface.face_by_key(key)
         except NotIncident:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
             continue
-        resolved[face] = int(value)
-    for face in conn.surface.faces:
-        lift = resolved.get(face)
+        resolved[key] = int(value)
+    sizes, holonomy = conn.sizes, conn.holonomy
+    for face in surface.faces:
+        key = face.key
+        lift = resolved.get(key)
         if lift is None:
-            collector.add("MissingFace", face.key, "no lift supplied")
+            collector.add("MissingFace", key, "no lift supplied")
             continue
-        n = conn.size(face.vertices[0])
-        r = conn.holonomy[face]
+        n = sizes[face.vertices[0]]
+        r = holonomy[key]
         if lift % n != r:
             collector.add(
                 "LiftIncongruent",
-                face.key,
+                key,
                 f"lift {lift} is not congruent to holonomy {r} mod {n}",
             )
     collector.raise_if_failed("invalid flatness structure")
@@ -328,10 +358,11 @@ def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure
     """Sum of lift turns over all faces; integral whenever the net holonomy
     vanishes mod 1, which validation guarantees.  The lifts are summed as
     integers per fiber size and each sum is divided once."""
+    sizes, lifts = conn.sizes, flatness.lifts
     lifts_by_size: dict[int, int] = {}
     for face in conn.surface.faces:
-        n = conn.size(face.vertices[0])
-        lifts_by_size[n] = lifts_by_size.get(n, 0) + flatness.lifts[face]
+        n = sizes[face.vertices[0]]
+        lifts_by_size[n] = lifts_by_size.get(n, 0) + lifts[face.key]
     total = sum(Fraction(lift, n) for n, lift in lifts_by_size.items())
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
@@ -357,13 +388,13 @@ def face_reports(
     basepoints: dict[str, str] | None = None,
 ) -> list[FaceReport]:
     overrides = basepoints or {}
+    sizes, holonomy, lifts = conn.sizes, conn.holonomy, flatness.lifts
     rows = []
     for face in conn.surface.faces:
-        v = basepoint(face, overrides.get(face.key))
-        n = conn.size(v)
-        r = conn.holonomy[face]
-        f = flatness.lift(face)
-        rows.append(FaceReport(face.key, v, n, r, f, Fraction(r, n), Fraction(f, n)))
+        key = face.key
+        v = basepoint(face, overrides.get(key))
+        n, r, f = sizes[v], holonomy[key], lifts[key]
+        rows.append(FaceReport(key, v, n, r, f, Fraction(r, n), Fraction(f, n)))
     return rows
 
 
@@ -390,8 +421,9 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     step count is unchanged; the table is recomputed from the new offsets
     all the same.
     """
+    sizes = conn.sizes
     offsets = {
-        (i, j): (o + gauge.at(j) - gauge.at(i)) % conn.size(j)
+        (i, j): (o + gauge.at(j) - gauge.at(i)) % sizes[j]
         for (i, j), o in conn.offsets.items()
     }
     return _close(DiscreteConnection(conn.surface, conn.refined, offsets, {}))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import NotIncident, ReportCollector, ValidationFailed, ValidationReport
 from .polygon import Polygon
@@ -27,22 +28,21 @@ class OrientedFace:
     """Three distinct vertices with a cyclic order.
 
     Stored rotated so the least vertex comes first; faces that differ by a
-    cyclic permutation compare equal.
+    cyclic permutation compare equal.  ``key``, the canonical comma-joined
+    form, is made once here; the holonomy and lift tables are keyed by it.
     """
 
     vertices: tuple[str, str, str]
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         if len(verts) != 3 or len(set(verts)) != 3:
             raise ValueError(f"a face needs 3 distinct vertices, got {verts}")
         least = verts.index(min(verts))
-        object.__setattr__(self, "vertices", verts[least:] + verts[:least])
-
-    @property
-    def key(self) -> str:
-        """Canonical comma-joined form, used wherever faces key a map."""
-        return ",".join(self.vertices)
+        verts = verts[least:] + verts[:least]
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "key", ",".join(verts))
 
     def __contains__(self, v: str) -> bool:
         return v in self.vertices
@@ -76,7 +76,8 @@ class OrientedSurface:
 
     Immutable after construction; ``links`` maps each vertex to its link
     polygon (neighbors in the cyclic order induced by the orientation,
-    starting from the least label).  ``positions`` is optional pass-through
+    starting from the least label).  ``edge_set`` holds the sorted pairs of
+    ``edges`` for membership tests.  ``positions`` is optional pass-through
     geometry for export and never enters any computation.
     """
 
@@ -85,12 +86,14 @@ class OrientedSurface:
     edges: tuple[tuple[str, str], ...] = field(compare=False)
     links: dict[str, Polygon] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
+    edge_set: frozenset[tuple[str, str]] = field(init=False, compare=False, repr=False)
     _by_key: dict[str, OrientedFace] = field(init=False, compare=False, repr=False)
     _degrees: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edge_set", frozenset(self.edges))
         object.__setattr__(self, "_by_key", {f.key: f for f in self.faces})
-        object.__setattr__(self, "_degrees", {v: p.n for v, p in self.links.items()})
+        object.__setattr__(self, "_degrees", {v: len(p.labels) for v, p in self.links.items()})
 
     def link(self, v: str) -> Polygon:
         try:
@@ -134,9 +137,8 @@ def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> Polygon 
     if succ.keys() != set(succ.values()):
         collector.add("NonPolygonLink", v, "link arcs do not pair up head-to-tail")
         return None
-    if len(succ) < 3:
-        collector.add("NonPolygonLink", v, f"link has only {len(succ)} vertices, need >= 3")
-        return None
+    # at least three arcs: two would need the faces (v, a, b) and (v, b, a),
+    # one vertex set, which the DuplicateFace check has already refused
     start = min(succ)
     cycle = [start]
     cur = succ[start]
@@ -169,15 +171,15 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
     oriented: list[OrientedFace] = []
     seen_sets: dict[frozenset, OrientedFace] = {}
     for raw in faces:
-        verts_of_face = tuple(str(x) for x in (raw.vertices if isinstance(raw, OrientedFace) else raw))
-        if len(verts_of_face) != 3 or len(set(verts_of_face)) != 3:
+        verts_of_face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
+        fset = frozenset(verts_of_face)
+        if len(verts_of_face) != 3 or len(fset) != 3:
             collector.add("BadFace", verts_of_face, "faces are 3 distinct vertices")
             continue
-        if not set(verts_of_face) <= vert_set:
+        if not fset <= vert_set:
             collector.add("BadFace", verts_of_face, "face mentions undeclared vertices")
             continue
         face = OrientedFace(verts_of_face)
-        fset = frozenset(verts_of_face)
         if fset in seen_sets:
             collector.add("DuplicateFace", face.key, "two faces share the same vertex set")
             continue
@@ -204,16 +206,16 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
     edges = tuple(sorted(edge_faces))
     for edge in edges:
         entry = edge_faces[edge]
-        name = "{%s,%s}" % edge
         if len(entry) != 4:
-            collector.add("BoundaryEdge", name, f"edge lies in {len(entry) // 2} faces, need exactly 2")
+            collector.add("BoundaryEdge", "{%s,%s}" % edge,
+                          f"edge lies in {len(entry) // 2} faces, need exactly 2")
             continue
         tail, first, other_tail, second = entry
         if tail == other_tail:
             order = edge if tail == edge[0] else edge[::-1]
             collector.add(
                 "OrientationClash",
-                name,
+                "{%s,%s}" % edge,
                 f"faces {first.key} and {second.key} induce the same order {order}",
             )
     del edge_faces
@@ -243,7 +245,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
 
     surface = OrientedSurface(
         vertices=tuple(sorted(vert_set)),
-        faces=tuple(sorted(oriented, key=lambda f: f.key)),
+        faces=tuple(sorted(oriented, key=attrgetter("key"))),
         edges=edges,
         links=links,
         positions=pos,

@@ -66,14 +66,19 @@ def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     """Validate and assemble a field.
 
-    ``at`` maps vertices to fiber labels, each parsed once into a position.
+    ``at`` maps vertices to fiber labels, each parsed once into a position;
+    every key must be a vertex of the surface.
     ``steps`` maps directed edges to integers; one direction per undirected
     edge suffices (the reverse is its negation), and if both are given they
     must cancel exactly.
     """
     collector = ReportCollector()
     surface = conn.surface
+    sizes = conn.sizes
 
+    for v in at:
+        if v not in sizes:
+            collector.add("MissingVertex", v, "fiber point given for a vertex not on the surface")
     positions: dict[str, int] = {}
     for v in surface.vertices:
         if v not in at:
@@ -92,7 +97,7 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     )
     offsets = conn.offsets
     for (i, j), d_ij in resolved.items():
-        n = conn.size(j)
+        n = sizes[j]
         want = (positions[j] - positions[i] - offsets[(i, j)]) % n  # expected_step_class, inlined
         if d_ij % n != want:
             collector.add(
@@ -198,9 +203,9 @@ def totals(
         key = face.key
         v = basepoint(face, overrides[key]) if key in overrides else a
         s = steps[(a, b)] + steps[(b, c)] + steps[(c, a)]  # swirl(vf, face), inlined
-        lift = lifts[face]
+        lift = lifts[key]
         i = _whole_turns(face, lift + s, size)
-        rows.append(IndexRow(key, v, size, holonomy[face], lift, s, i))
+        rows.append(IndexRow(key, v, size, holonomy[key], lift, s, i))
         total_swirl += s
         total_index += i
     return IndexReport(

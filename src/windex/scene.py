@@ -35,6 +35,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .bundle import (
     LINK_MODE,
@@ -60,17 +61,26 @@ class SceneFile:
     field: VectorField | None = None
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise SceneParseError(f"{where}: expected an object")
-    if obj.keys() <= allowed and required <= obj.keys():
-        return
-    unknown = set(obj) - allowed
+def _key_error(obj, allowed, required, where: str) -> SceneParseError:
+    """The error for ``obj`` when it is not an object whose keys lie in
+    ``allowed`` and include ``required``."""
+    if type(obj) is not dict:
+        return SceneParseError(f"{where}: expected an object")
+    unknown = obj.keys() - allowed
     if unknown:
-        raise SceneParseError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise SceneParseError(f"{where}: missing keys {sorted(missing)}")
+        return SceneParseError(f"{where}: unknown keys {sorted(unknown)}")
+    return SceneParseError(f"{where}: missing keys {sorted(required - obj.keys())}")
+
+
+def _require_keys(obj, allowed, required, where: str) -> None:
+    if not (type(obj) is dict and obj.keys() <= allowed and required <= obj.keys()):
+        raise _key_error(obj, allowed, required, where)
+
+
+def _only(kind: type, values) -> bool:
+    """Whether every value is exactly of type ``kind``; JSON decodes to
+    exact types, and ``bool`` is not ``int`` here."""
+    return set(map(type, values)) <= {kind}
 
 
 def _coordinate(value, where: str) -> Fraction:
@@ -100,11 +110,9 @@ def _parse_surface(obj) -> OrientedSurface:
     _require_keys(obj, {"vertices", "faces", "positions"}, {"vertices", "faces"}, "surface")
     vertices = obj["vertices"]
     faces = obj["faces"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not (type(vertices) is list and _only(str, vertices)):
         raise SceneParseError("surface.vertices: expected a list of strings")
-    if not isinstance(faces, list) or not all(
-        isinstance(f, list) and all(isinstance(v, str) for v in f) for f in faces
-    ):
+    if not (type(faces) is list and _only(list, faces) and _only(str, chain.from_iterable(faces))):
         raise SceneParseError("surface.faces: expected a list of vertex lists")
     positions = None
     if "positions" in obj:
@@ -116,7 +124,7 @@ def _parse_surface(obj) -> OrientedSurface:
             if not isinstance(coords, list) or len(coords) != 3:
                 raise SceneParseError(f"surface.positions[{v!r}]: expected 3 coordinates")
             positions[v] = tuple(_coordinate(c, f"surface.positions[{v!r}]") for c in coords)
-    return build_surface(vertices, [tuple(f) for f in faces], positions)
+    return build_surface(vertices, faces, positions)
 
 
 def _parse_fiber_mode(value):
@@ -131,79 +139,76 @@ def _parse_fiber_mode(value):
     raise SceneParseError('connection.fiber_mode: expected "link" or {"refined": N}')
 
 
-def _parse_edge(value, where: str) -> tuple[str, str]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, str) for v in value)
-    ):
-        raise SceneParseError(f"{where}: expected a pair of vertex labels")
-    return (value[0], value[1])
+_TRANSPORT_KEYS = frozenset({"edge", "anchor", "map"})
+_STEP_KEYS = frozenset({"edge", "steps"})
 
 
 def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
+    """Each entry is checked inline; its place in the file is spelled out
+    only for the error when a check fails."""
     _require_keys(obj, {"fiber_mode", "transports"}, {"fiber_mode", "transports"}, "connection")
     mode = _parse_fiber_mode(obj["fiber_mode"])
     raw = obj["transports"]
-    if not isinstance(raw, list):
-        raise SceneParseError("connection.transports: expected a list")
+    where = "connection.transports"
+    if type(raw) is not list:
+        raise SceneParseError(f"{where}: expected a list")
     transports = {}
     for k, entry in enumerate(raw):
-        where = f"connection.transports[{k}]"
-        _require_keys(entry, {"edge", "anchor", "map"}, {"edge"}, where)
-        edge = _parse_edge(entry["edge"], f"{where}.edge")
+        if not (type(entry) is dict and entry.keys() <= _TRANSPORT_KEYS and "edge" in entry):
+            raise _key_error(entry, _TRANSPORT_KEYS, {"edge"}, f"{where}[{k}]")
+        pair = entry["edge"]
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
+        edge = (pair[0], pair[1])
         if edge in transports:
-            raise SceneParseError(f"{where}: duplicate entry for edge {edge}")
+            raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {edge}")
         if ("anchor" in entry) == ("map" in entry):
-            raise SceneParseError(f"{where}: give exactly one of 'anchor' or 'map'")
+            raise SceneParseError(f"{where}[{k}]: give exactly one of 'anchor' or 'map'")
         if "anchor" in entry:
-            anchor = entry["anchor"]
-            if (
-                not isinstance(anchor, list)
-                or len(anchor) != 2
-                or not all(isinstance(a, str) for a in anchor)
-            ):
-                raise SceneParseError(f"{where}.anchor: expected a pair of fiber labels")
-            transports[edge] = (anchor[0], anchor[1])
+            pair = entry["anchor"]
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str):
+                raise SceneParseError(f"{where}[{k}].anchor: expected a pair of fiber labels")
+            transports[edge] = (pair[0], pair[1])
         else:
             mapping = entry["map"]
-            if not isinstance(mapping, dict) or not all(
-                isinstance(a, str) and isinstance(b, str) for a, b in mapping.items()
-            ):
-                raise SceneParseError(f"{where}.map: expected an object of label pairs")
+            if not (type(mapping) is dict and _only(str, mapping) and _only(str, mapping.values())):
+                raise SceneParseError(f"{where}[{k}].map: expected an object of label pairs")
             transports[edge] = dict(mapping)
     return build_connection(surface, mode, transports)
 
 
 def _parse_flatness(obj, conn: DiscreteConnection) -> FlatnessStructure:
-    if not isinstance(obj, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in obj.items()
-    ):
+    if not (type(obj) is dict and _only(str, obj) and _only(int, obj.values())):
         raise SceneParseError("flatness: expected an object of face-key -> integer")
     return attach_flatness(conn, obj)
 
 
 def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
+    """Each step entry is checked inline, as in ``_parse_connection``."""
     _require_keys(obj, {"at", "steps"}, {"at", "steps"}, "field")
     at = obj["at"]
-    if not isinstance(at, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in at.items()
-    ):
+    if not (type(at) is dict and _only(str, at) and _only(str, at.values())):
         raise SceneParseError("field.at: expected an object of vertex -> fiber label")
     raw = obj["steps"]
-    if not isinstance(raw, list):
-        raise SceneParseError("field.steps: expected a list")
+    where = "field.steps"
+    if type(raw) is not list:
+        raise SceneParseError(f"{where}: expected a list")
     steps = {}
     for k, entry in enumerate(raw):
-        where = f"field.steps[{k}]"
-        _require_keys(entry, {"edge", "steps"}, {"edge", "steps"}, where)
-        edge = _parse_edge(entry["edge"], f"{where}.edge")
+        if not (type(entry) is dict and entry.keys() == _STEP_KEYS):
+            raise _key_error(entry, _STEP_KEYS, _STEP_KEYS, f"{where}[{k}]")
+        pair = entry["edge"]
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
+        edge = (pair[0], pair[1])
         if edge in steps:
-            raise SceneParseError(f"{where}: duplicate entry for edge {edge}")
+            raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {edge}")
         count = entry["steps"]
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise SceneParseError(f"{where}.steps: expected an integer")
+        if type(count) is not int:
+            raise SceneParseError(f"{where}[{k}].steps: expected an integer")
         steps[edge] = count
     return build_field(conn, at, steps)
 

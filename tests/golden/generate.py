@@ -174,9 +174,7 @@ def _map(a: str, b: str, mapping: dict):
 def rejected_texts() -> dict[str, str]:
     """Scene name -> the text of an invalid scene.  Surface faults are
     written out; connection, flatness and field faults edit the committed
-    tet-link, octa-link-a and bipyramid-r20 scenes.  NonPolygonLink's "link
-    has only k vertices" has no scene: a link of two arcs needs two faces
-    on one vertex set, which DuplicateFace rejects first."""
+    tet-link, octa-link-a and bipyramid-r20 scenes."""
     scenes = {
         # surface
         "bad-face-repeated": _surface("0123", TET + [("0", "1", "1")]),
@@ -222,6 +220,7 @@ def rejected_texts() -> dict[str, str]:
         "several-flatness": _edit("octa-link-a", _several_flatness),
         # field
         "missing-vertex": _edit("tet-link", lambda s: s["field"]["at"].pop("3")),
+        "missing-vertex-not-a-vertex": _edit("octa-link-a", _unknown_vertex),
         "field-unknown-label": _edit("tet-link", lambda s: s["field"]["at"].update({"0": "9"})),
         "field-missing-edge": _edit("octa-link-a", lambda s: s["field"]["steps"].pop(4)),
         "antisymmetry-violation": _edit("tet-link", lambda s: s["field"]["steps"].append(
@@ -232,6 +231,13 @@ def rejected_texts() -> dict[str, str]:
     }
     return {name: json.dumps(scene, indent=2, sort_keys=True) + "\n"
             for name, scene in scenes.items()}
+
+
+def _unknown_vertex(s):
+    """A fiber point for a vertex not on the surface, and none for w."""
+    at = s["field"]["at"]
+    at["zzz"] = "foo"
+    del at["w"]
 
 
 def _several_connection(s):

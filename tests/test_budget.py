@@ -1,6 +1,6 @@
-"""Call budget of ``windex check``: Python function calls per face on
-sampled torus grids, counted with cProfile, so a slower algorithm shows up
-as a count rather than as timing noise."""
+"""Call budget of ``windex validate`` and ``windex check``: Python function
+calls per face on sampled torus grids, counted with cProfile, so a slower
+algorithm shows up as a count rather than as timing noise."""
 
 import contextlib
 import cProfile
@@ -28,7 +28,8 @@ def torus_grid(m: int):
     return build_surface([v(i, j) for i in range(m) for j in range(m)], faces)
 
 
-def check_calls(m: int, tmp_path) -> int:
+def profile_cli(command: str, m: int, tmp_path) -> pstats.Stats:
+    """cProfile of one ``cli.main([command, path])`` on a sampled m x m grid."""
     rng = Random(m)
     surface = torus_grid(m)
     conn = random_connection(surface, "link", rng)
@@ -37,13 +38,24 @@ def check_calls(m: int, tmp_path) -> int:
     path.write_text(serialize_scene(scene), encoding="utf-8")
     profile = cProfile.Profile()
     with contextlib.redirect_stdout(io.StringIO()):
-        code = profile.runcall(cli.main, ["check", str(path)])
+        code = profile.runcall(cli.main, [command, str(path)])
     assert code == 0
-    return pstats.Stats(profile).total_calls
+    return pstats.Stats(profile)
 
 
 def test_check_calls_per_face(tmp_path):
-    small, large = check_calls(16, tmp_path), check_calls(32, tmp_path)
+    small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
-    assert large / faces <= 250, f"{large} calls on {faces} faces"
-    assert large / small <= 4.2, f"{small} calls at 16x16, {large} at 32x32"
+    assert large.total_calls / faces <= 120, f"{large.total_calls} calls on {faces} faces"
+    assert large.total_calls / small.total_calls <= 4.2, (
+        f"{small.total_calls} calls at 16x16, {large.total_calls} at 32x32"
+    )
+    # faces key no table on this path, so no Python-level __hash__ runs
+    hashes = sum(nc for (_, _, name), (_, nc, *_) in large.stats.items() if name == "__hash__")
+    assert hashes == 0, f"{hashes} __hash__ calls"
+
+
+def test_validate_calls_per_face(tmp_path):
+    calls = profile_cli("validate", 32, tmp_path).total_calls
+    faces = 2 * 32 * 32
+    assert calls / faces <= 110, f"{calls} calls on {faces} faces"

@@ -107,6 +107,22 @@ def test_duplicate_face():
     assert any(v.rule == "DuplicateFace" for v in report.violations)
 
 
+def test_two_arc_link_is_a_duplicate_face():
+    # a link of two arcs at v needs the faces (v, a, b) and (v, b, a), one
+    # vertex set, so DuplicateFace refuses them before any link is traced
+    report = validate_surface("vab", [("v", "a", "b"), ("v", "b", "a")])
+    rules = [v.rule for v in report.violations]
+    assert "DuplicateFace" in rules
+    assert "NonPolygonLink" not in rules
+
+
+def test_face_key_made_at_construction():
+    face = OrientedFace(("w", "b", "r"))
+    assert face.vertices == ("b", "r", "w")
+    assert face.key == "b,r,w" == str(face)
+    assert "key" in vars(face)
+
+
 def test_boundary_edge():
     report = validate_surface("abc", [("a", "b", "c")])
     assert any(v.rule == "BoundaryEdge" for v in report.violations)

@@ -92,6 +92,17 @@ class TestBuild:
             build_field(conn, at, dict(spin.steps))
         assert any(v.rule == "UnknownLabel" for v in excinfo.value.report.violations)
 
+    def test_fiber_point_for_unknown_vertex(self, conn, spin):
+        at = dict(OCTAHEDRON_SPIN_AT)
+        del at["w"]
+        at["zzz"] = "foo"
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_field(conn, at, dict(spin.steps))
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("MissingVertex", "zzz", "fiber point given for a vertex not on the surface"),
+            ("MissingVertex", "w", "no fiber point supplied"),
+        ]
+
     def test_each_label_parsed_once(self, monkeypatch):
         torus = flat_connection(csaszar_torus(), 6)
         vf = random_field(torus, Random(5))
