@@ -20,8 +20,10 @@ by r_F = the sum of the boundary offsets mod n, tabulated when the
 connection is built; r_F / n is the curvature of the face, in turns.  A
 flatness lift is an integer representative f_F = r_F + k * n of that
 rotation, i.e. a choice of homotopy class of paths from the identity to
-the holonomy.  Summing lifts over all faces gives the total flatness
-winding, the exact integer the index theorem compares against.
+the holonomy.  The total flatness winding is the sum of f_F / n_F over all
+faces, the exact integer the index theorem compares against; like every
+total of per-face turns it is summed as integers per fiber size
+(``sum_turns``), so components with different fiber sizes add up exactly.
 Explicit polygons and isomorphisms (``fiber``, ``transport``,
 ``holonomy_iso``) are built only on request, for the polygon algebra and
 as reference oracles.
@@ -40,7 +42,6 @@ from .complex import OrientedFace, OrientedSurface
 from .errors import (
     LiftIncongruent,
     NonIntegralTotal,
-    NonUniformFiber,
     NotIncident,
     ReportCollector,
     UnknownLabel,
@@ -51,10 +52,10 @@ LINK_MODE = "link"
 
 
 def basepoint(face: OrientedFace, override: str | None = None) -> str:
-    """Default basepoint is the least vertex label; any override must lie
-    on the face."""
+    """Default basepoint is the least vertex label, which the face stores
+    first; any override must lie on the face."""
     if override is None:
-        return min(face.vertices)
+        return face.vertices[0]
     if override not in face:
         raise NotIncident(f"{override!r} is not a vertex of face {face.key}")
     return override
@@ -124,7 +125,7 @@ class DiscreteConnection:
 
     def label_at(self, v: str, position: int) -> str:
         link = self.surface.link(v)
-        n = self.refined or link.n
+        n = self.sizes[v]
         k, j = divmod(position % n, n // link.n)
         return link.labels[k] if j == 0 else f"{link.labels[k]}~{j}"
 
@@ -140,12 +141,6 @@ class DiscreteConnection:
         except KeyError:
             raise NotIncident(f"({i},{j}) is not a directed edge of the surface") from None
         return PolyIso(self.fiber(i), self.fiber(j), (self.label_at(i, 0), self.label_at(j, o)))
-
-    def uniform_size(self) -> int:
-        sizes = set(self.sizes.values())
-        if len(sizes) != 1:
-            raise NonUniformFiber(f"fiber sizes are not uniform: {sorted(sizes)}")
-        return sizes.pop()
 
 
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
@@ -191,18 +186,14 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     mod ``modulus[a]`` unless ``modulus`` is None, and values supplied both
     ways must cancel, mod that or exactly, else the rule ``clash`` is
     reported."""
-    given: dict[tuple[str, str], object] = {}
     edge_set = surface.edge_set
-    for key, value in supplied.items():
-        i, j = map(str, key)
+    for i, j in supplied:
         if ((i, j) if i < j else (j, i)) not in edge_set:
             collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
-            continue
-        given[(i, j)] = value
 
     resolved: dict[tuple[str, str], int] = {}
     for a, b in surface.edges:
-        forward, backward = given.get((a, b), _ABSENT), given.get((b, a), _ABSENT)
+        forward, backward = supplied.get((a, b), _ABSENT), supplied.get((b, a), _ABSENT)
         if forward is _ABSENT and backward is _ABSENT:
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
@@ -223,9 +214,7 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
 
 def _read_offset(conn: DiscreteConnection, collector, i: str, j: str, value) -> int | None:
     """The offset of an anchor pair or of a full label map.  Both fibers of
-    an edge have size n.  An anchor's link labels are read off the link
-    position tables (link label k sits at k * n / degree); any other label
-    goes through ``conn.position``."""
+    an edge have size n."""
     n = conn.sizes[j]
     if isinstance(value, dict):
         try:
@@ -247,13 +236,8 @@ def _read_offset(conn: DiscreteConnection, collector, i: str, j: str, value) -> 
     except (TypeError, ValueError):
         collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
         return None
-    a, b = str(a), str(b)
-    links = conn.surface.links
-    from_i, to_j = links[i]._pos, links[j]._pos
-    if a in from_i and b in to_j:
-        return (to_j[b] * (n // len(to_j)) - from_i[a] * (n // len(from_i))) % n
     try:
-        return (conn.position(j, b) - conn.position(i, a)) % n
+        return (conn.position(j, str(b)) - conn.position(i, str(a))) % n
     except UnknownLabel as exc:
         collector.add("UnknownLabel", f"({i},{j})", str(exc))
         return None
@@ -296,12 +280,22 @@ def curvature_turns(conn: DiscreteConnection, face: OrientedFace, base: str | No
     return Fraction(holonomy_steps(conn, face, base), conn.size(basepoint(face, base)))
 
 
+def sum_turns(terms) -> Turns:
+    """The exact sum of m / n over ``(n, m)`` pairs, one pair per face with
+    n its fiber size: the integers are summed per fiber size and each sum
+    is divided once."""
+    by_size: dict[int, int] = {}
+    for n, m in terms:
+        by_size[n] = by_size.get(n, 0) + m
+    return sum((Fraction(m, n) for n, m in by_size.items()), Fraction(0))
+
+
 def net_holonomy(conn: DiscreteConnection) -> Turns:
     """Sum of face curvatures, reduced mod 1.  Zero for every valid
     connection: each directed edge appears in exactly one face boundary, so
     the per-edge rotation offsets cancel in pairs."""
-    n = conn.uniform_size()
-    return Fraction(sum(conn.holonomy.values()) % n, n)
+    sizes, holonomy = conn.sizes, conn.holonomy
+    return sum_turns((sizes[f.vertices[0]], holonomy[f.key]) for f in conn.surface.faces) % 1
 
 
 @dataclass(frozen=True)
@@ -355,15 +349,10 @@ def canonical_flatness(conn: DiscreteConnection) -> FlatnessStructure:
 
 
 def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure) -> int:
-    """Sum of lift turns over all faces; integral whenever the net holonomy
-    vanishes mod 1, which validation guarantees.  The lifts are summed as
-    integers per fiber size and each sum is divided once."""
+    """Sum of lift turns f_F / n_F over all faces; integral whenever the net
+    holonomy vanishes mod 1, which validation guarantees."""
     sizes, lifts = conn.sizes, flatness.lifts
-    lifts_by_size: dict[int, int] = {}
-    for face in conn.surface.faces:
-        n = sizes[face.vertices[0]]
-        lifts_by_size[n] = lifts_by_size.get(n, 0) + lifts[face.key]
-    total = sum(Fraction(lift, n) for n, lift in lifts_by_size.items())
+    total = sum_turns((sizes[f.vertices[0]], lifts[f.key]) for f in conn.surface.faces)
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
     return int(total)
@@ -407,10 +396,6 @@ class GaugeTransformation:
 
     def at(self, v: str) -> int:
         return self.steps.get(v, 0)
-
-    def then(self, other: "GaugeTransformation") -> "GaugeTransformation":
-        keys = set(self.steps) | set(other.steps)
-        return GaugeTransformation({v: self.at(v) + other.at(v) for v in keys})
 
 
 def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> DiscreteConnection:

@@ -54,14 +54,6 @@ class OrientedFace:
         i = self.vertices.index(v)
         return self.vertices[i:] + self.vertices[:i]
 
-    def induced_edge_order(self, edge: frozenset[str] | set[str]) -> tuple[str, str]:
-        """The ordered pair this face's cyclic order puts on ``edge``."""
-        a, b, c = self.vertices
-        for pair in ((a, b), (b, c), (c, a)):
-            if set(pair) == set(edge):
-                return pair
-        raise NotIncident(f"edge {set(edge)} is not an edge of face {self.key}")
-
     def reversed(self) -> "OrientedFace":
         a, b, c = self.vertices
         return OrientedFace((a, c, b))
@@ -172,14 +164,15 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
     seen_sets: dict[frozenset, OrientedFace] = {}
     for raw in faces:
         verts_of_face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
-        fset = frozenset(verts_of_face)
-        if len(verts_of_face) != 3 or len(fset) != 3:
+        try:
+            face = OrientedFace(verts_of_face)
+        except ValueError:
             collector.add("BadFace", verts_of_face, "faces are 3 distinct vertices")
             continue
+        fset = frozenset(verts_of_face)
         if not fset <= vert_set:
             collector.add("BadFace", verts_of_face, "face mentions undeclared vertices")
             continue
-        face = OrientedFace(verts_of_face)
         if fset in seen_sets:
             collector.add("DuplicateFace", face.key, "two faces share the same vertex set")
             continue

@@ -60,10 +60,6 @@ class BadArity(WindexError):
 
 # -- connections, flatness, fields ------------------------------------------------
 
-class NonUniformFiber(WindexError):
-    pass
-
-
 class LiftIncongruent(WindexError):
     pass
 

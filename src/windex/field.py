@@ -15,13 +15,14 @@ preserve step counts, this equals the step count of the fully transported
 boundary concatenation (``swirl_path`` builds that concatenation
 explicitly from polygon isomorphisms, as a reference; ``swirl`` just adds
 integers).  The index of a face is (lift + swirl) / fiber size, an exact
-integer division.
+integer division.  The totals add the per-face indices, and the swirls and
+lifts as turns s_F / n_F and f_F / n_F, summed per fiber size, so
+components with different fiber sizes are reported together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bundle import (
     DiscreteConnection,
@@ -31,6 +32,7 @@ from .bundle import (
     basepoint,
     boundary,
     gauge_transform,
+    sum_turns,
     total_flatness_winding,
 )
 from .complex import OrientedFace
@@ -60,7 +62,7 @@ class VectorField:
 def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
     """The congruence class (mod n_j) every valid d_ij must lie in, given
     the fiber positions ``at``."""
-    return (at[j] - at[i] - conn.offsets[(i, j)]) % conn.size(j)
+    return (at[j] - at[i] - conn.offsets[(i, j)]) % conn.sizes[j]
 
 
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
@@ -95,10 +97,9 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
         surface, steps, collector, "step count", lambda i, j, value: int(value),
         "AntisymmetryViolation", None,
     )
-    offsets = conn.offsets
     for (i, j), d_ij in resolved.items():
         n = sizes[j]
-        want = (positions[j] - positions[i] - offsets[(i, j)]) % n  # expected_step_class, inlined
+        want = expected_step_class(conn, positions, i, j)
         if d_ij % n != want:
             collector.add(
                 "EndpointIncongruent",
@@ -113,7 +114,9 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
 def swirl(vf: VectorField, face: OrientedFace) -> int:
     """Sum of the edge steps around the face boundary.  Independent of the
     basepoint: a rotation of the boundary permutes the same three terms."""
-    return sum(vf.step(i, j) for i, j in boundary(face, basepoint(face)))
+    a, b, c = face.vertices
+    steps = vf.steps
+    return steps[(a, b)] + steps[(b, c)] + steps[(c, a)]
 
 
 def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
@@ -189,29 +192,22 @@ def totals(
     basepoints: dict[str, str] | None = None,
 ) -> IndexReport:
     """Per-face rows plus the three totals.  For valid inputs the total
-    swirl is exactly 0 (each directed edge lies in exactly one boundary and
-    reverse steps cancel), which forces total index = total flatness
-    winding."""
+    swirl sum s_F / n_F is exactly 0 (each directed edge lies in exactly one
+    boundary, and reverse steps cancel in fibers of one size), which forces
+    total index = total flatness winding."""
     conn = vf.conn
-    size = conn.uniform_size()
     overrides = basepoints or {}
-    steps, lifts, holonomy = vf.steps, flatness.lifts, conn.holonomy
+    sizes, lifts, holonomy = conn.sizes, flatness.lifts, conn.holonomy
     rows = []
-    total_swirl = total_index = 0
     for face in conn.surface.faces:
-        a, b, c = face.vertices
         key = face.key
-        v = basepoint(face, overrides[key]) if key in overrides else a
-        s = steps[(a, b)] + steps[(b, c)] + steps[(c, a)]  # swirl(vf, face), inlined
-        lift = lifts[key]
-        i = _whole_turns(face, lift + s, size)
-        rows.append(IndexRow(key, v, size, holonomy[key], lift, s, i))
-        total_swirl += s
-        total_index += i
+        v = basepoint(face, overrides.get(key))
+        n, s, lift = sizes[v], swirl(vf, face), lifts[key]
+        rows.append(IndexRow(key, v, n, holonomy[key], lift, s, _whole_turns(face, lift + s, n)))
     return IndexReport(
         rows=tuple(rows),
-        total_swirl=Fraction(total_swirl, size),
-        total_index=total_index,
+        total_swirl=sum_turns((r.size, r.swirl) for r in rows),
+        total_index=sum(r.index for r in rows),
         total_flatness_winding=total_flatness_winding(conn, flatness),
     )
 

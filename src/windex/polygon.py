@@ -37,11 +37,6 @@ PRESERVING = "preserving"
 REVERSING = "reversing"
 
 
-def mod1(t: Fraction) -> Fraction:
-    """Reduce a turns value into [0, 1)."""
-    return t % 1
-
-
 @dataclass(frozen=True)
 class Polygon:
     """A cycle of n >= 1 distinct labels.
@@ -265,12 +260,7 @@ class PolyIso:
         return PolyIso(self.target, self.source, (self(base), base), self.orientation)
 
     def rotation_steps(self) -> int:
-        """The r in [0, n) with self = rotation-by-r; endomorphisms only.
-
-        This is also the inverse of the evaluation map on fiber points: a
-        path from x to self(x) with r steps corresponds to a RotationPath
-        of r steps in the automorphism circle.
-        """
+        """The r in [0, n) with self = rotation-by-r; endomorphisms only."""
         if self.source != self.target:
             raise NotAnEndomorphism(f"{self.source} != {self.target}")
         if self.orientation != PRESERVING:
@@ -282,35 +272,3 @@ class PolyIso:
         arrow = "=>" if self.orientation == PRESERVING else "=/>"
         a, b = self.anchor
         return f"{self.source} {arrow} {self.target} ({a} -> {b})"
-
-
-@dataclass(frozen=True)
-class RotationPath:
-    """A homotopy class of paths from the identity to a rotation.
-
-    ``steps`` counts signed unit rotations, so the class ends at
-    rotation-by-(steps mod n) and closed classes (steps divisible by n)
-    carry an integer winding.  Concatenation adds step counts.
-    """
-
-    polygon: Polygon
-    steps: int
-
-    def rotation_steps(self) -> int:
-        return self.steps % self.polygon.n
-
-    def concat(self, other: "RotationPath") -> "RotationPath":
-        if other.polygon != self.polygon:
-            raise EndpointMismatch("rotation paths live on different polygons")
-        return RotationPath(self.polygon, self.steps + other.steps)
-
-    def winding(self) -> int:
-        if self.steps % self.polygon.n != 0:
-            raise NotALoop(
-                f"rotation path of {self.steps} steps on a {self.polygon.n}-gon "
-                "does not end at the identity"
-            )
-        return self.steps // self.polygon.n
-
-    def to_turns(self) -> Turns:
-        return Fraction(self.steps, self.polygon.n)

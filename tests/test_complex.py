@@ -81,15 +81,6 @@ def test_link_arcs_come_from_faces():
         assert arcs == from_faces
 
 
-def test_induced_edge_order():
-    face = OrientedFace(("w", "b", "r"))
-    assert face.induced_edge_order({"w", "b"}) == ("w", "b")
-    assert face.induced_edge_order({"r", "w"}) == ("r", "w")
-    assert face.induced_edge_order({"b", "r"}) == ("b", "r")
-    with pytest.raises(NotIncident):
-        face.induced_edge_order({"w", "g"})
-
-
 def test_face_equality_up_to_cycle():
     assert OrientedFace(("w", "b", "r")) == OrientedFace(("r", "w", "b"))
     assert OrientedFace(("w", "b", "r")) != OrientedFace(("w", "r", "b"))

@@ -12,6 +12,7 @@ from windex.bundle import (
     flat_connection,
     holonomy_iso,
 )
+from windex.complex import build_surface
 from windex.errors import NonIntegralIndex, ValidationFailed
 from windex.field import (
     VectorField,
@@ -24,13 +25,15 @@ from windex.field import (
 )
 from windex.fixtures import (
     OCTAHEDRON_SPIN_AT,
+    boundary_delta3,
     csaszar_torus,
     OCTAHEDRON_SPIN_PATHS,
+    octahedron,
     octahedron_connection,
     octahedron_spin_field,
 )
 from windex.polygon import PolyPath
-from windex.sampling import random_field, random_gauge
+from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
 # swirls of the spin field, per face, frozen from the boundary sums
 EXPECTED_SWIRLS = {
@@ -222,6 +225,23 @@ class TestTotals:
         report = totals(spin, flat)
         assert sum(Fraction(r.swirl, r.size) for r in report.rows) == report.total_swirl
         assert sum(r.index for r in report.rows) == report.total_index
+
+    def test_mixed_fiber_sizes(self):
+        # a disjoint tetrahedron and octahedron in link mode: fibers of
+        # sizes 3 and 4 on one surface
+        tet, octa = boundary_delta3(), octahedron()
+        both = build_surface(
+            list(tet.vertices) + list(octa.vertices),
+            [f.vertices for f in tet.faces] + [f.vertices for f in octa.faces],
+        )
+        expected = {f.key: 3 for f in tet.faces} | {f.key: 4 for f in octa.faces}
+        rng = Random(29)
+        for _ in range(10):
+            conn = random_connection(both, "link", rng)
+            report = totals(random_field(conn, rng), random_lifts(conn, rng))
+            assert {r.face: r.size for r in report.rows} == expected
+            assert report.total_swirl == 0
+            assert report.theorem_holds
 
 
 class TestGaugeCarry:

@@ -14,7 +14,7 @@ from windex.errors import (
     TooSmall,
     UnknownLabel,
 )
-from windex.polygon import PRESERVING, REVERSING, Polygon, PolyIso, PolyPath, RotationPath
+from windex.polygon import PRESERVING, REVERSING, Polygon, PolyIso, PolyPath
 
 from oracles import collapse_unit_oracle, collapse_walk_oracle, subdivide_walk_oracle
 
@@ -216,19 +216,6 @@ class TestIsos:
         rot = PolyIso.rotation(poly, k)
         for x in poly.labels:
             assert poly.subtract(x, rot(x)) == Fraction(rot.rotation_steps(), poly.n)
-
-
-class TestRotationPaths:
-    def test_concat_and_winding(self):
-        quarter = RotationPath(BRGO, 1)
-        assert quarter.concat(RotationPath(BRGO, 3)).winding() == 1
-        assert quarter.concat(RotationPath(BRGO, -1)).winding() == 0
-        with pytest.raises(NotALoop):
-            quarter.winding()
-
-    def test_rotation_endpoint(self):
-        assert RotationPath(BRGO, 7).rotation_steps() == 3
-        assert RotationPath(BRGO, -1).rotation_steps() == 3
 
 
 class TestCollapseSubdivide:
