@@ -70,7 +70,7 @@ def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
     """Least common multiple of the vertex degrees (doubled if an even size
     is required and the lcm is odd)."""
-    size = math.lcm(*surface.degrees().values())
+    size = math.lcm(*surface.degrees.values())
     if even and size % 2 == 1:
         size *= 2
     return size
@@ -80,14 +80,14 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
     """Link mode when every degree equals the default refinement, else that
     refinement."""
     size = default_refinement(surface, even)
-    return LINK_MODE if set(surface.degrees().values()) == {size} else size
+    return LINK_MODE if set(surface.degrees.values()) == {size} else size
 
 
 @dataclass(frozen=True)
 class DiscreteConnection:
     """Transport offsets o_ij in [0, n) and the face key -> r_F holonomy
     table, validated; immutable afterwards.  ``sizes`` maps each vertex to
-    its fiber size."""
+    its fiber size: the surface's ``degrees`` table in link mode."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -99,7 +99,7 @@ class DiscreteConnection:
     )
 
     def __post_init__(self) -> None:
-        sizes = self.surface.degrees()
+        sizes = self.surface.degrees
         if self.refined is not None:
             sizes = dict.fromkeys(sizes, self.refined)
         object.__setattr__(self, "sizes", sizes)
@@ -146,7 +146,7 @@ class DiscreteConnection:
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
     """A connection without transports, once the fiber mode fits the surface."""
     collector = ReportCollector()
-    degrees = surface.degrees()
+    degrees = surface.degrees
     if fiber_mode == LINK_MODE:
         for a, b in surface.edges:
             if degrees[a] != degrees[b]:
@@ -270,14 +270,14 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
     return iso
 
 
-def holonomy_steps(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> int:
+def holonomy_steps(conn: DiscreteConnection, face: OrientedFace) -> int:
     """r_F in [0, n), the same at every basepoint."""
-    basepoint(face, base)  # an override must still lie on the face
     return conn.holonomy[face.key]
 
 
-def curvature_turns(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> Turns:
-    return Fraction(holonomy_steps(conn, face, base), conn.size(basepoint(face, base)))
+def curvature_turns(conn: DiscreteConnection, face: OrientedFace) -> Turns:
+    """r_F / n in turns; the three fibers of a face have one size n."""
+    return Fraction(conn.holonomy[face.key], conn.sizes[face.vertices[0]])
 
 
 def sum_turns(terms) -> Turns:

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .errors import NotIncident, ReportCollector, ValidationFailed, ValidationReport
+from .errors import BadArity, NotIncident, ReportCollector
 from .polygon import Polygon
 
 VertexId = str
@@ -38,7 +38,7 @@ class OrientedFace:
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         if len(verts) != 3 or len(set(verts)) != 3:
-            raise ValueError(f"a face needs 3 distinct vertices, got {verts}")
+            raise BadArity(f"a face needs 3 distinct vertices, got {verts}")
         least = verts.index(min(verts))
         verts = verts[least:] + verts[:least]
         object.__setattr__(self, "vertices", verts)
@@ -68,8 +68,9 @@ class OrientedSurface:
 
     Immutable after construction; ``links`` maps each vertex to its link
     polygon (neighbors in the cyclic order induced by the orientation,
-    starting from the least label).  ``edge_set`` holds the sorted pairs of
-    ``edges`` for membership tests.  ``positions`` is optional pass-through
+    starting from the least label) and ``degrees`` each vertex to the size
+    of that link.  ``edge_set`` holds the sorted pairs of ``edges`` for
+    membership tests.  ``positions`` is optional pass-through
     geometry for export and never enters any computation.
     """
 
@@ -80,27 +81,18 @@ class OrientedSurface:
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
     edge_set: frozenset[tuple[str, str]] = field(init=False, compare=False, repr=False)
     _by_key: dict[str, OrientedFace] = field(init=False, compare=False, repr=False)
-    _degrees: dict[str, int] = field(init=False, compare=False, repr=False)
+    degrees: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_set", frozenset(self.edges))
         object.__setattr__(self, "_by_key", {f.key: f for f in self.faces})
-        object.__setattr__(self, "_degrees", {v: len(p.labels) for v, p in self.links.items()})
+        object.__setattr__(self, "degrees", {v: len(p.labels) for v, p in self.links.items()})
 
     def link(self, v: str) -> Polygon:
         try:
             return self.links[v]
         except KeyError:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
-
-    def degree(self, v: str) -> int:
-        try:
-            return self._degrees[v]
-        except KeyError:
-            raise NotIncident(f"{v!r} is not a vertex of this surface") from None
-
-    def degrees(self) -> dict[str, int]:
-        return dict(self._degrees)
 
     def face_by_key(self, key: str) -> OrientedFace:
         try:
@@ -143,10 +135,12 @@ def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> Polygon 
     return Polygon(tuple(cycle))
 
 
-def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, ValidationReport]:
-    """Validate and assemble a surface.  After the per-face checks, one pass
-    over the three directed edges (x, y) of every face, at corner x with
-    third vertex z, collects everything else: the edge {x, y}, keyed by its
+def build_surface(vertices, faces, positions=None) -> OrientedSurface:
+    """Validate and assemble a surface; raises ValidationFailed listing
+    every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
+    NonPolygonLink, ...).  After the per-face checks, one pass over the
+    three directed edges (x, y) of every face, at corner x with third
+    vertex z, collects everything else: the edge {x, y}, keyed by its
     sorted pair, gets the tail x and the face, and the link of x gets the
     arc y -> z.  Both are flat lists, so a valid edge holds four items and
     no tuple is made per entry."""
@@ -166,7 +160,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
         verts_of_face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
         try:
             face = OrientedFace(verts_of_face)
-        except ValueError:
+        except BadArity:
             collector.add("BadFace", verts_of_face, "faces are 3 distinct vertices")
             continue
         fset = frozenset(verts_of_face)
@@ -179,9 +173,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
         seen_sets[fset] = face
         oriented.append(face)
 
-    report = collector.report()
-    if not report.ok:
-        return None, report
+    collector.raise_if_failed("invalid surface")
 
     # closure: edges are exactly the 2-subsets of faces
     edge_faces: dict[tuple[str, str], list] = defaultdict(list)
@@ -222,9 +214,7 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
         if cycle is not None:
             links[v] = cycle
 
-    report = collector.report()
-    if not report.ok:
-        return None, report
+    collector.raise_if_failed("invalid surface")
 
     pos = None
     if positions is not None:
@@ -232,31 +222,12 @@ def _build(vertices, faces, positions) -> tuple[OrientedSurface | None, Validati
         for v in pos:
             if v not in vert_set:
                 collector.add("BadLabel", v, "position given for undeclared vertex")
-        report = collector.report()
-        if not report.ok:
-            return None, report
+        collector.raise_if_failed("invalid surface")
 
-    surface = OrientedSurface(
+    return OrientedSurface(
         vertices=tuple(sorted(vert_set)),
         faces=tuple(sorted(oriented, key=attrgetter("key"))),
         edges=edges,
         links=links,
         positions=pos,
     )
-    return surface, report
-
-
-def build_surface(vertices, faces, positions=None) -> OrientedSurface:
-    """Validate and construct a surface; raises ValidationFailed listing
-    every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
-    NonPolygonLink, ...)."""
-    surface, report = _build(vertices, faces, positions)
-    if surface is None:
-        raise ValidationFailed("invalid surface", report)
-    return surface
-
-
-def validate_surface(vertices, faces, positions=None) -> ValidationReport:
-    """Like build_surface but never raises; returns the report."""
-    _, report = _build(vertices, faces, positions)
-    return report

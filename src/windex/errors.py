@@ -5,8 +5,10 @@ ValidationReport and raise ValidationFailed carrying it, so a caller sees all
 problems at once.  Violations name their rule as a string (DuplicateFace,
 BoundaryEdge, OrientationClash, NonPolygonLink, SizeMismatch, MissingEdge,
 NotInverse, OrientationReversing, UnknownLabel, LiftIncongruent,
-EndpointIncongruent, AntisymmetryViolation, ...).  Point operations raise
-the specific exception classes below directly.
+EndpointIncongruent, AntisymmetryViolation, ...).  Every other failure
+raises one of the WindexError subclasses below directly; only a PolyIso
+``orientation`` that is neither "preserving" nor "reversing" is a plain
+ValueError, a caller's misuse rather than bad data.
 """
 
 from __future__ import annotations
@@ -120,10 +122,6 @@ class ReportCollector:
     def add(self, rule: str, element: object, message: str) -> None:
         self._violations.append(Violation(rule, str(element), message))
 
-    def report(self) -> ValidationReport:
-        return ValidationReport(tuple(self._violations))
-
     def raise_if_failed(self, what: str) -> None:
-        report = self.report()
-        if not report.ok:
-            raise ValidationFailed(what, report)
+        if self._violations:
+            raise ValidationFailed(what, ValidationReport(tuple(self._violations)))

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import (
+    BadArity,
     EndpointMismatch,
     NotALoop,
     NotAnEndomorphism,
@@ -55,9 +56,9 @@ class Polygon:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         if not labels:
-            raise ValueError("a polygon needs at least one label")
+            raise TooSmall("a polygon needs at least one label")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"polygon labels must be distinct: {labels}")
+            raise BadArity(f"polygon labels must be distinct: {labels}")
         least = labels.index(min(labels))
         labels = labels[least:] + labels[:least]
         object.__setattr__(self, "labels", labels)
@@ -110,7 +111,7 @@ class Polygon:
 
         def transfer(path: PolyPath) -> PolyPath:
             if path.polygon != self:
-                raise ValueError("path is not on the collapsed polygon")
+                raise UnknownLabel("path is not on the collapsed polygon")
             p, k = self.position(path.start), path.steps
             if k >= 0:
                 # forward crossings of the arc v -> succ happen at offsets
@@ -143,7 +144,7 @@ class Polygon:
 
         def transfer(path: PolyPath) -> PolyPath:
             if path.polygon != self:
-                raise ValueError("path is not on the subdivided polygon")
+                raise UnknownLabel("path is not on the subdivided polygon")
             return PolyPath(big, path.start, path.steps * k)
 
         return big, transfer
@@ -250,7 +251,7 @@ class PolyIso:
     def compose(self, other: "PolyIso") -> "PolyIso":
         """self after other (function-composition order)."""
         if other.target != self.source:
-            raise ValueError("isomorphisms do not chain: target/source mismatch")
+            raise EndpointMismatch("isomorphisms do not chain: target/source mismatch")
         orientation = PRESERVING if self.sign * other.sign == 1 else REVERSING
         base = other.source.labels[0]
         return PolyIso(other.source, self.target, (base, self(other(base))), orientation)

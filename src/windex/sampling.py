@@ -23,6 +23,8 @@ from .bundle import (
 from .complex import OrientedSurface
 from .field import VectorField, build_field, expected_step_class
 
+MAX_TURNS = 2  # random lifts and field steps leave the forced class by at most this many turns
+
 
 def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> DiscreteConnection:
     fibers = flat_connection(surface, fiber_mode)  # read for fiber sizes and labels only
@@ -34,20 +36,20 @@ def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> Disc
     return build_connection(surface, fiber_mode, transports)
 
 
-def random_lifts(conn: DiscreteConnection, rng: Random, spread: int = 2) -> FlatnessStructure:
+def random_lifts(conn: DiscreteConnection, rng: Random) -> FlatnessStructure:
     lifts = {}
     for face in conn.surface.faces:
-        n = conn.size(min(face.vertices))
-        lifts[face] = holonomy_steps(conn, face) + n * rng.randint(-spread, spread)
+        n = conn.sizes[face.vertices[0]]
+        lifts[face] = holonomy_steps(conn, face) + n * rng.randint(-MAX_TURNS, MAX_TURNS)
     return attach_flatness(conn, lifts)
 
 
-def random_field(conn: DiscreteConnection, rng: Random, spread: int = 2) -> VectorField:
+def random_field(conn: DiscreteConnection, rng: Random) -> VectorField:
     at = {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
     steps = {}
     for a, b in conn.surface.edges:
         base = expected_step_class(conn, at, a, b)
-        steps[(a, b)] = base + conn.size(b) * rng.randint(-spread, spread)
+        steps[(a, b)] = base + conn.size(b) * rng.randint(-MAX_TURNS, MAX_TURNS)
     return build_field(conn, {v: conn.label_at(v, x) for v, x in at.items()}, steps)
 
 

@@ -30,10 +30,13 @@ from pathlib import Path
 from random import Random
 
 from windex import cli
-from windex.complex import build_surface
 from windex.fixtures import boundary_delta3, csaszar_torus, icosahedron, octahedron
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, serialize_scene
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/, for surfaces.py
+from surfaces import bipyramid, tet_and_octahedron  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 SCENES = HERE / "scenes"
@@ -42,26 +45,6 @@ REJECTED = HERE / "rejected"
 REJECTED_OUTPUTS = HERE / "rejected.json"
 FIXTURES = ("octahedron", "icosahedron", "tetrahedron", "torus")
 SEED = 2026
-
-
-def bipyramid():
-    """Poles of degree 5 over an equator of degree 4: mixed degrees, so
-    only refined modes apply."""
-    c = [f"c{i}" for i in range(5)]
-    faces = []
-    for i in range(5):
-        j = (i + 1) % 5
-        faces += [("n", c[i], c[j]), ("s", c[j], c[i])]
-    return build_surface(["n", "s"] + c, faces)
-
-
-def tet_and_octahedron():
-    """A disjoint tetrahedron and octahedron: link fibers of sizes 3 and 4."""
-    tet, octa = boundary_delta3(), octahedron()
-    return build_surface(
-        list(tet.vertices) + list(octa.vertices),
-        [f.vertices for f in tet.faces] + [f.vertices for f in octa.faces],
-    )
 
 
 # name, surface, fiber mode, sections beyond the connection

@@ -9,23 +9,10 @@ import pstats
 from random import Random
 
 from windex import cli
-from windex.complex import build_surface
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, serialize_scene
 
-
-def torus_grid(m: int):
-    """The m x m torus grid, each square cut along its diagonal; every
-    vertex has degree 6, so link mode applies."""
-    def v(i, j):
-        return f"v{i % m}_{j % m}"
-
-    faces = []
-    for i in range(m):
-        for j in range(m):
-            faces += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                      (v(i, j), v(i + 1, j + 1), v(i, j + 1))]
-    return build_surface([v(i, j) for i in range(m) for j in range(m)], faces)
+from surfaces import torus_grid
 
 
 def profile_cli(command: str, m: int, tmp_path) -> pstats.Stats:

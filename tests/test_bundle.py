@@ -16,6 +16,7 @@ from windex.bundle import (
     face_reports,
     flat_connection,
     gauge_transform,
+    holonomy_iso,
     holonomy_steps,
     net_holonomy,
     tangent_connection,
@@ -23,17 +24,17 @@ from windex.bundle import (
     trivialize_face,
     GaugeTransformation,
 )
-from windex.complex import build_surface
 from windex.errors import NotIncident, ValidationFailed
 from windex.fixtures import (
     OCTAHEDRON_TRANSPORTS,
-    boundary_delta3,
     csaszar_torus,
     icosahedron,
     octahedron,
 )
 from windex.polygon import PolyIso
 from windex.sampling import random_connection, random_gauge
+
+from surfaces import bipyramid, tet_and_octahedron
 
 
 @pytest.fixture(scope="module")
@@ -44,18 +45,6 @@ def octa():
 @pytest.fixture(scope="module")
 def conn(octa):
     return build_connection(octa, "link", OCTAHEDRON_TRANSPORTS)
-
-
-def pentagonal_bipyramid():
-    """Poles of degree 5 over an equatorial 5-cycle of degree 4; the
-    simplest closed surface with unequal degrees."""
-    c = [f"c{i}" for i in range(5)]
-    faces = []
-    for i in range(5):
-        j = (i + 1) % 5
-        faces.append(("n", c[i], c[j]))
-        faces.append(("s", c[j], c[i]))
-    return build_surface(["n", "s"] + c, faces)
 
 
 class TestBuild:
@@ -109,7 +98,7 @@ class TestBuild:
         )
 
     def test_link_mode_needs_equal_degrees(self):
-        surf = pentagonal_bipyramid()
+        surf = bipyramid()
         with pytest.raises(ValidationFailed) as excinfo:
             flat_connection(surf, "link")
         assert any(v.rule == "SizeMismatch" for v in excinfo.value.report.violations)
@@ -152,8 +141,8 @@ class TestHolonomy:
 
     def test_basepoint_independent(self, octa, conn):
         for face in octa.faces:
-            steps = {holonomy_steps(conn, face, v) for v in face.vertices}
-            assert len(steps) == 1
+            for v in face.vertices:
+                assert holonomy_iso(conn, face, v).rotation_steps() == holonomy_steps(conn, face)
 
     def test_out_and_back_is_identity(self, conn):
         round_trip = conn.transport("r", "w").compose(conn.transport("w", "r"))
@@ -198,10 +187,7 @@ class TestHolonomy:
     def test_net_holonomy_zero_on_mixed_fiber_sizes(self):
         # disjoint union of a tetrahedron and an octahedron: valid complex,
         # mixed degrees, so link-mode fiber sizes differ
-        tet, octa = boundary_delta3(), octahedron()
-        vertices = list(tet.vertices) + list(octa.vertices)
-        faces = [f.vertices for f in tet.faces] + [f.vertices for f in octa.faces]
-        both = build_surface(vertices, faces)
+        both = tet_and_octahedron()
         transports = {(a, b): (both.link(a).labels[0], both.link(b).labels[0])
                       for a, b in both.edges}
         conn = build_connection(both, "link", transports)

@@ -30,7 +30,7 @@ def test_holonomy_table_matches_composed_isomorphisms():
         for face in conn.surface.faces:
             for v in face.vertices:
                 want = holonomy_iso(conn, face, v).rotation_steps()
-                assert holonomy_steps(conn, face, v) == want, (name, trial, face.key, v)
+                assert holonomy_steps(conn, face) == want, (name, trial, face.key, v)
             faces += 1
     assert faces == 100 * (8 + 20 + 14)
 

@@ -12,7 +12,6 @@ from windex.bundle import (
     flat_connection,
     holonomy_iso,
 )
-from windex.complex import build_surface
 from windex.errors import NonIntegralIndex, ValidationFailed
 from windex.field import (
     VectorField,
@@ -34,6 +33,8 @@ from windex.fixtures import (
 )
 from windex.polygon import PolyPath
 from windex.sampling import random_connection, random_field, random_gauge, random_lifts
+
+from surfaces import tet_and_octahedron
 
 # swirls of the spin field, per face, frozen from the boundary sums
 EXPECTED_SWIRLS = {
@@ -229,12 +230,9 @@ class TestTotals:
     def test_mixed_fiber_sizes(self):
         # a disjoint tetrahedron and octahedron in link mode: fibers of
         # sizes 3 and 4 on one surface
-        tet, octa = boundary_delta3(), octahedron()
-        both = build_surface(
-            list(tet.vertices) + list(octa.vertices),
-            [f.vertices for f in tet.faces] + [f.vertices for f in octa.faces],
-        )
-        expected = {f.key: 3 for f in tet.faces} | {f.key: 4 for f in octa.faces}
+        both = tet_and_octahedron()
+        expected = ({f.key: 3 for f in boundary_delta3().faces}
+                    | {f.key: 4 for f in octahedron().faces})
         rng = Random(29)
         for _ in range(10):
             conn = random_connection(both, "link", rng)

@@ -1,0 +1,88 @@
+"""Bounded fuzz of the CLI on edited golden scenes.
+
+Each example makes one or two edits to a small golden scene: a structural
+edit (delete a key or list item, duplicate a list item) or a leaf edit
+(replace a node by an odd value or by another value found in the scene).
+The edited scene goes through every scene subcommand; whether it is valid
+or not, the CLI must answer with exit 0, 1 or 2 and let no exception
+escape.  Derandomized, so every run tries the same examples.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from windex import cli
+
+SCENES = Path(__file__).resolve().parent / "golden" / "scenes"
+BASES = {
+    name: json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("tet-link", "octa-link-a", "mixed-link")
+}
+COMMANDS = ("validate", "links", "curvature", "index", "check", "export")
+ODD_VALUES = (0, -1, 3, 2**70, 1.5, "", "0", "x~1", "a,b", None, True, [], {})
+
+
+def _children(node):
+    if isinstance(node, dict):
+        return node.items()
+    if isinstance(node, list):
+        return enumerate(node)
+    return ()
+
+
+def _positions(node, prefix=()):
+    """Every key/index path below ``node``."""
+    for key, child in _children(node):
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+def _leaves(node):
+    if not isinstance(node, (dict, list)):
+        yield node
+    for _, child in _children(node):
+        yield from _leaves(child)
+
+
+@st.composite
+def edited_scenes(draw):
+    name = draw(st.sampled_from(sorted(BASES)))
+    scene = copy.deepcopy(BASES[name])
+    for _ in range(draw(st.integers(1, 2))):
+        *route, key = draw(st.sampled_from(list(_positions(scene))))
+        parent = scene
+        for step in route:
+            parent = parent[step]
+        edit = draw(st.sampled_from(("delete", "duplicate", "replace")))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            pool = ODD_VALUES + tuple(dict.fromkeys(_leaves(scene)))
+            parent[key] = copy.deepcopy(draw(st.sampled_from(pool)))
+    return name, scene
+
+
+@pytest.fixture(scope="module")
+def scene_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scene.json"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(edited=edited_scenes())
+def test_edited_scenes_exit_cleanly(scene_file, edited):
+    name, scene = edited
+    scene_file.write_text(json.dumps(scene), encoding="utf-8")
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(scene_file)])
+        assert code in (0, 1, 2), (name, command, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), (name, command)

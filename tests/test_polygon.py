@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from windex.complex import OrientedFace
 from windex.errors import (
+    BadArity,
     EndpointMismatch,
     NotALoop,
     NotAnEndomorphism,
@@ -13,6 +15,7 @@ from windex.errors import (
     SizeMismatch,
     TooSmall,
     UnknownLabel,
+    WindexError,
 )
 from windex.polygon import PRESERVING, REVERSING, Polygon, PolyIso, PolyPath
 
@@ -42,9 +45,9 @@ class TestPolygon:
         assert Polygon(("w", "b", "y", "g")) != Polygon(("w", "g", "y", "b"))
 
     def test_distinct_labels_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadArity):
             Polygon(("a", "a", "b"))
-        with pytest.raises(ValueError):
+        with pytest.raises(TooSmall):
             Polygon(())
 
     def test_position_unknown_label(self):
@@ -278,3 +281,19 @@ class TestCollapseSubdivide:
         for lab in BRGO.labels:
             assert fine.position(lab) % 3 == 0
             assert BRGO.subtract("b", lab) == fine.subtract("b", lab)
+
+
+@pytest.mark.parametrize("expected, call", [
+    (BadArity, lambda: OrientedFace(("a", "b"))),
+    (BadArity, lambda: OrientedFace(("a", "b", "a"))),
+    (BadArity, lambda: Polygon(("a", "a", "b"))),
+    (TooSmall, lambda: Polygon(())),
+    (UnknownLabel, lambda: BRGO.collapse("r")[1](PolyPath(WBYG, "w", 1))),
+    (UnknownLabel, lambda: BRGO.subdivide(2)[1](PolyPath(WBYG, "w", 1))),
+    (EndpointMismatch, lambda: PolyIso.identity(BRGO).compose(PolyIso.identity(WBYG))),
+], ids=["face-arity", "face-repeat", "polygon-repeat", "polygon-empty",
+        "collapse-transfer", "subdivide-transfer", "compose"])
+def test_library_failures_are_windex_errors(expected, call):
+    with pytest.raises(WindexError) as excinfo:
+        call()
+    assert type(excinfo.value) is expected
