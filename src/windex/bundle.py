@@ -13,20 +13,21 @@ directed edge, inverse on the reverse edge.  Fibers come in two modes:
   connections.  Link mode is the same with N = deg(v).
 
 Fibers are virtual: a point is its position mod the fiber size n, read
-off its label on demand.  A transport is an offset o_ij with
-pos_j(t(x)) = pos_i(x) + o_ij (mod n).  Holonomy around a face is the
-composite transport along its boundary, a rotation of the basepoint fiber
-by r_F = the sum of the boundary offsets mod n, tabulated when the
-connection is built; r_F / n is the curvature of the face, in turns.  A
-flatness lift is an integer representative f_F = r_F + k * n of that
-rotation, i.e. a choice of homotopy class of paths from the identity to
-the holonomy.  The total flatness winding is the sum of f_F / n_F over all
-faces, the exact integer the index theorem compares against; like every
-total of per-face turns it is summed as integers per fiber size
+off its label on demand through the surface's link position tables.  A
+transport is an offset o_ij with pos_j(t(x)) = pos_i(x) + o_ij (mod n),
+stored by half-edge id.  Holonomy around a face is the composite transport
+along its boundary, a rotation of the basepoint fiber by r_F = the sum of
+the boundary offsets mod n, tabulated by face id when the connection is
+built; r_F / n is the curvature of the face, in turns.  A flatness lift
+is an integer representative f_F = r_F + k * n of that rotation, i.e. a
+choice of homotopy class of paths from the identity to the holonomy,
+stored by face id.  The total flatness winding is the sum of f_F / n_F
+over all faces, the exact integer the index theorem compares against;
+like every total of per-face turns it is summed as integers per fiber size
 (``sum_turns``), so components with different fiber sizes add up exactly.
 Explicit polygons and isomorphisms (``fiber``, ``transport``,
 ``holonomy_iso``) are built only on request, for the polygon algebra and
-as reference oracles.
+as reference oracles; so are the ``FaceReport`` rows' labels and keys.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -36,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
+from typing import NamedTuple
 
 from .complex import OrientedFace, OrientedSurface
 from .errors import (
@@ -70,7 +72,7 @@ def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
     """Least common multiple of the vertex degrees (doubled if an even size
     is required and the lcm is odd)."""
-    size = math.lcm(*surface.degrees.values())
+    size = math.lcm(*surface.deg)
     if even and size % 2 == 1:
         size *= 2
     return size
@@ -80,54 +82,77 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
     """Link mode when every degree equals the default refinement, else that
     refinement."""
     size = default_refinement(surface, even)
-    return LINK_MODE if set(surface.degrees.values()) == {size} else size
+    return LINK_MODE if set(surface.deg) == {size} else size
 
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Transport offsets o_ij in [0, n) and the face key -> r_F holonomy
-    table, validated; immutable afterwards.  ``sizes`` maps each vertex to
-    its fiber size: the surface's ``degrees`` table in link mode."""
+    """Transport offsets o_ij in [0, n) by half-edge id and the r_F
+    holonomy table by face id, validated; immutable afterwards.  ``n``
+    holds the fiber size by vertex id (the surface's ``deg`` in link mode)
+    and ``face_sizes`` the size of each face's three fibers; ``sizes`` maps
+    vertex labels to fiber sizes."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
-    offsets: dict[tuple[str, str], int] = field(repr=False)
-    holonomy: dict[str, int] = field(repr=False, compare=False)
-    sizes: dict[str, int] = field(init=False, repr=False, compare=False)
+    offsets: list[int] = field(repr=False)
+    holonomy: list[int] = field(repr=False, compare=False)
+    n: list[int] = field(init=False, repr=False, compare=False)
+    face_sizes: list[int] = field(init=False, repr=False, compare=False)
     _fibers: dict[str, Polygon] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        sizes = self.surface.degrees
-        if self.refined is not None:
-            sizes = dict.fromkeys(sizes, self.refined)
-        object.__setattr__(self, "sizes", sizes)
+        surface = self.surface
+        n = surface.deg if self.refined is None else [self.refined] * len(surface.vertices)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "face_sizes", [n[a] for a in surface.tails[::3]])
 
-    def size(self, v: str) -> int:
+    @cached_property
+    def sizes(self) -> dict[str, int]:
+        return dict(zip(self.surface.vertices, self.n))
+
+    def _id(self, v: str) -> int:
         try:
-            return self.sizes[v]
+            return self.surface.index[v]
         except KeyError:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
-    def position(self, v: str, label: str) -> int:
-        """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
+    def size(self, v: str) -> int:
+        return self.n[self._id(v)]
+
+    def _locate(self, v: int, label: str) -> int | None:
+        """The position of ``label`` in the fiber at vertex id ``v``, or None.
+        Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
-        table = self.surface.link(v)._pos
-        arc = self.sizes[v] // len(table)
-        if label in table:
-            return table[label] * arc
+        surface = self.surface
+        V, arc = len(surface.vertices), self.n[v] // surface.deg[v]
+        h = surface.half.get(v * (V + 1) + surface.index.get(label, V))
+        if h is not None:
+            return surface.slot[h] * arc
         base, _, j = label.partition("~")
+        h = surface.half.get(v * (V + 1) + surface.index.get(base, V))
         # only the spelling subdivide produces: ASCII digits, no leading 0
-        if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-            return table[base] * arc + int(j)
-        raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+        if h is not None and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+            return surface.slot[h] * arc + int(j)
+        return None
+
+    def position(self, v: str, label: str) -> int:
+        p = self._locate(self._id(v), label)
+        if p is None:
+            raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+        return p
+
+    def _label(self, v: int, position: int) -> str:
+        ring = self.surface.link_ids[v]
+        n = self.n[v]
+        k, j = divmod(position % n, n // len(ring))
+        label = self.surface.vertices[ring[k]]
+        return label if j == 0 else f"{label}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
-        link = self.surface.link(v)
-        n = self.sizes[v]
-        k, j = divmod(position % n, n // link.n)
-        return link.labels[k] if j == 0 else f"{link.labels[k]}~{j}"
+        return self._label(self._id(v), position)
 
     def fiber(self, v: str) -> Polygon:
         if v not in self._fibers:
@@ -136,43 +161,39 @@ class DiscreteConnection:
         return self._fibers[v]
 
     def transport(self, i: str, j: str) -> PolyIso:
-        try:
-            o = self.offsets[(i, j)]
-        except KeyError:
-            raise NotIncident(f"({i},{j}) is not a directed edge of the surface") from None
-        return PolyIso(self.fiber(i), self.fiber(j), (self.label_at(i, 0), self.label_at(j, o)))
+        surface = self.surface
+        h = surface.half_edge(i, j)
+        anchor = (self._label(surface.tails[h], 0), self._label(surface.heads[h], self.offsets[h]))
+        return PolyIso(self.fiber(i), self.fiber(j), anchor)
 
 
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
     """A connection without transports, once the fiber mode fits the surface."""
     collector = ReportCollector()
-    degrees = surface.degrees
+    deg, labels = surface.deg, surface.vertices
     if fiber_mode == LINK_MODE:
-        for a, b in surface.edges:
-            if degrees[a] != degrees[b]:
-                collector.add(
-                    "SizeMismatch",
-                    f"{{{a},{b}}}",
-                    f"link-mode transport needs equal degrees, got {degrees[a]} and {degrees[b]}",
-                )
+        tails, heads = surface.tails, surface.heads
+        for h in surface.edge_half:
+            a, b = tails[h], heads[h]
+            if deg[a] != deg[b]:
+                collector.add("SizeMismatch", f"{{{labels[a]},{labels[b]}}}",
+                              f"link-mode transport needs equal degrees, got {deg[a]} and {deg[b]}")
         collector.raise_if_failed("invalid connection")
-        return DiscreteConnection(surface, None, {}, {})
+        return DiscreteConnection(surface, None, [], [])
     size = int(fiber_mode)
-    for v in surface.vertices:
-        deg = degrees[v]
-        if size % deg != 0:
-            collector.add("SizeMismatch", v, f"refinement {size} is not divisible by degree {deg}")
+    for v, d in zip(labels, deg):
+        if size % d != 0:
+            collector.add("SizeMismatch", v, f"refinement {size} is not divisible by degree {d}")
     collector.raise_if_failed("invalid fiber refinement")
-    return DiscreteConnection(surface, size, {}, {})
+    return DiscreteConnection(surface, size, [], [])
 
 
 def _close(conn: DiscreteConnection) -> DiscreteConnection:
     """Fill the holonomy table from the offsets; a face's three fibers have
     one size, so r_F does not depend on the basepoint."""
-    o, sizes, holonomy = conn.offsets, conn.sizes, conn.holonomy
-    for face in conn.surface.faces:
-        a, b, c = face.vertices
-        holonomy[face.key] = (o[(a, b)] + o[(b, c)] + o[(c, a)]) % sizes[a]
+    o = conn.offsets
+    conn.holonomy[:] = [(o[h] + o[h + 1] + o[h + 2]) % n
+                        for h, n in zip(range(0, len(o), 3), conn.face_sizes)]
     return conn
 
 
@@ -180,67 +201,91 @@ _ABSENT = object()
 
 
 def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
-    """One integer per directed edge from values supplied on one direction
-    of every edge or both: ``read(i, j, value)`` gives the integer (None
-    once it has reported a bad value), the reverse is its negation, reduced
-    mod ``modulus[a]`` unless ``modulus`` is None, and values supplied both
-    ways must cancel, mod that or exactly, else the rule ``clash`` is
-    reported."""
-    edge_set = surface.edge_set
-    for i, j in supplied:
-        if ((i, j) if i < j else (j, i)) not in edge_set:
-            collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
+    """One integer per half-edge (None where unresolved) from values
+    supplied by label pair on one direction of every edge or both:
+    ``read(h, value)`` gives the integer (None once it has reported a bad
+    value), or ``int`` does when ``read`` is None.  The reverse is its
+    negation, mod ``modulus[v]`` of an end v unless ``modulus`` is None,
+    and values supplied both ways must cancel, mod that or exactly, else
+    the rule ``clash`` is reported."""
+    get, half, V = surface.index.get, surface.half, len(surface.vertices)
+    ids = [half.get(get(i, V) * (V + 1) + get(j, V)) for i, j in supplied]
+    given = dict(zip(ids, supplied.values()))
+    if None in given:
+        del given[None]
+        for h, (i, j) in zip(ids, supplied):
+            if h is None:
+                collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
 
-    resolved: dict[tuple[str, str], int] = {}
-    for a, b in surface.edges:
-        forward, backward = supplied.get((a, b), _ABSENT), supplied.get((b, a), _ABSENT)
+    labels, tails, twin = surface.vertices, surface.tails, surface.twin
+    resolved = [None] * len(surface.tails)
+    for h in surface.edge_half:
+        t = twin[h]
+        forward, backward = given.get(h, _ABSENT), given.get(t, _ABSENT)
         if forward is _ABSENT and backward is _ABSENT:
+            a, b = labels[tails[h]], labels[tails[t]]
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
-        d = 0 if forward is _ABSENT else read(a, b, forward)
-        e = 0 if backward is _ABSENT else read(b, a, backward)
+        d = 0 if forward is _ABSENT else read(h, forward) if read else int(forward)
+        e = 0 if backward is _ABSENT else read(t, backward) if read else int(backward)
         if d is None or e is None:
             continue
-        n = modulus[a] if modulus else 0
+        n = modulus[tails[h]] if modulus else 0
         if forward is _ABSENT:
             d = -e
         elif backward is not _ABSENT and ((d + e) % n if n else d + e):
+            a, b = labels[tails[h]], labels[tails[t]]
             collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {d} and "
                           f"({b},{a}) gives {e}, which do not cancel")
             continue
-        resolved[(a, b)], resolved[(b, a)] = (d % n, -d % n) if n else (d, -d)
+        resolved[h], resolved[t] = (d % n, -d % n) if n else (d, -d)
     return resolved
 
 
-def _read_offset(conn: DiscreteConnection, collector, i: str, j: str, value) -> int | None:
-    """The offset of an anchor pair or of a full label map.  Both fibers of
-    an edge have size n."""
-    n = conn.sizes[j]
-    if isinstance(value, dict):
+def _offset_reader(conn: DiscreteConnection, collector):
+    """``read`` for ``antisymmetric``: the offset on half-edge h of an anchor
+    pair or of a full label map.  Both fibers of an edge have size n."""
+    surface, n_at, locate = conn.surface, conn.n, conn._locate
+    labels, tails, heads, slot, deg = (
+        surface.vertices, surface.tails, surface.heads, surface.slot, surface.deg)
+    get, half, V = surface.index.get, surface.half, len(labels)
+
+    def read(h: int, value) -> int | None:
+        i, j = tails[h], heads[h]
+        n = n_at[j]
+        if isinstance(value, dict):
+            pairs = [(locate(i, str(x)), locate(j, str(y))) for x, y in value.items()]
+            if any(p is None or q is None for p, q in pairs):
+                pairs = []
+            if len(pairs) != n or len({q for _, q in pairs}) != n:
+                rule, why = "UnknownLabel", "full map must cover the two fibers exactly"
+            elif len({(q - p) % n for p, q in pairs}) == 1:
+                return (pairs[0][1] - pairs[0][0]) % n
+            elif len({(q + p) % n for p, q in pairs}) == 1:
+                rule, why = "OrientationReversing", "transports must preserve orientation"
+            else:
+                rule, why = "UnknownLabel", "map does not respect the cyclic structure"
+            collector.add(rule, f"({labels[i]},{labels[j]})", why)
+            return None
         try:
-            pairs = [(conn.position(i, str(x)), conn.position(j, str(y))) for x, y in value.items()]
-        except UnknownLabel:
-            pairs = []
-        if len(pairs) != n or len({q for _, q in pairs}) != n:
-            rule, why = "UnknownLabel", "full map must cover the two fibers exactly"
-        elif len({(q - p) % n for p, q in pairs}) == 1:
-            return (pairs[0][1] - pairs[0][0]) % n
-        elif len({(q + p) % n for p, q in pairs}) == 1:
-            rule, why = "OrientationReversing", "transports must preserve orientation"
-        else:
-            rule, why = "UnknownLabel", "map does not respect the cyclic structure"
-        collector.add(rule, f"({i},{j})", why)
-        return None
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
-        return None
-    try:
-        return (conn.position(j, str(b)) - conn.position(i, str(a))) % n
-    except UnknownLabel as exc:
-        collector.add("UnknownLabel", f"({i},{j})", str(exc))
-        return None
+            a, b = map(str, value)
+        except (TypeError, ValueError):
+            collector.add("UnknownLabel", f"({labels[i]},{labels[j]})",
+                          f"cannot read transport spec {value!r}")
+            return None
+        p, q = half.get(i * (V + 1) + get(a, V)), half.get(j * (V + 1) + get(b, V))
+        if p is not None and q is not None:  # two link labels: ``_locate`` inlined
+            return (slot[q] * (n // deg[j]) - slot[p] * (n // deg[i])) % n
+        q = locate(j, b)
+        p = None if q is None else locate(i, a)
+        if p is None:
+            v, label = (j, b) if q is None else (i, a)
+            collector.add("UnknownLabel", f"({labels[i]},{labels[j]})",
+                          f"{label!r} is not a label of the fiber at {labels[v]!r}")
+            return None
+        return (q - p) % n
+
+    return read
 
 
 def build_connection(surface: OrientedSurface, fiber_mode, transports) -> DiscreteConnection:
@@ -252,11 +297,10 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     """
     conn = _empty_connection(surface, fiber_mode)
     collector = ReportCollector()
-    read = partial(_read_offset, conn, collector)
-    conn.offsets.update(antisymmetric(
-        surface, transports, collector, "transport", read, "NotInverse", conn.sizes
-    ))
+    read = _offset_reader(conn, collector)
+    offsets = antisymmetric(surface, transports, collector, "transport", read, "NotInverse", conn.n)
     collector.raise_if_failed("invalid connection")
+    conn.offsets.extend(offsets)
     return _close(conn)
 
 
@@ -272,12 +316,13 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
 
 def holonomy_steps(conn: DiscreteConnection, face: OrientedFace) -> int:
     """r_F in [0, n), the same at every basepoint."""
-    return conn.holonomy[face.key]
+    return conn.holonomy[conn.surface.face_id(face.key)]
 
 
 def curvature_turns(conn: DiscreteConnection, face: OrientedFace) -> Turns:
     """r_F / n in turns; the three fibers of a face have one size n."""
-    return Fraction(conn.holonomy[face.key], conn.sizes[face.vertices[0]])
+    f = conn.surface.face_id(face.key)
+    return Fraction(conn.holonomy[f], conn.face_sizes[f])
 
 
 def sum_turns(terms) -> Turns:
@@ -294,19 +339,19 @@ def net_holonomy(conn: DiscreteConnection) -> Turns:
     """Sum of face curvatures, reduced mod 1.  Zero for every valid
     connection: each directed edge appears in exactly one face boundary, so
     the per-edge rotation offsets cancel in pairs."""
-    sizes, holonomy = conn.sizes, conn.holonomy
-    return sum_turns((sizes[f.vertices[0]], holonomy[f.key]) for f in conn.surface.faces) % 1
+    return sum_turns(zip(conn.face_sizes, conn.holonomy)) % 1
 
 
 @dataclass(frozen=True)
 class FlatnessStructure:
-    """A chosen integer lift f_F of each face's holonomy rotation, keyed by
-    the face key."""
+    """A chosen integer lift f_F of each face's holonomy rotation, by face
+    id of ``surface``."""
 
-    lifts: dict[str, int] = field(repr=False)
+    surface: OrientedSurface = field(repr=False)
+    lifts: list[int] = field(repr=False)
 
     def lift(self, face: OrientedFace) -> int:
-        return self.lifts[face.key]
+        return self.lifts[self.surface.face_id(face.key)]
 
 
 def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
@@ -314,52 +359,56 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     congruent to the holonomy steps mod the fiber size."""
     collector = ReportCollector()
     surface = conn.surface
-    resolved: dict[str, int] = {}
+    face_index = surface.face_index
+    resolved: list[int | None] = [None] * len(surface.keys)
     for key, value in lifts.items():
         if type(key) is not str:
             key = key.key if isinstance(key, OrientedFace) else str(key)
-        try:
-            surface.face_by_key(key)
-        except NotIncident:
+        f = face_index.get(key)
+        if f is None:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
             continue
-        resolved[key] = int(value)
-    sizes, holonomy = conn.sizes, conn.holonomy
-    for face in surface.faces:
-        key = face.key
-        lift = resolved.get(key)
+        resolved[f] = int(value)
+    for key, lift, r, n in zip(surface.keys, resolved, conn.holonomy, conn.face_sizes):
         if lift is None:
             collector.add("MissingFace", key, "no lift supplied")
-            continue
-        n = sizes[face.vertices[0]]
-        r = holonomy[key]
-        if lift % n != r:
+        elif lift % n != r:
             collector.add(
                 "LiftIncongruent",
                 key,
                 f"lift {lift} is not congruent to holonomy {r} mod {n}",
             )
     collector.raise_if_failed("invalid flatness structure")
-    return FlatnessStructure(resolved)
+    return FlatnessStructure(surface, resolved)
 
 
 def canonical_flatness(conn: DiscreteConnection) -> FlatnessStructure:
     """The least nonnegative lift on every face: f_F = r_F."""
-    return FlatnessStructure(dict(conn.holonomy))
+    return FlatnessStructure(conn.surface, list(conn.holonomy))
 
 
 def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure) -> int:
     """Sum of lift turns f_F / n_F over all faces; integral whenever the net
     holonomy vanishes mod 1, which validation guarantees."""
-    sizes, lifts = conn.sizes, flatness.lifts
-    total = sum_turns((sizes[f.vertices[0]], lifts[f.key]) for f in conn.surface.faces)
+    total = sum_turns(zip(conn.face_sizes, flatness.lifts))
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
     return int(total)
 
 
-@dataclass(frozen=True)
-class FaceReport:
+def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
+    """The basepoint of every face: its least vertex, unless ``overrides``
+    maps its key to another of its vertices (keys of no face are ignored;
+    the first face in order whose override is off it raises NotIncident)."""
+    bases = [surface.vertices[a] for a in surface.tails[::3]]
+    if overrides:
+        index = surface.face_index
+        for f, v in sorted((index[k], v) for k, v in overrides.items() if k in index and v is not None):
+            bases[f] = basepoint(surface.faces[f], v)
+    return bases
+
+
+class FaceReport(NamedTuple):
     """Per-face quantities at a stated basepoint."""
 
     face: str
@@ -376,15 +425,10 @@ def face_reports(
     flatness: FlatnessStructure,
     basepoints: dict[str, str] | None = None,
 ) -> list[FaceReport]:
-    overrides = basepoints or {}
-    sizes, holonomy, lifts = conn.sizes, conn.holonomy, flatness.lifts
-    rows = []
-    for face in conn.surface.faces:
-        key = face.key
-        v = basepoint(face, overrides.get(key))
-        n, r, f = sizes[v], holonomy[key], lifts[key]
-        rows.append(FaceReport(key, v, n, r, f, Fraction(r, n), Fraction(f, n)))
-    return rows
+    bases = face_basepoints(conn.surface, basepoints)
+    return [FaceReport(key, v, n, r, f, Fraction(r, n), Fraction(f, n))
+            for key, v, n, r, f in zip(conn.surface.keys, bases, conn.face_sizes,
+                                       conn.holonomy, flatness.lifts)]
 
 
 @dataclass(frozen=True)
@@ -406,12 +450,11 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     step count is unchanged; the table is recomputed from the new offsets
     all the same.
     """
-    sizes = conn.sizes
-    offsets = {
-        (i, j): (o + gauge.at(j) - gauge.at(i)) % sizes[j]
-        for (i, j), o in conn.offsets.items()
-    }
-    return _close(DiscreteConnection(conn.surface, conn.refined, offsets, {}))
+    surface, n = conn.surface, conn.n
+    g = [gauge.at(v) for v in surface.vertices]
+    offsets = [(o + g[j] - g[i]) % n[j]
+               for o, i, j in zip(conn.offsets, surface.tails, surface.heads)]
+    return _close(DiscreteConnection(surface, conn.refined, offsets, []))
 
 
 def trivialize_face(
@@ -457,13 +500,18 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
         fiber_mode = _default_mode(surface, even=True)
     conn = _empty_connection(surface, fiber_mode)
     collector = ReportCollector()
-    for v in surface.vertices:
-        if conn.size(v) % 2 != 0:
-            collector.add("SizeMismatch", v, f"fiber size {conn.size(v)} is odd, antipodes undefined")
+    n = conn.n
+    for v, size in zip(surface.vertices, n):
+        if size % 2 != 0:
+            collector.add("SizeMismatch", v, f"fiber size {size} is odd, antipodes undefined")
     collector.raise_if_failed("no straightest transport")
-    for a, b in surface.directed_edges():
-        n = conn.size(b)
-        conn.offsets[(a, b)] = (conn.position(b, a) + n // 2 - conn.position(a, b)) % n
+    # pos_b(a) + n/2 - pos_a(b); a link label k sits at k * n / deg
+    arc = [size // d for size, d in zip(n, surface.deg)]
+    slot, twin = surface.slot, surface.twin
+    conn.offsets.extend(
+        (slot[twin[h]] * arc[b] + n[b] // 2 - slot[h] * arc[a]) % n[b]
+        for h, (a, b) in enumerate(zip(surface.tails, surface.heads))
+    )
     return _close(conn)
 
 
@@ -472,5 +520,5 @@ def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnec
     if fiber_mode is None:
         fiber_mode = _default_mode(surface)
     conn = _empty_connection(surface, fiber_mode)
-    conn.offsets.update(dict.fromkeys(surface.directed_edges(), 0))
+    conn.offsets.extend([0] * len(surface.tails))
     return _close(conn)

@@ -62,7 +62,7 @@ def _parse_basepoints(pairs, surface) -> dict[str, str]:
         key, sep, vertex = pair.rpartition("=")
         if not sep:
             raise NotIncident(f"--basepoint wants FACE=VERTEX, got {pair!r}")
-        surface.face_by_key(key)  # raises NotIncident on a bad key
+        surface.face_id(key)  # raises NotIncident on a bad key
         overrides[key] = vertex  # checked against the face by basepoint()
     return overrides
 
@@ -104,7 +104,8 @@ def _cmd_validate(scene: SceneFile, args) -> int:
 
 
 def _cmd_links(scene: SceneFile, args) -> int:
-    links = {v: list(scene.surface.link(v).labels) for v in scene.surface.vertices}
+    labels = scene.surface.vertices
+    links = {labels[v]: [labels[x] for x in ring] for v, ring in enumerate(scene.surface.link_ids)}
     _report(args, {"links": links}, (f"{v}: {' '.join(cycle)}" for v, cycle in links.items()))
     return EXIT_OK
 
@@ -117,11 +118,8 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
     payload = {
-        "faces": [{
-            "face": r.face, "basepoint": r.basepoint, "size": r.size,
-            "holonomy_steps": r.holonomy_steps, "lift": r.lift,
-            "curvature": str(r.curvature), "lift_turns": str(r.lift_turns),
-        } for r in rows],
+        "faces": [{**r._asdict(), "curvature": str(r.curvature), "lift_turns": str(r.lift_turns)}
+                  for r in rows],
         "net_holonomy": str(net),
         "total_flatness_winding": total,
     }
@@ -145,11 +143,7 @@ def _index_payload(scene: SceneFile, args):
 def _cmd_index(scene: SceneFile, args) -> int:
     report = _index_payload(scene, args)
     payload = {
-        "faces": [{
-            "face": r.face, "basepoint": r.basepoint, "size": r.size,
-            "holonomy_steps": r.holonomy_steps, "lift": r.lift,
-            "swirl": r.swirl, "index": r.index,
-        } for r in report.rows],
+        "faces": [r._asdict() for r in report.rows],
         "total_swirl": str(report.total_swirl),
         "total_index": report.total_index,
         "total_flatness_winding": report.total_flatness_winding,
@@ -209,13 +203,13 @@ def _cmd_export(scene: SceneFile, args) -> int:
     missing = [v for v in surface.vertices if v not in surface.positions]
     if missing:
         raise NotIncident(f"export needs a position for every vertex, missing {missing}")
-    order = {v: i for i, v in enumerate(surface.vertices)}
-    lines = ["OFF", f"{len(surface.vertices)} {len(surface.faces)} {len(surface.edges)}"]
+    tails = surface.tails
+    lines = ["OFF", f"{len(surface.vertices)} {len(surface.keys)} {len(surface.edge_half)}"]
     for v in surface.vertices:
         coords = " ".join(_off_number(c) for c in surface.positions[v])
         lines.append(coords)
-    for face in surface.faces:
-        lines.append("3 " + " ".join(str(order[v]) for v in face.vertices))
+    for h in range(0, len(tails), 3):
+        lines.append(f"3 {tails[h]} {tails[h + 1]} {tails[h + 2]}")
     _emit("\n".join(lines))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Closed oriented combinatorial surfaces.
+"""Closed oriented combinatorial surfaces, as integer half-edge tables.
 
 A surface is an abstract simplicial complex of dimension 2: labeled
 vertices, triangular faces carrying an explicit cyclic vertex order (the
@@ -6,21 +6,27 @@ orientation), and edges derived as the 2-subsets of faces.  Building a
 surface validates closure, the two-faces-per-edge condition, orientation
 consistency (shared edges receive opposite induced orders) and that every
 vertex link chains into a single cycle.
+
+Labels are interned once, in sorted order, so vertex id order is label
+order.  Faces are id triples from their least id, numbered in face-key
+order; face f owns the half-edges 3f, 3f + 1, 3f + 2 of its boundary, each
+with a twin running back (Botsch et al., *Polygon Mesh Processing*, 2010,
+ch. 2).  Links are position tables.  The tables downstream are lists by
+half-edge, face or vertex id; labels and keys are formatted for output and
+violations only, and ``OrientedFace``s, link ``Polygon``s and label-pair
+edges are built on demand, for the public API and the reference oracles.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
 
 from .errors import BadArity, NotIncident, ReportCollector
 from .polygon import Polygon
 
-VertexId = str
-
 # characters reserved by face keys, refinement labels and the CLI
-_FORBIDDEN = set(',~= \t\n')
+_FORBIDDEN = frozenset(',~= \t\n')
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class OrientedFace:
 
     Stored rotated so the least vertex comes first; faces that differ by a
     cyclic permutation compare equal.  ``key``, the canonical comma-joined
-    form, is made once here; the holonomy and lift tables are keyed by it.
+    form, is made once here.
     """
 
     vertices: tuple[str, str, str]
@@ -64,29 +70,59 @@ class OrientedFace:
 
 @dataclass(frozen=True)
 class OrientedSurface:
-    """A validated closed oriented surface.
+    """A validated closed oriented surface, immutable after construction.
 
-    Immutable after construction; ``links`` maps each vertex to its link
-    polygon (neighbors in the cyclic order induced by the orientation,
-    starting from the least label) and ``degrees`` each vertex to the size
-    of that link.  ``edge_set`` holds the sorted pairs of ``edges`` for
-    membership tests.  ``positions`` is optional pass-through
-    geometry for export and never enters any computation.
+    ``vertices`` holds the labels by id and ``index`` the ids by label.
+    Half-edge h runs from ``tails[h]`` to ``heads[h]`` and ``twin[h]`` back;
+    ``half`` maps ``tail * (V + 1) + head`` to h, so the id V of a label
+    not on the surface finds nothing.  ``keys`` holds the face keys.  The
+    link of v lists ``link_ids[v]`` from the least label, and ``slot[h]`` is
+    the place of h's head in the link of h's tail.  ``edge_half`` holds the
+    half-edge of each edge from its lesser end, in sorted order.
+    ``positions`` is pass-through geometry for export only.
     """
 
     vertices: tuple[str, ...]
-    faces: tuple[OrientedFace, ...]
-    edges: tuple[tuple[str, str], ...] = field(compare=False)
-    links: dict[str, Polygon] = field(compare=False, repr=False)
+    tails: tuple[int, ...] = field(repr=False)
+    index: dict[str, int] = field(compare=False, repr=False)
+    heads: list[int] = field(compare=False, repr=False)
+    twin: list[int] = field(compare=False, repr=False)
+    half: dict[int, int] = field(compare=False, repr=False)
+    keys: list[str] = field(compare=False, repr=False)
+    link_ids: list[list[int]] = field(compare=False, repr=False)
+    slot: list[int] = field(compare=False, repr=False)
+    edge_half: list[int] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
-    edge_set: frozenset[tuple[str, str]] = field(init=False, compare=False, repr=False)
-    _by_key: dict[str, OrientedFace] = field(init=False, compare=False, repr=False)
-    degrees: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edge_set", frozenset(self.edges))
-        object.__setattr__(self, "_by_key", {f.key: f for f in self.faces})
-        object.__setattr__(self, "degrees", {v: len(p.labels) for v, p in self.links.items()})
+    @cached_property
+    def deg(self) -> list[int]:
+        return [len(ring) for ring in self.link_ids]
+
+    @cached_property
+    def degrees(self) -> dict[str, int]:
+        return dict(zip(self.vertices, self.deg))
+
+    @cached_property
+    def face_index(self) -> dict[str, int]:
+        """Face key -> face id."""
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    @cached_property
+    def faces(self) -> tuple[OrientedFace, ...]:
+        labels, tails = self.vertices, self.tails
+        return tuple([OrientedFace((labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]))
+                      for h in range(0, len(tails), 3)])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        labels, tails, heads = self.vertices, self.tails, self.heads
+        return tuple([(labels[tails[h]], labels[heads[h]]) for h in self.edge_half])
+
+    @cached_property
+    def links(self) -> dict[str, Polygon]:
+        labels = self.vertices
+        return {labels[v]: Polygon(tuple([labels[x] for x in ring]))
+                for v, ring in enumerate(self.link_ids)}
 
     def link(self, v: str) -> Polygon:
         try:
@@ -94,102 +130,67 @@ class OrientedSurface:
         except KeyError:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
-    def face_by_key(self, key: str) -> OrientedFace:
+    def face_id(self, key: str) -> int:
         try:
-            return self._by_key[key]
+            return self.face_index[key]
         except KeyError:
             raise NotIncident(f"no face with key {key!r}") from None
 
-    def directed_edges(self) -> list[tuple[str, str]]:
-        return [e for (a, b) in self.edges for e in ((a, b), (b, a))]
+    def face_by_key(self, key: str) -> OrientedFace:
+        return self.faces[self.face_id(key)]
+
+    def half_edge(self, i: str, j: str) -> int:
+        """The half-edge from vertex ``i`` to vertex ``j``."""
+        V = len(self.vertices)
+        h = self.half.get(self.index.get(i, V) * (V + 1) + self.index.get(j, V))
+        if h is None:
+            raise NotIncident(f"({i},{j}) is not a directed edge of the surface")
+        return h
 
 
 def euler_characteristic(surface: OrientedSurface) -> int:
     """V - E + F.  Plumbing for cross-checks; nothing downstream depends on it."""
-    return len(surface.vertices) - len(surface.edges) + len(surface.faces)
+    return len(surface.vertices) - len(surface.edge_half) + len(surface.keys)
 
 
-def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> Polygon | None:
-    """Chain the link arcs at ``v`` into one cycle.  ``arcs`` is flat, two
-    labels per arc: a face (v, a, b) contributes the arc a -> b."""
+def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> None:
+    """Report why the link arcs at ``v`` do not chain into one cycle.
+    ``arcs`` is flat, two labels per arc: a face (v, a, b) contributes the
+    arc a -> b."""
     succ: dict[str, str] = {}
     for a, b in zip(arcs[::2], arcs[1::2]):
         if a in succ:
             collector.add("NonPolygonLink", v, f"two arcs leave {a!r} in the link")
-            return None
+            return
         succ[a] = b
     if succ.keys() != set(succ.values()):
         collector.add("NonPolygonLink", v, "link arcs do not pair up head-to-tail")
-        return None
+        return
     # at least three arcs: two would need the faces (v, a, b) and (v, b, a),
     # one vertex set, which the DuplicateFace check has already refused
     start = min(succ)
-    cycle = [start]
-    cur = succ[start]
+    length, cur = 1, succ[start]
     while cur != start:  # succ is a bijection, so this comes back to start
-        cycle.append(cur)
+        length += 1
         cur = succ[cur]
-    if len(cycle) != len(succ):
+    if length != len(succ):
         collector.add("NonPolygonLink", v, "link arcs split into more than one cycle")
-        return None
-    return Polygon(tuple(cycle))
 
 
-def build_surface(vertices, faces, positions=None) -> OrientedSurface:
-    """Validate and assemble a surface; raises ValidationFailed listing
-    every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
-    NonPolygonLink, ...).  After the per-face checks, one pass over the
-    three directed edges (x, y) of every face, at corner x with third
-    vertex z, collects everything else: the edge {x, y}, keyed by its
-    sorted pair, gets the tail x and the face, and the link of x gets the
-    arc y -> z.  Both are flat lists, so a valid edge holds four items and
-    no tuple is made per entry."""
-    collector = ReportCollector()
-
-    verts = [str(v) for v in vertices]
-    if len(set(verts)) != len(verts):
-        collector.add("DuplicateVertex", verts, "vertex labels must be unique")
-    for v in verts:
-        if not v or _FORBIDDEN & set(v):
-            collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
-    vert_set = set(verts)
-
-    oriented: list[OrientedFace] = []
-    seen_sets: dict[frozenset, OrientedFace] = {}
-    for raw in faces:
-        verts_of_face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
-        try:
-            face = OrientedFace(verts_of_face)
-        except BadArity:
-            collector.add("BadFace", verts_of_face, "faces are 3 distinct vertices")
-            continue
-        fset = frozenset(verts_of_face)
-        if not fset <= vert_set:
-            collector.add("BadFace", verts_of_face, "face mentions undeclared vertices")
-            continue
-        if fset in seen_sets:
-            collector.add("DuplicateFace", face.key, "two faces share the same vertex set")
-            continue
-        seen_sets[fset] = face
-        oriented.append(face)
-
-    collector.raise_if_failed("invalid surface")
-
-    # closure: edges are exactly the 2-subsets of faces
-    edge_faces: dict[tuple[str, str], list] = defaultdict(list)
-    arcs: dict[str, list[str]] = defaultdict(list)
-    for face in oriented:
-        a, b, c = face.vertices
+def _report_unclosed(labels, triples, collector: ReportCollector) -> None:
+    """The BoundaryEdge, OrientationClash and NonPolygonLink report, once
+    the half-edge tables have found a fault: faces in the given order, the
+    edge {x, y} gets the tail and key of each face through it and the link
+    of x the arc y -> z."""
+    edge_faces: dict[tuple[str, str], list] = {}
+    arcs: dict[str, list[str]] = {}
+    for triple in triples:
+        a, b, c = (labels[v] for v in triple)
+        key = f"{a},{b},{c}"
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            entry = edge_faces[(x, y) if x < y else (y, x)]
-            entry.append(x)
-            entry.append(face)
-            link = arcs[x]
-            link.append(y)
-            link.append(z)
-
-    edges = tuple(sorted(edge_faces))
-    for edge in edges:
+            edge_faces.setdefault((x, y) if x < y else (y, x), []).extend((x, key))
+            arcs.setdefault(x, []).extend((y, z))
+    for edge in sorted(edge_faces):
         entry = edge_faces[edge]
         if len(entry) != 4:
             collector.add("BoundaryEdge", "{%s,%s}" % edge,
@@ -198,36 +199,114 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         tail, first, other_tail, second = entry
         if tail == other_tail:
             order = edge if tail == edge[0] else edge[::-1]
-            collector.add(
-                "OrientationClash",
-                "{%s,%s}" % edge,
-                f"faces {first.key} and {second.key} induce the same order {order}",
-            )
-    del edge_faces
-
-    links: dict[str, Polygon] = {}
-    for v in sorted(vert_set):
+            collector.add("OrientationClash", "{%s,%s}" % edge,
+                          f"faces {first} and {second} induce the same order {order}")
+    for v in labels:
         if v not in arcs:
             collector.add("NonPolygonLink", v, "vertex lies in no face")
+        else:
+            _trace_link(v, arcs[v], collector)
+
+
+def build_surface(vertices, faces, positions=None) -> OrientedSurface:
+    """Validate and assemble a surface; raises ValidationFailed listing
+    every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
+    NonPolygonLink, ...).  The faces close up consistently oriented exactly
+    when their half-edge keys are distinct and each has its reverse, and
+    every link is one cycle exactly when turning around each vertex
+    (h -> twin of the half-edge before h) visits all its half-edges."""
+    collector = ReportCollector()
+
+    verts = [str(v) for v in vertices]
+    if len(set(verts)) != len(verts):
+        collector.add("DuplicateVertex", verts, "vertex labels must be unique")
+    for v in verts:
+        if not v or not _FORBIDDEN.isdisjoint(v):
+            collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
+    labels = tuple(sorted(set(verts)))
+    V = len(labels)
+    index = dict(zip(labels, range(V)))
+
+    triples: list[tuple[int, int, int]] = []  # least id first, in input order
+    vertex_sets: set[int] = set()
+    for raw in faces:
+        try:  # three declared labels, given as they are declared
+            a, b, c = map(index.__getitem__, raw)
+        except (KeyError, TypeError, ValueError):
+            a = b = None
+        if a is None or a == b or b == c or c == a:
+            face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
+            if len(face) != 3 or len(set(face)) != 3:
+                collector.add("BadFace", face, "faces are 3 distinct vertices")
+                continue
+            a, b, c = map(index.get, face)
+            if a is None or b is None or c is None:
+                collector.add("BadFace", face, "face mentions undeclared vertices")
+                continue
+        if b < a and b < c:
+            a, b, c = b, c, a
+        elif c < a:
+            a, b, c = c, a, b
+        vertex_set = (a * V + b) * V + c if b < c else (a * V + c) * V + b
+        if vertex_set in vertex_sets:
+            collector.add("DuplicateFace", f"{labels[a]},{labels[b]},{labels[c]}",
+                          "two faces share the same vertex set")
             continue
-        cycle = _trace_link(v, arcs.pop(v), collector)
-        if cycle is not None:
-            links[v] = cycle
+        vertex_sets.add(vertex_set)
+        triples.append((a, b, c))
 
     collector.raise_if_failed("invalid surface")
+
+    ordered = sorted([(f"{labels[a]},{labels[b]},{labels[c]}", a, b, c) for a, b, c in triples])
+    tails = [v for _, a, b, c in ordered for v in (a, b, c)]
+    heads = [v for _, a, b, c in ordered for v in (b, c, a)]
+    W = V + 1
+    pairs = [t * W + h for t, h in zip(tails, heads)]
+    half = dict(zip(pairs, range(len(pairs))))
+    twin = [half.get(h * W + t, -1) for t, h in zip(tails, heads)]
+    link_ids: list[list[int]] = []
+    slot = [0] * len(pairs)
+    closed = len(half) == len(pairs) and -1 not in twin
+    if closed:
+        # the half-edge from each vertex to its least neighbour starts its ring
+        first = {key // W: half[key] for key in sorted(half, reverse=True)}
+        turn = [t for f in range(0, len(twin), 3)
+                for t in (twin[f + 2], twin[f], twin[f + 1])]
+        closed = len(first) == V
+    if closed:
+        for v in range(V):
+            start = first[v]
+            ring, h = [start], turn[start]
+            while h != start:
+                ring.append(h)
+                h = turn[h]
+            for k, h in enumerate(ring):
+                slot[h] = k
+            link_ids.append([heads[h] for h in ring])
+        closed = sum(map(len, link_ids)) == len(pairs)
+    if not closed:
+        _report_unclosed(labels, triples, collector)
+        collector.raise_if_failed("invalid surface")
+        raise AssertionError("the half-edge tables rejected a surface the report accepts")
 
     pos = None
     if positions is not None:
         pos = {str(v): tuple(p) for v, p in positions.items()}
         for v in pos:
-            if v not in vert_set:
+            if v not in index:
                 collector.add("BadLabel", v, "position given for undeclared vertex")
         collector.raise_if_failed("invalid surface")
 
     return OrientedSurface(
-        vertices=tuple(sorted(vert_set)),
-        faces=tuple(sorted(oriented, key=attrgetter("key"))),
-        edges=edges,
-        links=links,
+        vertices=labels,
+        tails=tuple(tails),
+        index=index,
+        heads=heads,
+        twin=twin,
+        half=half,
+        keys=[key for key, *_ in ordered],
+        link_ids=link_ids,
+        slot=slot,
+        edge_half=[half[key] for key in sorted([p for p, t, h in zip(pairs, tails, heads) if t < h])],
         positions=pos,
     )

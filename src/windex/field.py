@@ -3,26 +3,30 @@
 A field consists of a fiber point X_v at every vertex and, for every
 directed edge (i, j), a signed step count d_ij recording the path in
 fiber(j) from the transported value transport(i,j)(X_i) to X_j.  Fiber
-points are stored as positions x_v, read from labels once when the field is
-built and printed as labels again only on request, so with transport
-offsets o_ij two invariants tie the data together:
+points are stored as positions x_v by vertex id, read from labels once
+when the field is built and printed as labels again only on request, and
+steps by half-edge id, so with transport offsets o_ij two invariants tie
+the data together:
 
 * endpoint congruence, d_ij = x_j - x_i - o_ij mod n_j;
 * reversal antisymmetry, d_ij + d_ji = 0 as exact integers.
 
-The swirl of a face is the sum of d over its boundary.  Because transports
-preserve step counts, this equals the step count of the fully transported
-boundary concatenation (``swirl_path`` builds that concatenation
-explicitly from polygon isomorphisms, as a reference; ``swirl`` just adds
-integers).  The index of a face is (lift + swirl) / fiber size, an exact
-integer division.  The totals add the per-face indices, and the swirls and
-lifts as turns s_F / n_F and f_F / n_F, summed per fiber size, so
-components with different fiber sizes are reported together.
+The swirl of a face is the sum of d over its boundary, its three
+half-edges.  Because transports preserve step counts, this equals the step
+count of the fully transported boundary concatenation (``swirl_path``
+builds that concatenation explicitly from polygon isomorphisms, as a
+reference; ``swirl`` just adds integers).  The index of a face is
+(lift + swirl) / fiber size, an exact integer division.  The totals add
+the per-face indices, and the swirls and lifts as turns s_F / n_F and
+f_F / n_F, summed per fiber size, so components with different fiber
+sizes are reported together.  Report rows are named tuples whose labels
+and face keys are read from the surface's tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bundle import (
     DiscreteConnection,
@@ -31,38 +35,51 @@ from .bundle import (
     antisymmetric,
     basepoint,
     boundary,
+    face_basepoints,
     gauge_transform,
     sum_turns,
     total_flatness_winding,
 )
 from .complex import OrientedFace
-from .errors import NonIntegralIndex, NotIncident, ReportCollector, UnknownLabel
+from .errors import NonIntegralIndex, ReportCollector, UnknownLabel
 from .polygon import PolyPath, Turns
 
 
 @dataclass(frozen=True)
 class VectorField:
     """A section over the 1-skeleton of the connection's surface: ``at``
-    holds the position of X_v in its fiber, ``value`` prints it as a label."""
+    holds the position of X_v in its fiber by vertex id, ``value`` prints
+    it as a label; ``steps`` holds d by half-edge id."""
 
     conn: DiscreteConnection
-    at: dict[str, int] = field(repr=False)
-    steps: dict[tuple[str, str], int] = field(repr=False)
+    at: list[int] = field(repr=False)
+    steps: list[int] = field(repr=False)
 
     def value(self, v: str) -> str:
-        return self.conn.label_at(v, self.at[v])
+        return self.conn.label_at(v, self.at[self.conn.surface.index[v]])
 
     def step(self, i: str, j: str) -> int:
-        try:
-            return self.steps[(i, j)]
-        except KeyError:
-            raise NotIncident(f"({i},{j}) is not a directed edge of the surface") from None
+        return self.steps[self.conn.surface.half_edge(i, j)]
 
 
 def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
     """The congruence class (mod n_j) every valid d_ij must lie in, given
-    the fiber positions ``at``."""
-    return (at[j] - at[i] - conn.offsets[(i, j)]) % conn.sizes[j]
+    the fiber positions ``at`` by vertex label."""
+    return (at[j] - at[i] - conn.offsets[conn.surface.half_edge(i, j)]) % conn.size(j)
+
+
+def _check_congruence(conn: DiscreteConnection, at, steps, collector) -> None:
+    """Report every resolved step (None is unresolved) outside its forced
+    class, edge by edge in sorted order, each direction after the other."""
+    surface = conn.surface
+    tails, heads, n, o = surface.tails, surface.heads, conn.n, conn.offsets
+    bad = {g for g, (d, i, j, oo) in enumerate(zip(steps, tails, heads, o))
+           if d is not None and (d - at[j] + at[i] + oo) % n[j]}
+    labels, twin = surface.vertices, surface.twin
+    for g in [g for h in surface.edge_half for g in (h, twin[h]) if g in bad] if bad else ():
+        i, j = tails[g], heads[g]
+        collector.add("EndpointIncongruent", f"({labels[i]},{labels[j]})",
+                      f"step {steps[g]} is not congruent to {(at[j] - at[i] - o[g]) % n[j]} mod {n[j]}")
 
 
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
@@ -76,37 +93,26 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     """
     collector = ReportCollector()
     surface = conn.surface
-    sizes = conn.sizes
 
     for v in at:
-        if v not in sizes:
+        if v not in surface.index:
             collector.add("MissingVertex", v, "fiber point given for a vertex not on the surface")
-    positions: dict[str, int] = {}
+    positions: list[int] = []
     for v in surface.vertices:
         if v not in at:
             collector.add("MissingVertex", v, "no fiber point supplied")
             continue
         label = str(at[v])
         try:
-            positions[v] = conn.position(v, label)
+            positions.append(conn.position(v, label))
         except UnknownLabel:
             collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
     collector.raise_if_failed("invalid vector field")
 
     resolved = antisymmetric(
-        surface, steps, collector, "step count", lambda i, j, value: int(value),
-        "AntisymmetryViolation", None,
+        surface, steps, collector, "step count", None, "AntisymmetryViolation", None
     )
-    for (i, j), d_ij in resolved.items():
-        n = sizes[j]
-        want = expected_step_class(conn, positions, i, j)
-        if d_ij % n != want:
-            collector.add(
-                "EndpointIncongruent",
-                f"({i},{j})",
-                f"step {d_ij} is not congruent to {want} mod {n}",
-            )
-
+    _check_congruence(conn, positions, resolved, collector)
     collector.raise_if_failed("invalid vector field")
     return VectorField(conn, positions, resolved)
 
@@ -114,9 +120,9 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
 def swirl(vf: VectorField, face: OrientedFace) -> int:
     """Sum of the edge steps around the face boundary.  Independent of the
     basepoint: a rotation of the boundary permutes the same three terms."""
-    a, b, c = face.vertices
+    h = 3 * vf.conn.surface.face_id(face.key)
     steps = vf.steps
-    return steps[(a, b)] + steps[(b, c)] + steps[(c, a)]
+    return steps[h] + steps[h + 1] + steps[h + 2]
 
 
 def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
@@ -130,13 +136,13 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
     v0 = basepoint(face, base)
     edges = boundary(face, v0)
     conn = vf.conn
+    transports = [conn.transport(i, j) for i, j in edges]
 
     pieces: list[PolyPath] = []
     for k, (i, j) in enumerate(edges):
-        moved = conn.transport(i, j)(vf.value(i))
-        piece = PolyPath(conn.fiber(j), moved, vf.step(i, j))
-        for i2, j2 in edges[k + 1:]:
-            piece = conn.transport(i2, j2).apply(piece)
+        piece = PolyPath(conn.fiber(j), transports[k](vf.value(i)), vf.step(i, j))
+        for later in transports[k + 1:]:
+            piece = later.apply(piece)
         pieces.append(piece)
 
     total = pieces[0]
@@ -145,11 +151,11 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
     return total
 
 
-def _whole_turns(face: OrientedFace, total: int, n: int) -> int:
+def _whole_turns(key: str, total: int, n: int) -> int:
     turns, rest = divmod(total, n)
     if rest:
         raise NonIntegralIndex(
-            f"face {face.key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
+            f"face {key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
         )
     return turns
 
@@ -157,11 +163,10 @@ def _whole_turns(face: OrientedFace, total: int, n: int) -> int:
 def index(vf: VectorField, flatness: FlatnessStructure, face: OrientedFace) -> int:
     """(lift + swirl) / fiber size, which must divide exactly."""
     n = vf.conn.size(basepoint(face))
-    return _whole_turns(face, flatness.lift(face) + swirl(vf, face), n)
+    return _whole_turns(face.key, flatness.lift(face) + swirl(vf, face), n)
 
 
-@dataclass(frozen=True)
-class IndexRow:
+class IndexRow(NamedTuple):
     face: str
     basepoint: str
     size: int
@@ -195,27 +200,27 @@ def totals(
     swirl sum s_F / n_F is exactly 0 (each directed edge lies in exactly one
     boundary, and reverse steps cancel in fibers of one size), which forces
     total index = total flatness winding."""
-    conn = vf.conn
-    overrides = basepoints or {}
-    sizes, lifts, holonomy = conn.sizes, flatness.lifts, conn.holonomy
-    rows = []
-    for face in conn.surface.faces:
-        key = face.key
-        v = basepoint(face, overrides.get(key))
-        n, s, lift = sizes[v], swirl(vf, face), lifts[key]
-        rows.append(IndexRow(key, v, n, holonomy[key], lift, s, _whole_turns(face, lift + s, n)))
+    conn, steps = vf.conn, vf.steps
+    sizes = conn.face_sizes
+    swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
+    rows = [IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))
+            for key, v, n, r, lift, s in zip(conn.surface.keys, face_basepoints(conn.surface, basepoints),
+                                             sizes, conn.holonomy, flatness.lifts, swirls)]
     return IndexReport(
         rows=tuple(rows),
-        total_swirl=sum_turns((r.size, r.swirl) for r in rows),
-        total_index=sum(r.index for r in rows),
+        total_swirl=sum_turns(zip(sizes, swirls)),
+        total_index=sum([r.index for r in rows]),
         total_flatness_winding=total_flatness_winding(conn, flatness),
     )
 
 
 def gauge_transform_field(vf: VectorField, gauge: GaugeTransformation) -> VectorField:
     """Carry a field along a gauge transformation: fiber points rotate with
-    their fibers, edge steps are untouched.  The result is validated again
-    by ``build_field``."""
+    their fibers, edge steps are untouched.  The result is checked again
+    against the congruence of every step."""
     conn = gauge_transform(vf.conn, gauge)
-    at = {v: conn.label_at(v, x + gauge.at(v)) for v, x in vf.at.items()}
-    return build_field(conn, at, dict(vf.steps))
+    at = [(x + gauge.at(v)) % n for v, x, n in zip(conn.surface.vertices, vf.at, conn.n)]
+    collector = ReportCollector()
+    _check_congruence(conn, at, vf.steps, collector)
+    collector.raise_if_failed("invalid vector field")
+    return VectorField(conn, at, list(vf.steps))

@@ -23,10 +23,13 @@ optional ``connection``, ``flatness`` and ``field`` sections::
     }
 
 Unknown keys are rejected.  Structural problems raise SceneParseError;
-semantic problems surface as ValidationFailed from the builders.
-Serialization is canonical (sorted keys, least-rotation face lists,
-lexicographic edge directions, anchors at the fiber's first label), so
-parse -> serialize -> parse is the identity.
+semantic problems surface as ValidationFailed from the builders, which
+intern the labels into the surface's integer id tables once; every later
+section is read into lists by half-edge, face or vertex id.
+Serialization writes labels back from those tables and is canonical
+(sorted keys, least-rotation face lists, lexicographic edge directions,
+anchors at the fiber's first label), so parse -> serialize -> parse is
+the identity.
 """
 
 from __future__ import annotations
@@ -254,10 +257,12 @@ def parse_scene(path: str) -> SceneFile:
 
 def scene_to_obj(scene: SceneFile) -> dict:
     surface = scene.surface
+    labels, tails, heads = surface.vertices, surface.tails, surface.heads
     obj: dict = {
         "surface": {
-            "vertices": list(surface.vertices),
-            "faces": [list(f.vertices) for f in surface.faces],
+            "vertices": list(labels),
+            "faces": [[labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]]
+                      for h in range(0, len(tails), 3)],
         }
     }
     if surface.positions is not None:
@@ -269,20 +274,20 @@ def scene_to_obj(scene: SceneFile) -> dict:
     if conn is not None:
         mode = "link" if conn.refined is None else {"refined": conn.refined}
         entries = []
-        for a, b in conn.surface.edges:
-            anchor = [conn.label_at(a, 0), conn.label_at(b, conn.offsets[(a, b)])]
-            entries.append({"edge": [a, b], "anchor": anchor})
+        for h in surface.edge_half:
+            a, b = tails[h], heads[h]
+            anchor = [conn._label(a, 0), conn._label(b, conn.offsets[h])]
+            entries.append({"edge": [labels[a], labels[b]], "anchor": anchor})
         obj["connection"] = {"fiber_mode": mode, "transports": entries}
     if scene.flatness is not None:
-        obj["flatness"] = {
-            f.key: scene.flatness.lift(f) for f in surface.faces
-        }
-    if scene.field is not None:
+        obj["flatness"] = dict(zip(surface.keys, scene.flatness.lifts))
+    field = scene.field
+    if field is not None:
         obj["field"] = {
-            "at": {v: scene.field.value(v) for v in surface.vertices},
+            "at": {v: field.conn._label(i, x) for i, (v, x) in enumerate(zip(labels, field.at))},
             "steps": [
-                {"edge": [a, b], "steps": scene.field.step(a, b)}
-                for a, b in surface.edges
+                {"edge": [labels[tails[h]], labels[heads[h]]], "steps": field.steps[h]}
+                for h in surface.edge_half
             ],
         }
     return obj

@@ -33,16 +33,23 @@ def profile_cli(command: str, m: int, tmp_path) -> pstats.Stats:
 def test_check_calls_per_face(tmp_path):
     small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
-    assert large.total_calls / faces <= 120, f"{large.total_calls} calls on {faces} faces"
+    assert large.total_calls / faces <= 67, f"{large.total_calls} calls on {faces} faces"
     assert large.total_calls / small.total_calls <= 4.2, (
         f"{small.total_calls} calls at 16x16, {large.total_calls} at 32x32"
     )
     # faces key no table on this path, so no Python-level __hash__ runs
     hashes = sum(nc for (_, _, name), (_, nc, *_) in large.stats.items() if name == "__hash__")
     assert hashes == 0, f"{hashes} __hash__ calls"
+    # the path runs on id tables: no face or link object is built, and each
+    # field label is read once
+    calls = {(path.rpartition("/")[2], name): nc
+             for (path, _, name), (_, nc, *_) in large.stats.items()}
+    assert calls.get(("complex.py", "__post_init__"), 0) == 0
+    assert calls.get(("polygon.py", "__post_init__"), 0) == 0
+    assert calls[("bundle.py", "position")] == 32 * 32
 
 
 def test_validate_calls_per_face(tmp_path):
     calls = profile_cli("validate", 32, tmp_path).total_calls
     faces = 2 * 32 * 32
-    assert calls / faces <= 110, f"{calls} calls on {faces} faces"
+    assert calls / faces <= 59, f"{calls} calls on {faces} faces"

@@ -43,6 +43,12 @@ EXPECTED_SWIRLS = {
 }
 
 
+def both_ways(vf):
+    """The field's step on every directed edge, keyed by label pair: the
+    ``steps`` argument of ``build_field``."""
+    return {(i, j): vf.step(i, j) for a, b in vf.conn.surface.edges for i, j in ((a, b), (b, a))}
+
+
 @pytest.fixture(scope="module")
 def conn():
     return octahedron_connection()
@@ -81,7 +87,7 @@ class TestBuild:
         )
 
     def test_antisymmetry_violation(self, conn, spin):
-        steps = dict(spin.steps)
+        steps = both_ways(spin)
         steps[("r", "w")] = steps[("w", "r")]  # both +1: cannot cancel
         with pytest.raises(ValidationFailed) as excinfo:
             build_field(conn, OCTAHEDRON_SPIN_AT, steps)
@@ -93,7 +99,7 @@ class TestBuild:
         at = dict(OCTAHEDRON_SPIN_AT)
         at["w"] = "w"  # w is not in its own link
         with pytest.raises(ValidationFailed) as excinfo:
-            build_field(conn, at, dict(spin.steps))
+            build_field(conn, at, both_ways(spin))
         assert any(v.rule == "UnknownLabel" for v in excinfo.value.report.violations)
 
     def test_fiber_point_for_unknown_vertex(self, conn, spin):
@@ -101,7 +107,7 @@ class TestBuild:
         del at["w"]
         at["zzz"] = "foo"
         with pytest.raises(ValidationFailed) as excinfo:
-            build_field(conn, at, dict(spin.steps))
+            build_field(conn, at, both_ways(spin))
         assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
             ("MissingVertex", "zzz", "fiber point given for a vertex not on the surface"),
             ("MissingVertex", "w", "no fiber point supplied"),
@@ -119,7 +125,7 @@ class TestBuild:
             return position(self, v, label)
 
         monkeypatch.setattr(DiscreteConnection, "position", counted)
-        assert build_field(torus, labels, vf.steps) == vf
+        assert build_field(torus, labels, both_ways(vf)) == vf
         assert sorted(parsed) == sorted(torus.surface.vertices)
 
     def test_tables_name_the_forced_endpoints(self, conn):
@@ -194,9 +200,9 @@ class TestIndex:
                 assert (flat.lift(face) + s) % n == 0
 
     def test_corrupted_field_rejected_at_index(self, conn, spin, flat):
-        broken_steps = dict(spin.steps)
-        broken_steps[("w", "r")] += 1
-        broken = VectorField(conn, dict(spin.at), broken_steps)
+        broken_steps = list(spin.steps)
+        broken_steps[conn.surface.half_edge("w", "r")] += 1
+        broken = VectorField(conn, list(spin.at), broken_steps)
         face = conn.surface.face_by_key("g,w,r")
         with pytest.raises(NonIntegralIndex):
             index(broken, flat, face)
