@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .complex import OrientedFace, OrientedSurface
@@ -72,7 +71,7 @@ def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
     """Least common multiple of the vertex degrees (doubled if an even size
     is required and the lcm is odd)."""
-    size = math.lcm(*surface.deg)
+    size = math.lcm(*surface.degrees)
     if even and size % 2 == 1:
         size *= 2
     return size
@@ -82,22 +81,21 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
     """Link mode when every degree equals the default refinement, else that
     refinement."""
     size = default_refinement(surface, even)
-    return LINK_MODE if set(surface.deg) == {size} else size
+    return LINK_MODE if set(surface.degrees) == {size} else size
 
 
 @dataclass(frozen=True)
 class DiscreteConnection:
     """Transport offsets o_ij in [0, n) by half-edge id and the r_F
-    holonomy table by face id, validated; immutable afterwards.  ``n``
-    holds the fiber size by vertex id (the surface's ``deg`` in link mode)
-    and ``face_sizes`` the size of each face's three fibers; ``sizes`` maps
-    vertex labels to fiber sizes."""
+    holonomy table by face id, validated; immutable afterwards.  ``sizes``
+    holds the fiber size by vertex id (the surface's ``degrees`` in link
+    mode) and ``face_sizes`` the size of each face's three fibers."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
     offsets: list[int] = field(repr=False)
     holonomy: list[int] = field(repr=False, compare=False)
-    n: list[int] = field(init=False, repr=False, compare=False)
+    sizes: list[int] = field(init=False, repr=False, compare=False)
     face_sizes: list[int] = field(init=False, repr=False, compare=False)
     _fibers: dict[str, Polygon] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -105,13 +103,9 @@ class DiscreteConnection:
 
     def __post_init__(self) -> None:
         surface = self.surface
-        n = surface.deg if self.refined is None else [self.refined] * len(surface.vertices)
-        object.__setattr__(self, "n", n)
+        n = surface.degrees if self.refined is None else [self.refined] * len(surface.vertices)
+        object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "face_sizes", [n[a] for a in surface.tails[::3]])
-
-    @cached_property
-    def sizes(self) -> dict[str, int]:
-        return dict(zip(self.surface.vertices, self.n))
 
     def _id(self, v: str) -> int:
         try:
@@ -120,36 +114,27 @@ class DiscreteConnection:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def size(self, v: str) -> int:
-        return self.n[self._id(v)]
-
-    def _locate(self, v: int, label: str) -> int | None:
-        """The position of ``label`` in the fiber at vertex id ``v``, or None.
-        Link label k of v sits at k * arc and ``x~j`` at x's position + j,
-        arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
-        surface = self.surface
-        V, arc = len(surface.vertices), self.n[v] // surface.deg[v]
-        h = surface.half.get(v * (V + 1) + surface.index.get(label, V))
-        if h is not None:
-            return surface.slot[h] * arc
-        base, _, j = label.partition("~")
-        h = surface.half.get(v * (V + 1) + surface.index.get(base, V))
-        # only the spelling subdivide produces: ASCII digits, no leading 0
-        if h is not None and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-            return surface.slot[h] * arc + int(j)
-        return None
+        return self.sizes[self._id(v)]
 
     def position(self, v: str, label: str) -> int:
-        p = self._locate(self._id(v), label)
-        if p is None:
-            raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
-        return p
+        """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
+        arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
+        i = self._id(v)
+        table = self.surface.link_pos[i]
+        arc = self.sizes[i] // len(table)
+        if label in table:
+            return table[label] * arc
+        base, _, j = label.partition("~")
+        # only the spelling subdivide produces: ASCII digits, no leading 0
+        if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+            return table[base] * arc + int(j)
+        raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
 
     def _label(self, v: int, position: int) -> str:
-        ring = self.surface.link_ids[v]
-        n = self.n[v]
+        ring = self.surface.link_labels[v]
+        n = self.sizes[v]
         k, j = divmod(position % n, n // len(ring))
-        label = self.surface.vertices[ring[k]]
-        return label if j == 0 else f"{label}~{j}"
+        return ring[k] if j == 0 else f"{ring[k]}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
         return self._label(self._id(v), position)
@@ -170,7 +155,7 @@ class DiscreteConnection:
 def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
     """A connection without transports, once the fiber mode fits the surface."""
     collector = ReportCollector()
-    deg, labels = surface.deg, surface.vertices
+    deg, labels = surface.degrees, surface.vertices
     if fiber_mode == LINK_MODE:
         tails, heads = surface.tails, surface.heads
         for h in surface.edge_half:
@@ -245,17 +230,17 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
 def _offset_reader(conn: DiscreteConnection, collector):
     """``read`` for ``antisymmetric``: the offset on half-edge h of an anchor
     pair or of a full label map.  Both fibers of an edge have size n."""
-    surface, n_at, locate = conn.surface, conn.n, conn._locate
-    labels, tails, heads, slot, deg = (
-        surface.vertices, surface.tails, surface.heads, surface.slot, surface.deg)
-    get, half, V = surface.index.get, surface.half, len(labels)
+    surface, n_at, position = conn.surface, conn.sizes, conn.position
+    labels, tails, heads, pos, deg = (
+        surface.vertices, surface.tails, surface.heads, surface.link_pos, surface.degrees)
 
     def read(h: int, value) -> int | None:
-        i, j = tails[h], heads[h]
-        n = n_at[j]
+        i, j = labels[tails[h]], labels[heads[h]]
+        n = n_at[heads[h]]
         if isinstance(value, dict):
-            pairs = [(locate(i, str(x)), locate(j, str(y))) for x, y in value.items()]
-            if any(p is None or q is None for p, q in pairs):
+            try:
+                pairs = [(position(i, str(x)), position(j, str(y))) for x, y in value.items()]
+            except UnknownLabel:
                 pairs = []
             if len(pairs) != n or len({q for _, q in pairs}) != n:
                 rule, why = "UnknownLabel", "full map must cover the two fibers exactly"
@@ -265,25 +250,21 @@ def _offset_reader(conn: DiscreteConnection, collector):
                 rule, why = "OrientationReversing", "transports must preserve orientation"
             else:
                 rule, why = "UnknownLabel", "map does not respect the cyclic structure"
-            collector.add(rule, f"({labels[i]},{labels[j]})", why)
+            collector.add(rule, f"({i},{j})", why)
             return None
         try:
             a, b = map(str, value)
         except (TypeError, ValueError):
-            collector.add("UnknownLabel", f"({labels[i]},{labels[j]})",
-                          f"cannot read transport spec {value!r}")
+            collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
             return None
-        p, q = half.get(i * (V + 1) + get(a, V)), half.get(j * (V + 1) + get(b, V))
-        if p is not None and q is not None:  # two link labels: ``_locate`` inlined
-            return (slot[q] * (n // deg[j]) - slot[p] * (n // deg[i])) % n
-        q = locate(j, b)
-        p = None if q is None else locate(i, a)
-        if p is None:
-            v, label = (j, b) if q is None else (i, a)
-            collector.add("UnknownLabel", f"({labels[i]},{labels[j]})",
-                          f"{label!r} is not a label of the fiber at {labels[v]!r}")
+        p, q = pos[tails[h]].get(a), pos[heads[h]].get(b)
+        if p is not None and q is not None:  # two link labels, at k * size / degree
+            return (q * (n // deg[heads[h]]) - p * (n // deg[tails[h]])) % n
+        try:
+            return (position(j, b) - position(i, a)) % n
+        except UnknownLabel as exc:
+            collector.add("UnknownLabel", f"({i},{j})", str(exc))
             return None
-        return (q - p) % n
 
     return read
 
@@ -297,8 +278,8 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     """
     conn = _empty_connection(surface, fiber_mode)
     collector = ReportCollector()
-    read = _offset_reader(conn, collector)
-    offsets = antisymmetric(surface, transports, collector, "transport", read, "NotInverse", conn.n)
+    offsets = antisymmetric(surface, transports, collector, "transport",
+                            _offset_reader(conn, collector), "NotInverse", conn.sizes)
     collector.raise_if_failed("invalid connection")
     conn.offsets.extend(offsets)
     return _close(conn)
@@ -403,7 +384,8 @@ def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
     bases = [surface.vertices[a] for a in surface.tails[::3]]
     if overrides:
         index = surface.face_index
-        for f, v in sorted((index[k], v) for k, v in overrides.items() if k in index and v is not None):
+        chosen = [(index[k], v) for k, v in overrides.items() if k in index and v is not None]
+        for f, v in sorted(chosen):
             bases[f] = basepoint(surface.faces[f], v)
     return bases
 
@@ -450,7 +432,7 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     step count is unchanged; the table is recomputed from the new offsets
     all the same.
     """
-    surface, n = conn.surface, conn.n
+    surface, n = conn.surface, conn.sizes
     g = [gauge.at(v) for v in surface.vertices]
     offsets = [(o + g[j] - g[i]) % n[j]
                for o, i, j in zip(conn.offsets, surface.tails, surface.heads)]
@@ -500,17 +482,17 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
         fiber_mode = _default_mode(surface, even=True)
     conn = _empty_connection(surface, fiber_mode)
     collector = ReportCollector()
-    n = conn.n
+    n = conn.sizes
     for v, size in zip(surface.vertices, n):
         if size % 2 != 0:
             collector.add("SizeMismatch", v, f"fiber size {size} is odd, antipodes undefined")
     collector.raise_if_failed("no straightest transport")
     # pos_b(a) + n/2 - pos_a(b); a link label k sits at k * n / deg
-    arc = [size // d for size, d in zip(n, surface.deg)]
-    slot, twin = surface.slot, surface.twin
+    arc = [size // d for size, d in zip(n, surface.degrees)]
+    labels, pos = surface.vertices, surface.link_pos
     conn.offsets.extend(
-        (slot[twin[h]] * arc[b] + n[b] // 2 - slot[h] * arc[a]) % n[b]
-        for h, (a, b) in enumerate(zip(surface.tails, surface.heads))
+        (pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
+        for a, b in zip(surface.tails, surface.heads)
     )
     return _close(conn)
 

@@ -104,8 +104,7 @@ def _cmd_validate(scene: SceneFile, args) -> int:
 
 
 def _cmd_links(scene: SceneFile, args) -> int:
-    labels = scene.surface.vertices
-    links = {labels[v]: [labels[x] for x in ring] for v, ring in enumerate(scene.surface.link_ids)}
+    links = dict(zip(scene.surface.vertices, scene.surface.link_labels))
     _report(args, {"links": links}, (f"{v}: {' '.join(cycle)}" for v, cycle in links.items()))
     return EXIT_OK
 

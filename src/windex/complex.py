@@ -76,9 +76,9 @@ class OrientedSurface:
     Half-edge h runs from ``tails[h]`` to ``heads[h]`` and ``twin[h]`` back;
     ``half`` maps ``tail * (V + 1) + head`` to h, so the id V of a label
     not on the surface finds nothing.  ``keys`` holds the face keys.  The
-    link of v lists ``link_ids[v]`` from the least label, and ``slot[h]`` is
-    the place of h's head in the link of h's tail.  ``edge_half`` holds the
-    half-edge of each edge from its lesser end, in sorted order.
+    link of v is ``link_labels[v]``, from its least label, and its position
+    table ``link_pos[v]`` maps each label to its place.  ``edge_half``
+    holds the half-edge of each edge from its lesser end, in sorted order.
     ``positions`` is pass-through geometry for export only.
     """
 
@@ -89,18 +89,15 @@ class OrientedSurface:
     twin: list[int] = field(compare=False, repr=False)
     half: dict[int, int] = field(compare=False, repr=False)
     keys: list[str] = field(compare=False, repr=False)
-    link_ids: list[list[int]] = field(compare=False, repr=False)
-    slot: list[int] = field(compare=False, repr=False)
+    link_labels: list[list[str]] = field(compare=False, repr=False)
+    link_pos: list[dict[str, int]] = field(compare=False, repr=False)
     edge_half: list[int] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def deg(self) -> list[int]:
-        return [len(ring) for ring in self.link_ids]
-
-    @cached_property
-    def degrees(self) -> dict[str, int]:
-        return dict(zip(self.vertices, self.deg))
+    def degrees(self) -> list[int]:
+        """The size of each vertex link, by vertex id."""
+        return [len(ring) for ring in self.link_labels]
 
     @cached_property
     def face_index(self) -> dict[str, int]:
@@ -120,9 +117,7 @@ class OrientedSurface:
 
     @cached_property
     def links(self) -> dict[str, Polygon]:
-        labels = self.vertices
-        return {labels[v]: Polygon(tuple([labels[x] for x in ring]))
-                for v, ring in enumerate(self.link_ids)}
+        return {v: Polygon(tuple(ring)) for v, ring in zip(self.vertices, self.link_labels)}
 
     def link(self, v: str) -> Polygon:
         try:
@@ -264,8 +259,8 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     pairs = [t * W + h for t, h in zip(tails, heads)]
     half = dict(zip(pairs, range(len(pairs))))
     twin = [half.get(h * W + t, -1) for t, h in zip(tails, heads)]
-    link_ids: list[list[int]] = []
-    slot = [0] * len(pairs)
+    link_labels: list[list[str]] = []
+    link_pos: list[dict[str, int]] = []
     closed = len(half) == len(pairs) and -1 not in twin
     if closed:
         # the half-edge from each vertex to its least neighbour starts its ring
@@ -276,14 +271,13 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     if closed:
         for v in range(V):
             start = first[v]
-            ring, h = [start], turn[start]
+            ring, h = [labels[heads[start]]], turn[start]
             while h != start:
-                ring.append(h)
+                ring.append(labels[heads[h]])
                 h = turn[h]
-            for k, h in enumerate(ring):
-                slot[h] = k
-            link_ids.append([heads[h] for h in ring])
-        closed = sum(map(len, link_ids)) == len(pairs)
+            link_labels.append(ring)
+            link_pos.append(dict(zip(ring, range(len(ring)))))
+        closed = sum(map(len, link_labels)) == len(pairs)
     if not closed:
         _report_unclosed(labels, triples, collector)
         collector.raise_if_failed("invalid surface")
@@ -297,6 +291,7 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
                 collector.add("BadLabel", v, "position given for undeclared vertex")
         collector.raise_if_failed("invalid surface")
 
+    lesser = sorted([key for key, t, h in zip(pairs, tails, heads) if t < h])
     return OrientedSurface(
         vertices=labels,
         tails=tuple(tails),
@@ -305,8 +300,8 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         twin=twin,
         half=half,
         keys=[key for key, *_ in ordered],
-        link_ids=link_ids,
-        slot=slot,
-        edge_half=[half[key] for key in sorted([p for p, t, h in zip(pairs, tails, heads) if t < h])],
+        link_labels=link_labels,
+        link_pos=link_pos,
+        edge_half=[half[key] for key in lesser],
         positions=pos,
     )

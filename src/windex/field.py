@@ -72,14 +72,15 @@ def _check_congruence(conn: DiscreteConnection, at, steps, collector) -> None:
     """Report every resolved step (None is unresolved) outside its forced
     class, edge by edge in sorted order, each direction after the other."""
     surface = conn.surface
-    tails, heads, n, o = surface.tails, surface.heads, conn.n, conn.offsets
+    tails, heads, n, o = surface.tails, surface.heads, conn.sizes, conn.offsets
     bad = {g for g, (d, i, j, oo) in enumerate(zip(steps, tails, heads, o))
            if d is not None and (d - at[j] + at[i] + oo) % n[j]}
     labels, twin = surface.vertices, surface.twin
     for g in [g for h in surface.edge_half for g in (h, twin[h]) if g in bad] if bad else ():
         i, j = tails[g], heads[g]
+        want = (at[j] - at[i] - o[g]) % n[j]
         collector.add("EndpointIncongruent", f"({labels[i]},{labels[j]})",
-                      f"step {steps[g]} is not congruent to {(at[j] - at[i] - o[g]) % n[j]} mod {n[j]}")
+                      f"step {steps[g]} is not congruent to {want} mod {n[j]}")
 
 
 def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
@@ -201,11 +202,11 @@ def totals(
     boundary, and reverse steps cancel in fibers of one size), which forces
     total index = total flatness winding."""
     conn, steps = vf.conn, vf.steps
-    sizes = conn.face_sizes
+    sizes, bases = conn.face_sizes, face_basepoints(conn.surface, basepoints)
     swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
     rows = [IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))
-            for key, v, n, r, lift, s in zip(conn.surface.keys, face_basepoints(conn.surface, basepoints),
-                                             sizes, conn.holonomy, flatness.lifts, swirls)]
+            for key, v, n, r, lift, s in zip(conn.surface.keys, bases, sizes,
+                                             conn.holonomy, flatness.lifts, swirls)]
     return IndexReport(
         rows=tuple(rows),
         total_swirl=sum_turns(zip(sizes, swirls)),
@@ -219,7 +220,7 @@ def gauge_transform_field(vf: VectorField, gauge: GaugeTransformation) -> Vector
     their fibers, edge steps are untouched.  The result is checked again
     against the congruence of every step."""
     conn = gauge_transform(vf.conn, gauge)
-    at = [(x + gauge.at(v)) % n for v, x, n in zip(conn.surface.vertices, vf.at, conn.n)]
+    at = [(x + gauge.at(v)) % n for v, x, n in zip(conn.surface.vertices, vf.at, conn.sizes)]
     collector = ReportCollector()
     _check_congruence(conn, at, vf.steps, collector)
     collector.raise_if_failed("invalid vector field")

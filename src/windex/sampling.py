@@ -39,7 +39,7 @@ def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> Disc
 def random_lifts(conn: DiscreteConnection, rng: Random) -> FlatnessStructure:
     lifts = {}
     for face in conn.surface.faces:
-        n = conn.sizes[face.vertices[0]]
+        n = conn.size(face.vertices[0])
         lifts[face] = holonomy_steps(conn, face) + n * rng.randint(-MAX_TURNS, MAX_TURNS)
     return attach_flatness(conn, lifts)
 

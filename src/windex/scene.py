@@ -261,8 +261,7 @@ def scene_to_obj(scene: SceneFile) -> dict:
     obj: dict = {
         "surface": {
             "vertices": list(labels),
-            "faces": [[labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]]
-                      for h in range(0, len(tails), 3)],
+            "faces": [list(f.vertices) for f in surface.faces],
         }
     }
     if surface.positions is not None:

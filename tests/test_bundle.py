@@ -104,7 +104,7 @@ class TestBuild:
         assert any(v.rule == "SizeMismatch" for v in excinfo.value.report.violations)
         # the mixed-degree surface still carries refined connections
         conn = flat_connection(surf, default_refinement(surf))
-        assert set(conn.sizes.values()) == {20}
+        assert set(conn.sizes) == {20}
 
     def test_refined_fibers_embed_links(self, octa):
         fiber = flat_connection(octa, 8).fiber("w")
@@ -129,7 +129,7 @@ class TestBuild:
 
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))
-        assert set(conn.sizes.values()) == {5}
+        assert set(conn.sizes) == {5}
         assert net_holonomy(conn) == 0
 
 
@@ -181,7 +181,7 @@ class TestHolonomy:
             for _ in range(35):
                 conn = random_connection(surface, mode, rng)
                 n = conn.size(surface.vertices[0])
-                assert set(conn.sizes.values()) == {n}
+                assert set(conn.sizes) == {n}
                 assert sum(holonomy_steps(conn, f) for f in surface.faces) % n == 0
 
     def test_net_holonomy_zero_on_mixed_fiber_sizes(self):
@@ -264,7 +264,7 @@ class TestTangentAndTrivialization:
         with pytest.raises(ValidationFailed):
             tangent_connection(icosahedron(), "link")
         conn = tangent_connection(icosahedron())  # auto-refines to 10
-        assert set(conn.sizes.values()) == {10}
+        assert set(conn.sizes) == {10}
 
     def test_trivialization_transitions(self, octa, conn):
         flat = canonical_flatness(conn)
