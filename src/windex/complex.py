@@ -225,7 +225,7 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     triples: list[tuple[int, int, int]] = []  # least id first, in input order
     vertex_sets: set[int] = set()
     for raw in faces:
-        try:  # three declared labels, given as they are declared
+        try:  # the common case: three labels spelled as declared
             a, b, c = map(index.__getitem__, raw)
         except (KeyError, TypeError, ValueError):
             a = b = None

@@ -62,12 +62,6 @@ class VectorField:
         return self.steps[self.conn.surface.half_edge(i, j)]
 
 
-def expected_step_class(conn: DiscreteConnection, at, i: str, j: str) -> int:
-    """The congruence class (mod n_j) every valid d_ij must lie in, given
-    the fiber positions ``at`` by vertex label."""
-    return (at[j] - at[i] - conn.offsets[conn.surface.half_edge(i, j)]) % conn.size(j)
-
-
 def _check_congruence(conn: DiscreteConnection, at, steps, collector) -> None:
     """Report every resolved step (None is unresolved) outside its forced
     class, edge by edge in sorted order, each direction after the other."""

@@ -21,7 +21,7 @@ from .bundle import (
     holonomy_steps,
 )
 from .complex import OrientedSurface
-from .field import VectorField, build_field, expected_step_class
+from .field import VectorField, build_field
 
 MAX_TURNS = 2  # random lifts and field steps leave the forced class by at most this many turns
 
@@ -48,7 +48,8 @@ def random_field(conn: DiscreteConnection, rng: Random) -> VectorField:
     at = {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
     steps = {}
     for a, b in conn.surface.edges:
-        base = expected_step_class(conn, at, a, b)
+        # the congruence class every valid step on (a, b) must lie in
+        base = (at[b] - at[a] - conn.offsets[conn.surface.half_edge(a, b)]) % conn.size(b)
         steps[(a, b)] = base + conn.size(b) * rng.randint(-MAX_TURNS, MAX_TURNS)
     return build_field(conn, {v: conn.label_at(v, x) for v, x in at.items()}, steps)
 
