@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple
 
 from .complex import OrientedFace, OrientedSurface
@@ -106,7 +105,8 @@ class DiscreteConnection:
         surface = self.surface
         n = surface.degrees if self.refined is None else [self.refined] * len(surface.vertices)
         object.__setattr__(self, "sizes", n)
-        object.__setattr__(self, "face_sizes", [n[a] for a in islice(surface.tails, 0, None, 3)])
+        tails = surface.tails
+        object.__setattr__(self, "face_sizes", [n[tails[h]] for h in range(0, len(tails), 3)])
 
     def _id(self, v: str) -> int:
         try:
@@ -382,7 +382,8 @@ def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
     """The basepoint of every face: its least vertex, unless ``overrides``
     maps its key to another of its vertices (keys of no face are ignored;
     the first face in order whose override is off it raises NotIncident)."""
-    bases = [surface.vertices[a] for a in islice(surface.tails, 0, None, 3)]
+    labels, tails = surface.vertices, surface.tails
+    bases = [labels[tails[h]] for h in range(0, len(tails), 3)]
     if overrides:
         index = surface.face_index
         chosen = [(index[k], v) for k, v in overrides.items() if k in index and v is not None]
