@@ -236,8 +236,8 @@ def _offset_reader(conn: DiscreteConnection, collector):
         surface.vertices, surface.tails, surface.heads, surface.link_pos, surface.degrees)
 
     def read(h: int, value) -> int | None:
-        i, j = labels[tails[h]], labels[heads[h]]
-        n = n_at[heads[h]]
+        t, u = tails[h], heads[h]
+        i, j, n = labels[t], labels[u], n_at[u]
         if isinstance(value, dict):
             try:
                 pairs = [(position(i, str(x)), position(j, str(y))) for x, y in value.items()]
@@ -258,9 +258,9 @@ def _offset_reader(conn: DiscreteConnection, collector):
         except (TypeError, ValueError):
             collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
             return None
-        p, q = pos[tails[h]].get(a), pos[heads[h]].get(b)
+        p, q = pos[t].get(a), pos[u].get(b)
         if p is not None and q is not None:  # two link labels, at k * size / degree
-            return (q * (n // deg[heads[h]]) - p * (n // deg[tails[h]])) % n
+            return (q * (n // deg[u]) - p * (n // deg[t])) % n
         try:
             return (position(j, b) - position(i, a)) % n
         except UnknownLabel as exc:
