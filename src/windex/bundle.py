@@ -86,27 +86,32 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Transport offsets o_ij in [0, n) by half-edge id and the r_F
-    holonomy table by face id, validated; immutable afterwards.  ``sizes``
-    holds the fiber size by vertex id (the surface's ``degrees`` in link
-    mode) and ``face_sizes`` the size of each face's three fibers."""
+    """Transport offsets o_ij in [0, n) by half-edge id, checked by the
+    builders below; the rest is derived from them on construction and is
+    immutable.  By vertex id, ``sizes`` holds the fiber size (the degree in
+    link mode) and ``arcs`` size // degree; by face id, ``face_sizes`` holds
+    the one size of its three fibers and ``holonomy`` r_F."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
     offsets: list[int] = field(repr=False)
-    holonomy: list[int] = field(repr=False, compare=False)
     sizes: list[int] = field(init=False, repr=False, compare=False)
+    arcs: list[int] = field(init=False, repr=False, compare=False)
     face_sizes: list[int] = field(init=False, repr=False, compare=False)
+    holonomy: list[int] = field(init=False, repr=False, compare=False)
     _fibers: dict[str, Polygon] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        surface = self.surface
-        n = surface.degrees if self.refined is None else [self.refined] * len(surface.vertices)
+        deg, tails, o = self.surface.degrees, self.surface.tails, self.offsets
+        n = deg if self.refined is None else [self.refined] * len(deg)
+        face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
         object.__setattr__(self, "sizes", n)
-        tails = surface.tails
-        object.__setattr__(self, "face_sizes", [n[tails[h]] for h in range(0, len(tails), 3)])
+        object.__setattr__(self, "arcs", [size // d for size, d in zip(n, deg)])
+        object.__setattr__(self, "face_sizes", face_n)
+        object.__setattr__(self, "holonomy", [(o[h] + o[h + 1] + o[h + 2]) % size
+                                              for h, size in zip(range(0, len(o), 3), face_n)])
 
     def _id(self, v: str) -> int:
         try:
@@ -121,8 +126,7 @@ class DiscreteConnection:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
         i = self._id(v)
-        table = self.surface.link_pos[i]
-        arc = self.sizes[i] // len(table)
+        table, arc = self.surface.link_pos[i], self.arcs[i]
         if label in table:
             return table[label] * arc
         base, _, j = label.partition("~")
@@ -133,8 +137,7 @@ class DiscreteConnection:
 
     def _label(self, v: int, position: int) -> str:
         ring = self.surface.link_labels[v]
-        n = self.sizes[v]
-        k, j = divmod(position % n, n // len(ring))
+        k, j = divmod(position % self.sizes[v], self.arcs[v])
         return ring[k] if j == 0 else f"{ring[k]}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
@@ -142,8 +145,7 @@ class DiscreteConnection:
 
     def fiber(self, v: str) -> Polygon:
         if v not in self._fibers:
-            link = self.surface.link(v)
-            self._fibers[v] = link.subdivide(self.size(v) // link.n)[0]
+            self._fibers[v] = self.surface.link(v).subdivide(self.arcs[self._id(v)])[0]
         return self._fibers[v]
 
     def transport(self, i: str, j: str) -> PolyIso:
@@ -153,8 +155,9 @@ class DiscreteConnection:
         return PolyIso(self.fiber(i), self.fiber(j), anchor)
 
 
-def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnection:
-    """A connection without transports, once the fiber mode fits the surface."""
+def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
+    """``refined`` of a fiber mode that fits the surface: None for link mode
+    (equal degrees on every edge), else an integer >= 3 each degree divides."""
     collector = ReportCollector()
     deg, labels = surface.degrees, surface.vertices
     if fiber_mode == LINK_MODE:
@@ -165,22 +168,17 @@ def _empty_connection(surface: OrientedSurface, fiber_mode) -> DiscreteConnectio
                 collector.add("SizeMismatch", f"{{{labels[a]},{labels[b]}}}",
                               f"link-mode transport needs equal degrees, got {deg[a]} and {deg[b]}")
         collector.raise_if_failed("invalid connection")
-        return DiscreteConnection(surface, None, [], [])
-    size = int(fiber_mode)
+        return None
+    if not isinstance(fiber_mode, int) or fiber_mode < 3:
+        collector.add("BadFiberMode", "fiber_mode",
+                      f'expected "link" or an integer refinement >= 3, got {fiber_mode!r}')
+        collector.raise_if_failed("invalid fiber mode")
     for v, d in zip(labels, deg):
-        if size % d != 0:
-            collector.add("SizeMismatch", v, f"refinement {size} is not divisible by degree {d}")
+        if fiber_mode % d != 0:
+            collector.add("SizeMismatch", v,
+                          f"refinement {fiber_mode} is not divisible by degree {d}")
     collector.raise_if_failed("invalid fiber refinement")
-    return DiscreteConnection(surface, size, [], [])
-
-
-def _close(conn: DiscreteConnection) -> DiscreteConnection:
-    """Fill the holonomy table from the offsets; a face's three fibers have
-    one size, so r_F does not depend on the basepoint."""
-    o = conn.offsets
-    conn.holonomy[:] = [(o[h] + o[h + 1] + o[h + 2]) % n
-                        for h, n in zip(range(0, len(o), 3), conn.face_sizes)]
-    return conn
+    return fiber_mode
 
 
 _ABSENT = object()
@@ -190,18 +188,21 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     """One integer per half-edge (None where unresolved) from values
     supplied by label pair on one direction of every edge or both:
     ``read(h, value)`` gives the integer (None once it has reported a bad
-    value), or ``int`` does when ``read`` is None.  The reverse is its
-    negation, mod ``modulus[v]`` of an end v unless ``modulus`` is None,
-    and values supplied both ways must cancel, mod that or exactly, else
-    the rule ``clash`` is reported."""
+    value), else the value must be one (rule NotAnInteger).  The reverse
+    is its negation, mod ``modulus[v]`` of an end v unless ``modulus`` is
+    None, and values supplied both ways must cancel, mod that or exactly,
+    else the rule ``clash`` is reported."""
     get, half, V = surface.index.get, surface.half, len(surface.vertices)
     ids = [half.get(get(i, V) * (V + 1) + get(j, V)) for i, j in supplied]
     given = dict(zip(ids, supplied.values()))
-    if None in given:
-        del given[None]
-        for h, (i, j) in zip(ids, supplied):
+    if None in given or not (read or set(map(type, given.values())) <= {int}):
+        given.pop(None, None)
+        for h, (i, j), value in zip(ids, supplied, supplied.values()):
             if h is None:
                 collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
+            elif not (read or isinstance(value, int)):
+                collector.add("NotAnInteger", f"({i},{j})", f"{noun} {value!r} is not an integer")
+                given[h] = None
 
     labels, tails, twin = surface.vertices, surface.tails, surface.twin
     resolved = [None] * len(surface.tails)
@@ -212,8 +213,8 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
             a, b = labels[tails[h]], labels[tails[t]]
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
-        d = 0 if forward is _ABSENT else read(h, forward) if read else int(forward)
-        e = 0 if backward is _ABSENT else read(t, backward) if read else int(backward)
+        d = 0 if forward is _ABSENT else read(h, forward) if read else forward
+        e = 0 if backward is _ABSENT else read(t, backward) if read else backward
         if d is None or e is None:
             continue
         n = modulus[tails[h]] if modulus else 0
@@ -228,12 +229,11 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     return resolved
 
 
-def _offset_reader(conn: DiscreteConnection, collector):
+def _offset_reader(fibers: DiscreteConnection, collector):
     """``read`` for ``antisymmetric``: the offset on half-edge h of an anchor
     pair or of a full label map.  Both fibers of an edge have size n."""
-    surface, n_at, position = conn.surface, conn.sizes, conn.position
-    labels, tails, heads, pos, deg = (
-        surface.vertices, surface.tails, surface.heads, surface.link_pos, surface.degrees)
+    surface, n_at, arc, position = fibers.surface, fibers.sizes, fibers.arcs, fibers.position
+    labels, tails, heads, pos = surface.vertices, surface.tails, surface.heads, surface.link_pos
 
     def read(h: int, value) -> int | None:
         t, u = tails[h], heads[h]
@@ -259,8 +259,8 @@ def _offset_reader(conn: DiscreteConnection, collector):
             collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
             return None
         p, q = pos[t].get(a), pos[u].get(b)
-        if p is not None and q is not None:  # two link labels, at k * size / degree
-            return (q * (n // deg[u]) - p * (n // deg[t])) % n
+        if p is not None and q is not None:  # two link labels, at k * arc
+            return (q * arc[u] - p * arc[t]) % n
         try:
             return (position(j, b) - position(i, a)) % n
         except UnknownLabel as exc:
@@ -277,13 +277,12 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     full label map).  One direction per undirected edge suffices; if both
     are supplied they must be mutually inverse.
     """
-    conn = _empty_connection(surface, fiber_mode)
+    fibers = DiscreteConnection(surface, _refinement(surface, fiber_mode), [0] * len(surface.tails))
     collector = ReportCollector()
     offsets = antisymmetric(surface, transports, collector, "transport",
-                            _offset_reader(conn, collector), "NotInverse", conn.sizes)
+                            _offset_reader(fibers, collector), "NotInverse", fibers.sizes)
     collector.raise_if_failed("invalid connection")
-    conn.offsets.extend(offsets)
-    return _close(conn)
+    return DiscreteConnection(surface, fibers.refined, offsets)
 
 
 def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> PolyIso:
@@ -350,10 +349,12 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
         if f is None:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
             continue
-        resolved[f] = int(value)
+        resolved[f] = value
     for key, lift, r, n in zip(surface.keys, resolved, conn.holonomy, conn.face_sizes):
         if lift is None:
             collector.add("MissingFace", key, "no lift supplied")
+        elif not isinstance(lift, int):
+            collector.add("NotAnInteger", key, f"lift {lift!r} is not an integer")
         elif lift % n != r:
             collector.add(
                 "LiftIncongruent",
@@ -438,7 +439,7 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     g = [gauge.at(v) for v in surface.vertices]
     offsets = [(o + g[j] - g[i]) % n[j]
                for o, i, j in zip(conn.offsets, surface.tails, surface.heads)]
-    return _close(DiscreteConnection(surface, conn.refined, offsets, []))
+    return DiscreteConnection(surface, conn.refined, offsets)
 
 
 def trivialize_face(
@@ -482,27 +483,22 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     """
     if fiber_mode is None:
         fiber_mode = _default_mode(surface, even=True)
-    conn = _empty_connection(surface, fiber_mode)
+    fibers = flat_connection(surface, fiber_mode)
     collector = ReportCollector()
-    n = conn.sizes
+    n, arc = fibers.sizes, fibers.arcs
     for v, size in zip(surface.vertices, n):
         if size % 2 != 0:
             collector.add("SizeMismatch", v, f"fiber size {size} is odd, antipodes undefined")
     collector.raise_if_failed("no straightest transport")
-    # pos_b(a) + n/2 - pos_a(b); a link label k sits at k * n / deg
-    arc = [size // d for size, d in zip(n, surface.degrees)]
+    # pos_b(a) + n/2 - pos_a(b); a link label k sits at k * arc
     labels, pos = surface.vertices, surface.link_pos
-    conn.offsets.extend(
-        (pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
-        for a, b in zip(surface.tails, surface.heads)
-    )
-    return _close(conn)
+    offsets = [(pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
+               for a, b in zip(surface.tails, surface.heads)]
+    return DiscreteConnection(surface, fibers.refined, offsets)
 
 
 def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:
     """Position-preserving transports; every holonomy is the identity."""
     if fiber_mode is None:
         fiber_mode = _default_mode(surface)
-    conn = _empty_connection(surface, fiber_mode)
-    conn.offsets.extend([0] * len(surface.tails))
-    return _close(conn)
+    return DiscreteConnection(surface, _refinement(surface, fiber_mode), [0] * len(surface.tails))

@@ -56,7 +56,8 @@ class VectorField:
     steps: list[int] = field(repr=False)
 
     def value(self, v: str) -> str:
-        return self.conn.label_at(v, self.at[self.conn.surface.index[v]])
+        i = self.conn._id(v)
+        return self.conn._label(i, self.at[i])
 
     def step(self, i: str, j: str) -> int:
         return self.steps[self.conn.surface.half_edge(i, j)]

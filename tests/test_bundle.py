@@ -47,6 +47,10 @@ def conn(octa):
     return build_connection(octa, "link", OCTAHEDRON_TRANSPORTS)
 
 
+def with_octahedron_transports(surface, fiber_mode):
+    return build_connection(surface, fiber_mode, OCTAHEDRON_TRANSPORTS)
+
+
 class TestBuild:
     def test_full_maps_and_anchors_agree(self, octa, conn):
         anchored = {
@@ -126,6 +130,21 @@ class TestBuild:
             build(make(), mode)
         rules = [v.rule for v in excinfo.value.report.violations]
         assert rules == ["SizeMismatch"] * failing
+
+    @pytest.mark.parametrize("build, mode", [
+        (flat_connection, 0),
+        (tangent_connection, -8),
+        (with_octahedron_transports, 8.7),
+        (with_octahedron_transports, None),
+        (with_octahedron_transports, "x"),
+    ], ids=["flat-0", "tangent-minus8", "build-8.7", "build-None", "build-x"])
+    def test_bad_fiber_mode_rejected(self, octa, build, mode):
+        with pytest.raises(ValidationFailed) as excinfo:
+            build(octa, mode)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("BadFiberMode", "fiber_mode",
+             f'expected "link" or an integer refinement >= 3, got {mode!r}'),
+        ]
 
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))
@@ -216,6 +235,15 @@ class TestFlatness:
         with pytest.raises(ValidationFailed) as excinfo:
             attach_flatness(conn, lifts)
         assert any(v.rule == "LiftIncongruent" for v in excinfo.value.report.violations)
+
+    def test_fractional_lift_rejected(self, octa, conn):
+        lifts = {f.key: 1 for f in octa.faces}
+        lifts["b,r,w"] = 1.9  # r_F + 0.9, which int() would read as r_F
+        with pytest.raises(ValidationFailed) as excinfo:
+            attach_flatness(conn, lifts)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", "b,r,w", "lift 1.9 is not an integer"),
+        ]
 
     def test_zero_holonomy_zero_lifts(self):
         conn = flat_connection(csaszar_torus(), 6)

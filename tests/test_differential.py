@@ -20,7 +20,10 @@ from random import Random
 import pytest
 
 from windex import cli
+from windex.bundle import DiscreteConnection, gauge_transform, holonomy_iso, tangent_connection
+from windex.complex import build_surface
 from windex.errors import ValidationFailed
+from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
 from surfaces import bipyramid, tet_and_octahedron
@@ -56,12 +59,31 @@ def _modes(vertices, faces):
     return modes
 
 
+MODES = [(name, mode) for name, (vertices, faces) in SURFACES.items()
+         for mode in _modes(vertices, faces)]
 CASES = [
     pytest.param(name, mode, seed, id=f"{name}-{json.dumps(mode)}-{seed}")
-    for name, (vertices, faces) in SURFACES.items()
-    for mode in _modes(vertices, faces)
+    for name, mode in MODES
     for seed in SEEDS
 ]
+
+
+@pytest.mark.parametrize("name, mode", [
+    pytest.param(name, mode, id=f"{name}-{json.dumps(mode)}") for name, mode in MODES])
+def test_constructor_derives_holonomy_from_offsets(name, mode):
+    """A connection rebuilt from the offsets of each builder's result has
+    the holonomy that composing its explicit transports gives."""
+    surface = build_surface(*SURFACES[name])
+    fiber_mode = mode if mode == "link" else mode["refined"]
+    rng = Random(0)
+    conn = random_connection(surface, fiber_mode, rng)
+    built = [conn, gauge_transform(conn, random_gauge(conn, rng))]
+    if all(n % 2 == 0 for n in conn.sizes):  # antipodes need even fibers
+        built.append(tangent_connection(surface, fiber_mode))
+    for source in built:
+        rebuilt = DiscreteConnection(surface, source.refined, list(source.offsets))
+        assert rebuilt.holonomy == [holonomy_iso(rebuilt, face).rotation_steps()
+                                    for face in surface.faces]
 
 
 def _scene(name, mode, seed):

@@ -12,7 +12,7 @@ from windex.bundle import (
     flat_connection,
     holonomy_iso,
 )
-from windex.errors import NonIntegralIndex, ValidationFailed
+from windex.errors import NonIntegralIndex, NotIncident, ValidationFailed
 from windex.field import (
     VectorField,
     build_field,
@@ -94,6 +94,19 @@ class TestBuild:
         assert any(
             v.rule == "AntisymmetryViolation" for v in excinfo.value.report.violations
         )
+
+    def test_fractional_step_rejected(self, conn, spin):
+        steps = {e: spin.step(*e) for e in conn.surface.edges}
+        steps[("b", "o")] = 1.9  # the step there is 1, which int() would read
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_field(conn, OCTAHEDRON_SPIN_AT, steps)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", "(b,o)", "step count 1.9 is not an integer"),
+        ]
+
+    def test_value_off_the_surface(self, spin):
+        with pytest.raises(NotIncident, match="'zzz' is not a vertex"):
+            spin.value("zzz")
 
     def test_unknown_fiber_point(self, conn, spin):
         at = dict(OCTAHEDRON_SPIN_AT)
