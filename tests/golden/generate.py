@@ -131,6 +131,10 @@ def _edit(base: str, edit) -> dict:
 
 
 TET = [("0", "1", "2"), ("0", "2", "3"), ("0", "3", "1"), ("1", "3", "2")]
+# four faces around the vertex 0 on which the arcs 3 -> 4 and 3 -> 5 both
+# leave 3, and 1 -> 2 and 1 -> 4 both leave 1: which is named depends on
+# the face order
+FORK = [("0", "3", "4"), ("0", "1", "2"), ("0", "3", "5"), ("0", "1", "4")]
 
 
 def _pinched():
@@ -165,6 +169,14 @@ def rejected_texts() -> dict[str, str]:
         "duplicate-face": _surface("0123", TET + [("0", "2", "1")]),
         "boundary-edge": _surface("0123", TET[:3]),
         "orientation-clash": _surface("0123", TET[:3] + [("1", "2", "3")]),
+        # the faces of a clash are named in input order
+        "orientation-clash-reversed": _surface("0123", [("1", "2", "3")] + TET[:3][::-1]),
+        "link-fork": _surface("012345", FORK),
+        "link-fork-reversed": _surface("012345", FORK[::-1]),
+        # two tetrahedra sharing the edge {0,1}
+        "edge-in-four-faces": _surface(
+            "012345", TET + [("0", "1", "4"), ("0", "4", "5"), ("0", "5", "1"), ("1", "5", "4")]
+        ),
         "link-no-face": _surface("01239", TET),
         "link-two-cycles": _pinched(),
         "several-faces": _surface(
