@@ -86,11 +86,12 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Transport offsets o_ij in [0, n) by half-edge id, checked by the
-    builders below; the rest is derived from them on construction and is
-    immutable.  By vertex id, ``sizes`` holds the fiber size (the degree in
-    link mode) and ``arcs`` size // degree; by face id, ``face_sizes`` holds
-    the one size of its three fibers and ``holonomy`` r_F."""
+    """Transport offsets o_ij in [0, n), one by half-edge id, checked by the
+    builders below; ``refined`` and the count are checked on construction,
+    which derives the rest from them, immutable.  By vertex id, ``sizes``
+    holds the fiber size (the degree in link mode) and ``arcs`` size //
+    degree; by face id, ``face_sizes`` holds the one size of its three
+    fibers and ``holonomy`` r_F."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -105,7 +106,14 @@ class DiscreteConnection:
 
     def __post_init__(self) -> None:
         deg, tails, o = self.surface.degrees, self.surface.tails, self.offsets
-        n = deg if self.refined is None else [self.refined] * len(deg)
+        refined = _refinement(self.surface, LINK_MODE if self.refined is None else self.refined)
+        if len(o) != len(tails):
+            collector = ReportCollector()
+            collector.add("SizeMismatch", "offsets",
+                          f"{len(o)} offsets for {len(tails)} half-edges, need one each")
+            collector.raise_if_failed("invalid connection")
+        object.__setattr__(self, "refined", refined)
+        n = deg if refined is None else [refined] * len(deg)
         face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
         object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "arcs", [size // d for size, d in zip(n, deg)])
@@ -157,7 +165,8 @@ class DiscreteConnection:
 
 def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
     """``refined`` of a fiber mode that fits the surface: None for link mode
-    (equal degrees on every edge), else an integer >= 3 each degree divides."""
+    (equal degrees on every edge), else an integer >= 3 each degree divides.
+    The builders check their mode here, and every connection its own."""
     collector = ReportCollector()
     deg, labels = surface.degrees, surface.vertices
     if fiber_mode == LINK_MODE:
@@ -381,15 +390,17 @@ def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure
 
 def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
     """The basepoint of every face: its least vertex, unless ``overrides``
-    maps its key to another of its vertices (keys of no face are ignored;
-    the first face in order whose override is off it raises NotIncident)."""
+    maps its key to another of its vertices.  NotIncident names the first
+    key, in the order given, of no face, else the first face in order whose
+    override is off it."""
     labels, tails = surface.vertices, surface.tails
     bases = [labels[tails[h]] for h in range(0, len(tails), 3)]
     if overrides:
-        index = surface.face_index
-        chosen = [(index[k], v) for k, v in overrides.items() if k in index and v is not None]
+        chosen = [(surface.face_id(k), v) for k, v in overrides.items()]
         for f, v in sorted(chosen):
-            bases[f] = basepoint(surface.faces[f], v)
+            if surface.index.get(v) not in tails[3 * f:3 * f + 3]:
+                raise NotIncident(f"{v!r} is not a vertex of face {surface.keys[f]}")
+            bases[f] = v
     return bases
 
 

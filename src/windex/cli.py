@@ -56,14 +56,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_basepoints(pairs, surface) -> dict[str, str]:
+def _parse_basepoints(pairs) -> dict[str, str]:
+    """FACE=VERTEX pairs; the library checks each key and vertex."""
     overrides = {}
     for pair in pairs or ():
         key, sep, vertex = pair.rpartition("=")
         if not sep:
             raise NotIncident(f"--basepoint wants FACE=VERTEX, got {pair!r}")
-        surface.face_id(key)  # raises NotIncident on a bad key
-        overrides[key] = vertex  # checked against the face by basepoint()
+        overrides[key] = vertex
     return overrides
 
 
@@ -112,7 +112,7 @@ def _cmd_links(scene: SceneFile, args) -> int:
 def _cmd_curvature(scene: SceneFile, args) -> int:
     conn = _need(scene, "connection")
     flatness = _resolve_flatness(conn, scene, args)
-    overrides = _parse_basepoints(args.basepoint, scene.surface)
+    overrides = _parse_basepoints(args.basepoint)
     rows = face_reports(conn, flatness, overrides)
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
@@ -135,7 +135,7 @@ def _index_payload(scene: SceneFile, args):
     conn = _need(scene, "connection")
     field = _need(scene, "field")
     flatness = _resolve_flatness(conn, scene, args)
-    overrides = _parse_basepoints(getattr(args, "basepoint", None), scene.surface)
+    overrides = _parse_basepoints(getattr(args, "basepoint", None))
     return totals(field, flatness, overrides)
 
 

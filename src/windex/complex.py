@@ -79,7 +79,9 @@ class OrientedSurface:
     link of v is ``link_labels[v]``, from its least label, and its position
     table ``link_pos[v]`` maps each label to its place.  ``edge_half``
     holds the half-edge of each edge from its lesser end, in sorted order.
-    ``positions`` is pass-through geometry for export only.
+    ``positions`` is pass-through geometry for export only.  ``faces``,
+    ``edges``, ``face_by_key`` and ``link`` are label views for library
+    users; windex itself reads the tables.
     """
 
     vertices: tuple[str, ...]
@@ -115,13 +117,9 @@ class OrientedSurface:
         labels, tails, heads = self.vertices, self.tails, self.heads
         return tuple([(labels[tails[h]], labels[heads[h]]) for h in self.edge_half])
 
-    @cached_property
-    def links(self) -> dict[str, Polygon]:
-        return {v: Polygon(tuple(ring)) for v, ring in zip(self.vertices, self.link_labels)}
-
     def link(self, v: str) -> Polygon:
         try:
-            return self.links[v]
+            return Polygon(tuple(self.link_labels[self.index[v]]))
         except KeyError:
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
@@ -148,59 +146,47 @@ def euler_characteristic(surface: OrientedSurface) -> int:
     return len(surface.vertices) - len(surface.edge_half) + len(surface.keys)
 
 
-def _trace_link(v: str, arcs: list[str], collector: ReportCollector) -> None:
-    """Report why the link arcs at ``v`` do not chain into one cycle.
-    ``arcs`` is flat, two labels per arc: a face (v, a, b) contributes the
-    arc a -> b."""
-    succ: dict[str, str] = {}
-    for a, b in zip(arcs[::2], arcs[1::2]):
-        if a in succ:
-            collector.add("NonPolygonLink", v, f"two arcs leave {a!r} in the link")
-            return
-        succ[a] = b
-    if succ.keys() != set(succ.values()):
-        collector.add("NonPolygonLink", v, "link arcs do not pair up head-to-tail")
-        return
-    # at least three arcs: two would need the faces (v, a, b) and (v, b, a),
-    # one vertex set, which the DuplicateFace check has already refused
-    start = min(succ)
-    length, cur = 1, succ[start]
-    while cur != start:  # succ is a bijection, so this comes back to start
-        length += 1
-        cur = succ[cur]
-    if length != len(succ):
-        collector.add("NonPolygonLink", v, "link arcs split into more than one cycle")
-
-
 def _report_unclosed(labels, triples, collector: ReportCollector) -> None:
     """The BoundaryEdge, OrientationClash and NonPolygonLink report, once
-    the half-edge tables have found a fault: faces in the given order, the
-    edge {x, y} gets the tail and key of each face through it and the link
-    of x the arc y -> z."""
-    edge_faces: dict[tuple[str, str], list] = {}
-    arcs: dict[str, list[str]] = {}
-    for triple in triples:
-        a, b, c = (labels[v] for v in triple)
-        key = f"{a},{b},{c}"
+    the half-edge tables have found a fault.  Faces are id triples in input
+    order: the edge {x, y}, keyed x * V + y with x < y, gets the tail and
+    face of each face through it, and the link of x the arc y -> z."""
+    V = len(labels)
+    through: dict[int, list[int]] = {}
+    succ: list[dict[int, int]] = [{} for _ in labels]
+    fork: dict[int, int] = {}  # vertex -> the first y that two of its arcs leave
+    for f, (a, b, c) in enumerate(triples):
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            edge_faces.setdefault((x, y) if x < y else (y, x), []).extend((x, key))
-            arcs.setdefault(x, []).extend((y, z))
-    for edge in sorted(edge_faces):
-        entry = edge_faces[edge]
+            through.setdefault(x * V + y if x < y else y * V + x, []).extend((x, f))
+            if y in succ[x]:
+                fork.setdefault(x, y)
+            succ[x][y] = z
+    for edge in sorted(through):
+        x, y = divmod(edge, V)
+        entry = through[edge]
         if len(entry) != 4:
-            collector.add("BoundaryEdge", "{%s,%s}" % edge,
+            collector.add("BoundaryEdge", f"{{{labels[x]},{labels[y]}}}",
                           f"edge lies in {len(entry) // 2} faces, need exactly 2")
-            continue
-        tail, first, other_tail, second = entry
-        if tail == other_tail:
-            order = edge if tail == edge[0] else edge[::-1]
-            collector.add("OrientationClash", "{%s,%s}" % edge,
+        elif entry[0] == entry[2]:
+            first, second = (",".join(labels[v] for v in triples[f]) for f in entry[1::2])
+            order = (labels[x], labels[y]) if entry[0] == x else (labels[y], labels[x])
+            collector.add("OrientationClash", f"{{{labels[x]},{labels[y]}}}",
                           f"faces {first} and {second} induce the same order {order}")
-    for v in labels:
-        if v not in arcs:
-            collector.add("NonPolygonLink", v, "vertex lies in no face")
+    for v, arcs in enumerate(succ):
+        if not arcs:
+            why = "vertex lies in no face"
+        elif v in fork:
+            why = f"two arcs leave {labels[fork[v]]!r} in the link"
+        elif arcs.keys() != set(arcs.values()):
+            why = "link arcs do not pair up head-to-tail"
         else:
-            _trace_link(v, arcs[v], collector)
+            y = arcs.pop(next(iter(arcs)))
+            while y in arcs:  # arcs is a bijection: the walk ends where it began
+                y = arcs.pop(y)
+            if not arcs:
+                continue
+            why = "link arcs split into more than one cycle"
+        collector.add("NonPolygonLink", labels[v], why)
 
 
 def build_surface(vertices, faces, positions=None) -> OrientedSurface:
@@ -209,7 +195,9 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     NonPolygonLink, ...).  The faces close up consistently oriented exactly
     when their half-edge keys are distinct and each has its reverse, and
     every link is one cycle exactly when turning around each vertex
-    (h -> twin of the half-edge before h) visits all its half-edges."""
+    (h -> twin of the half-edge before h) visits all its half-edges.  When they
+    do not, the report is worked out from the same id triples, in input
+    order."""
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]

@@ -18,7 +18,6 @@ from .bundle import (
     attach_flatness,
     build_connection,
     flat_connection,
-    holonomy_steps,
 )
 from .complex import OrientedSurface
 from .field import VectorField, build_field
@@ -37,21 +36,22 @@ def random_connection(surface: OrientedSurface, fiber_mode, rng: Random) -> Disc
 
 
 def random_lifts(conn: DiscreteConnection, rng: Random) -> FlatnessStructure:
-    lifts = {}
-    for face in conn.surface.faces:
-        n = conn.size(face.vertices[0])
-        lifts[face] = holonomy_steps(conn, face) + n * rng.randint(-MAX_TURNS, MAX_TURNS)
+    lifts = {key: r + n * rng.randint(-MAX_TURNS, MAX_TURNS)
+             for key, n, r in zip(conn.surface.keys, conn.face_sizes, conn.holonomy)}
     return attach_flatness(conn, lifts)
 
 
 def random_field(conn: DiscreteConnection, rng: Random) -> VectorField:
-    at = {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
+    surface, n = conn.surface, conn.sizes
+    labels, tails, heads = surface.vertices, surface.tails, surface.heads
+    at = [rng.randrange(size) for size in n]
     steps = {}
-    for a, b in conn.surface.edges:
+    for h in surface.edge_half:
+        a, b = tails[h], heads[h]
         # the congruence class every valid step on (a, b) must lie in
-        base = (at[b] - at[a] - conn.offsets[conn.surface.half_edge(a, b)]) % conn.size(b)
-        steps[(a, b)] = base + conn.size(b) * rng.randint(-MAX_TURNS, MAX_TURNS)
-    return build_field(conn, {v: conn.label_at(v, x) for v, x in at.items()}, steps)
+        base = (at[b] - at[a] - conn.offsets[h]) % n[b]
+        steps[labels[a], labels[b]] = base + n[b] * rng.randint(-MAX_TURNS, MAX_TURNS)
+    return build_field(conn, {v: conn._label(i, at[i]) for i, v in enumerate(labels)}, steps)
 
 
 def random_gauge(conn: DiscreteConnection, rng: Random) -> GaugeTransformation:

@@ -261,7 +261,8 @@ def scene_to_obj(scene: SceneFile) -> dict:
     obj: dict = {
         "surface": {
             "vertices": list(labels),
-            "faces": [list(f.vertices) for f in surface.faces],
+            "faces": [[labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]]
+                      for h in range(0, len(tails), 3)],
         }
     }
     if surface.positions is not None:

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from windex.bundle import (
+    DiscreteConnection,
     attach_flatness,
     basepoint,
     boundary,
@@ -146,6 +147,18 @@ class TestBuild:
              f'expected "link" or an integer refinement >= 3, got {mode!r}'),
         ]
 
+    @pytest.mark.parametrize("refined, offsets, want", [
+        (0, 24, [("BadFiberMode", "fiber_mode",
+                  'expected "link" or an integer refinement >= 3, got 0')]),
+        (None, 5, [("SizeMismatch", "offsets", "5 offsets for 24 half-edges, need one each")]),
+        (6, 24, [("SizeMismatch", v, "refinement 6 is not divisible by degree 4")
+                 for v in "bgorwy"]),
+    ], ids=["refined-0", "five-offsets", "refined-6"])
+    def test_constructor_checks_its_inputs(self, octa, refined, offsets, want):
+        with pytest.raises(ValidationFailed) as excinfo:
+            DiscreteConnection(octa, refined, [0] * offsets)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == want
+
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))
         assert set(conn.sizes) == {5}
@@ -260,6 +273,14 @@ class TestFlatness:
             r.curvature == Fraction(1, 4) and r.lift_turns == Fraction(1, 4)
             for r in rows
         )
+
+    @pytest.mark.parametrize("overrides", [
+        {"no,such,face": "w"},
+        {"b,r,w": "y", "no,such,face": "w"},  # every key before any vertex
+    ])
+    def test_face_reports_refuse_a_key_of_no_face(self, conn, overrides):
+        with pytest.raises(NotIncident, match="^no face with key 'no,such,face'$"):
+            face_reports(conn, canonical_flatness(conn), overrides)
 
 
 class TestGauge:

@@ -241,6 +241,14 @@ class TestTotals:
         assert row.basepoint == "w"
         assert row.swirl == 3 and row.index == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"no,such,face": "w"},
+        {"g,w,r": "y", "no,such,face": "w"},  # every key before any vertex
+    ])
+    def test_basepoint_key_of_no_face(self, spin, flat, overrides):
+        with pytest.raises(NotIncident, match="^no face with key 'no,such,face'$"):
+            totals(spin, flat, overrides)
+
     def test_totals_turn_arithmetic(self, spin, flat):
         report = totals(spin, flat)
         assert sum(Fraction(r.swirl, r.size) for r in report.rows) == report.total_swirl
