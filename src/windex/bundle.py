@@ -88,10 +88,9 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
 class DiscreteConnection:
     """Transport offsets o_ij in [0, n), one by half-edge id, checked by the
     builders below; ``refined`` and the count are checked on construction,
-    which derives the rest from them, immutable.  By vertex id, ``sizes``
-    holds the fiber size (the degree in link mode) and ``arcs`` size //
-    degree; by face id, ``face_sizes`` holds the one size of its three
-    fibers and ``holonomy`` r_F."""
+    which derives the rest, immutable.  By vertex id, ``sizes`` holds the
+    fiber size (the degree in link mode) and ``arcs`` size // degree; by face
+    id, ``face_sizes`` the one size of its three fibers and ``holonomy`` r_F."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -165,8 +164,7 @@ class DiscreteConnection:
 
 def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
     """``refined`` of a fiber mode that fits the surface: None for link mode
-    (equal degrees on every edge), else an integer >= 3 each degree divides.
-    The builders check their mode here, and every connection its own."""
+    (equal degrees on every edge), else an integer >= 3 each degree divides."""
     collector = ReportCollector()
     deg, labels = surface.degrees, surface.vertices
     if fiber_mode == LINK_MODE:
@@ -398,7 +396,7 @@ def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
     if overrides:
         chosen = [(surface.face_id(k), v) for k, v in overrides.items()]
         for f, v in sorted(chosen):
-            if surface.index.get(v) not in tails[3 * f:3 * f + 3]:
+            if v not in [labels[t] for t in tails[3 * f:3 * f + 3]]:
                 raise NotIncident(f"{v!r} is not a vertex of face {surface.keys[f]}")
             bases[f] = v
     return bases

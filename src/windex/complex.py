@@ -195,9 +195,8 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     NonPolygonLink, ...).  The faces close up consistently oriented exactly
     when their half-edge keys are distinct and each has its reverse, and
     every link is one cycle exactly when turning around each vertex
-    (h -> twin of the half-edge before h) visits all its half-edges.  When they
-    do not, the report is worked out from the same id triples, in input
-    order."""
+    (h -> twin of the half-edge before h) visits all its half-edges; else
+    the report reads the same id triples, in input order."""
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]

@@ -274,13 +274,16 @@ class TestFlatness:
             for r in rows
         )
 
-    @pytest.mark.parametrize("overrides", [
-        {"no,such,face": "w"},
-        {"b,r,w": "y", "no,such,face": "w"},  # every key before any vertex
+    @pytest.mark.parametrize("overrides, message", [
+        ({"no,such,face": "w"}, "no face with key 'no,such,face'"),
+        # every key is looked up before any vertex
+        ({"b,r,w": "y", "no,such,face": "w"}, "no face with key 'no,such,face'"),
+        ({"b,r,w": ["w"]}, "['w'] is not a vertex of face b,r,w"),
     ])
-    def test_face_reports_refuse_a_key_of_no_face(self, conn, overrides):
-        with pytest.raises(NotIncident, match="^no face with key 'no,such,face'$"):
+    def test_face_reports_refuse_a_bad_override(self, conn, overrides, message):
+        with pytest.raises(NotIncident) as excinfo:
             face_reports(conn, canonical_flatness(conn), overrides)
+        assert str(excinfo.value) == message
 
 
 class TestGauge:
