@@ -11,15 +11,12 @@ from .bundle import (
     boundary,
     build_connection,
     canonical_flatness,
-    curvature_turns,
     face_reports,
     flat_connection,
     gauge_transform,
-    holonomy_steps,
     net_holonomy,
     tangent_connection,
     total_flatness_winding,
-    trivialize_face,
 )
 from .complex import (
     OrientedFace,
@@ -33,8 +30,6 @@ from .field import (
     VectorField,
     build_field,
     gauge_transform_field,
-    index,
-    swirl,
     swirl_path,
     totals,
 )
@@ -66,19 +61,14 @@ __all__ = [
     "build_field",
     "build_surface",
     "canonical_flatness",
-    "curvature_turns",
     "euler_characteristic",
     "face_reports",
     "flat_connection",
     "gauge_transform",
     "gauge_transform_field",
-    "holonomy_steps",
-    "index",
     "net_holonomy",
-    "swirl",
     "swirl_path",
     "tangent_connection",
     "total_flatness_winding",
     "totals",
-    "trivialize_face",
 ]

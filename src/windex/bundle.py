@@ -25,9 +25,10 @@ stored by face id.  The total flatness winding is the sum of f_F / n_F
 over all faces, the exact integer the index theorem compares against;
 like every total of per-face turns it is summed as integers per fiber size
 (``sum_turns``), so components with different fiber sizes add up exactly.
-Explicit polygons and isomorphisms (``fiber``, ``transport``,
-``holonomy_iso``) are built only on request, for the polygon algebra and
-as reference oracles; so are the ``FaceReport`` rows' labels and keys.
+Each per-face quantity is read from its table or its ``FaceReport`` row.
+Explicit polygons and isomorphisms (``fiber``, ``transport``) are built
+only on request, for the polygon algebra and ``field.swirl_path``; so are
+the rows' labels and keys.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -40,13 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complex import OrientedFace, OrientedSurface
-from .errors import (
-    LiftIncongruent,
-    NonIntegralTotal,
-    NotIncident,
-    ReportCollector,
-    UnknownLabel,
-)
+from .errors import NonIntegralTotal, NotIncident, ReportCollector, UnknownLabel
 from .polygon import Polygon, PolyIso, Turns
 
 LINK_MODE = "link"
@@ -86,11 +81,12 @@ def _default_mode(surface: OrientedSurface, even: bool = False):
 
 @dataclass(frozen=True)
 class DiscreteConnection:
-    """Transport offsets o_ij in [0, n), one by half-edge id, checked by the
-    builders below; ``refined`` and the count are checked on construction,
-    which derives the rest, immutable.  By vertex id, ``sizes`` holds the
-    fiber size (the degree in link mode) and ``arcs`` size // degree; by face
-    id, ``face_sizes`` the one size of its three fibers and ``holonomy`` r_F."""
+    """Transport offsets o_ij in [0, n), one by half-edge id with o_ji =
+    -o_ij mod n; ``refined``, the count and the values are checked on
+    construction, which derives the rest, immutable.  By vertex id, ``sizes``
+    holds the fiber size (the degree in link mode) and ``arcs`` size //
+    degree; by face id, ``face_sizes`` the one size of its three fibers and
+    ``holonomy`` r_F."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -104,15 +100,23 @@ class DiscreteConnection:
     )
 
     def __post_init__(self) -> None:
-        deg, tails, o = self.surface.degrees, self.surface.tails, self.offsets
-        refined = _refinement(self.surface, LINK_MODE if self.refined is None else self.refined)
+        surface, o = self.surface, self.offsets
+        deg, tails, twin = surface.degrees, surface.tails, surface.twin
+        refined = _refinement(surface, LINK_MODE if self.refined is None else self.refined)
+        collector = ReportCollector()
         if len(o) != len(tails):
-            collector = ReportCollector()
             collector.add("SizeMismatch", "offsets",
                           f"{len(o)} offsets for {len(tails)} half-edges, need one each")
             collector.raise_if_failed("invalid connection")
-        object.__setattr__(self, "refined", refined)
         n = deg if refined is None else [refined] * len(deg)
+        # both fibers of an edge have one size s
+        for h in [h for h in surface.edge_half
+                  if not 0 <= (x := o[h]) < (s := n[tails[h]]) or o[twin[h]] != -x % s]:
+            a, b = surface.vertices[tails[h]], surface.vertices[tails[twin[h]]]
+            collector.add("NotInverse", f"{{{a},{b}}}", f"offsets {o[h]} on ({a},{b}) and "
+                          f"{o[twin[h]]} on ({b},{a}) are not inverse in [0, {n[tails[h]]})")
+        collector.raise_if_failed("invalid connection")
+        object.__setattr__(self, "refined", refined)
         face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
         object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "arcs", [size // d for size, d in zip(n, deg)])
@@ -123,7 +127,7 @@ class DiscreteConnection:
     def _id(self, v: str) -> int:
         try:
             return self.surface.index[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def size(self, v: str) -> int:
@@ -151,8 +155,11 @@ class DiscreteConnection:
         return self._label(self._id(v), position)
 
     def fiber(self, v: str) -> Polygon:
-        if v not in self._fibers:
-            self._fibers[v] = self.surface.link(v).subdivide(self.arcs[self._id(v)])[0]
+        try:
+            return self._fibers[v]
+        except (KeyError, TypeError):  # not built yet, or an unhashable label
+            i = self._id(v)
+        self._fibers[v] = self.surface.link(v).subdivide(self.arcs[i])[0]
         return self._fibers[v]
 
     def transport(self, i: str, j: str) -> PolyIso:
@@ -284,33 +291,14 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     full label map).  One direction per undirected edge suffices; if both
     are supplied they must be mutually inverse.
     """
-    fibers = DiscreteConnection(surface, _refinement(surface, fiber_mode), [0] * len(surface.tails))
+    if fiber_mode is None:  # the constructor would read None as link mode
+        _refinement(surface, fiber_mode)
+    fibers = DiscreteConnection(surface, fiber_mode, [0] * len(surface.tails))
     collector = ReportCollector()
     offsets = antisymmetric(surface, transports, collector, "transport",
                             _offset_reader(fibers, collector), "NotInverse", fibers.sizes)
     collector.raise_if_failed("invalid connection")
     return DiscreteConnection(surface, fibers.refined, offsets)
-
-
-def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> PolyIso:
-    """Composite transport around the face boundary, an endomorphism of the
-    basepoint fiber.  The explicit form of ``holonomy_steps``."""
-    v = basepoint(face, base)
-    iso = PolyIso.identity(conn.fiber(v))
-    for i, j in boundary(face, v):
-        iso = conn.transport(i, j).compose(iso)
-    return iso
-
-
-def holonomy_steps(conn: DiscreteConnection, face: OrientedFace) -> int:
-    """r_F in [0, n), the same at every basepoint."""
-    return conn.holonomy[conn.surface.face_id(face.key)]
-
-
-def curvature_turns(conn: DiscreteConnection, face: OrientedFace) -> Turns:
-    """r_F / n in turns; the three fibers of a face have one size n."""
-    f = conn.surface.face_id(face.key)
-    return Fraction(conn.holonomy[f], conn.face_sizes[f])
 
 
 def sum_turns(terms) -> Turns:
@@ -338,9 +326,6 @@ class FlatnessStructure:
     surface: OrientedSurface = field(repr=False)
     lifts: list[int] = field(repr=False)
 
-    def lift(self, face: OrientedFace) -> int:
-        return self.lifts[self.surface.face_id(face.key)]
-
 
 def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     """Validate a lift per face, given by face key or by face: each must be
@@ -350,8 +335,7 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     face_index = surface.face_index
     resolved: list[int | None] = [None] * len(surface.keys)
     for key, value in lifts.items():
-        if type(key) is not str:
-            key = key.key if isinstance(key, OrientedFace) else str(key)
+        key = str(key)  # an OrientedFace prints as its key
         f = face_index.get(key)
         if f is None:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
@@ -451,37 +435,6 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     return DiscreteConnection(surface, conn.refined, offsets)
 
 
-def trivialize_face(
-    conn: DiscreteConnection,
-    flatness: FlatnessStructure,
-    face: OrientedFace,
-    base: str | None = None,
-) -> dict[str, PolyIso]:
-    """Chart isomorphisms fiber(v) -> fiber(v_F) for the three face vertices.
-
-    The basepoint chart is the identity and the others pull back along the
-    boundary, so the transition functions on the two leading boundary edges
-    are trivial and the closing edge carries exactly the holonomy rotation,
-    which the lift then cancels.
-    """
-    v0 = basepoint(face, base)
-    (e0, e1, _) = boundary(face, v0)
-    charts = {v0: PolyIso.identity(conn.fiber(v0))}
-    charts[e0[1]] = conn.transport(*e0).invert()
-    charts[e1[1]] = conn.transport(*e1).compose(conn.transport(*e0)).invert()
-
-    # sanity: transitions compose to the lift-determined rotation
-    composite = charts[v0]
-    for i, j in boundary(face, v0):
-        transition = charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
-        composite = transition.compose(composite)
-    if composite.rotation_steps() != flatness.lift(face) % conn.size(v0):
-        raise LiftIncongruent(
-            f"cocycle of face {face.key} disagrees with its flatness lift"
-        )
-    return charts
-
-
 def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:
     """The straightest transport: the direction pointing along a directed
     edge is carried to the continuation of that edge on the far side, i.e.
@@ -510,4 +463,4 @@ def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnec
     """Position-preserving transports; every holonomy is the identity."""
     if fiber_mode is None:
         fiber_mode = _default_mode(surface)
-    return DiscreteConnection(surface, _refinement(surface, fiber_mode), [0] * len(surface.tails))
+    return DiscreteConnection(surface, fiber_mode, [0] * len(surface.tails))

@@ -80,8 +80,8 @@ class OrientedSurface:
     table ``link_pos[v]`` maps each label to its place.  ``edge_half``
     holds the half-edge of each edge from its lesser end, in sorted order.
     ``positions`` is pass-through geometry for export only.  ``faces``,
-    ``edges``, ``face_by_key`` and ``link`` are label views for library
-    users; windex itself reads the tables.
+    ``edges`` and ``link`` are label views for library users; windex itself
+    reads the tables.
     """
 
     vertices: tuple[str, ...]
@@ -120,22 +120,22 @@ class OrientedSurface:
     def link(self, v: str) -> Polygon:
         try:
             return Polygon(tuple(self.link_labels[self.index[v]]))
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
 
     def face_id(self, key: str) -> int:
         try:
             return self.face_index[key]
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotIncident(f"no face with key {key!r}") from None
-
-    def face_by_key(self, key: str) -> OrientedFace:
-        return self.faces[self.face_id(key)]
 
     def half_edge(self, i: str, j: str) -> int:
         """The half-edge from vertex ``i`` to vertex ``j``."""
         V = len(self.vertices)
-        h = self.half.get(self.index.get(i, V) * (V + 1) + self.index.get(j, V))
+        try:
+            h = self.half.get(self.index.get(i, V) * (V + 1) + self.index.get(j, V))
+        except TypeError:  # an unhashable label
+            h = None
         if h is None:
             raise NotIncident(f"({i},{j}) is not a directed edge of the surface")
         return h
@@ -217,8 +217,11 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         except (KeyError, TypeError, ValueError):
             a = b = None
         if a is None or a == b or b == c or c == a:
-            face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
-            if len(face) != 3 or len(set(face)) != 3:
+            try:
+                face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
+            except TypeError:  # not iterable: reported as given
+                face = raw
+            if type(face) is not tuple or len(face) != 3 or len(set(face)) != 3:
                 collector.add("BadFace", face, "faces are 3 distinct vertices")
                 continue
             a, b, c = map(index.get, face)

@@ -62,10 +62,6 @@ class BadArity(WindexError):
 
 # -- connections, flatness, fields ------------------------------------------------
 
-class LiftIncongruent(WindexError):
-    pass
-
-
 class NonIntegralTotal(WindexError):
     pass
 

@@ -15,8 +15,9 @@ The swirl of a face is the sum of d over its boundary, its three
 half-edges.  Because transports preserve step counts, this equals the step
 count of the fully transported boundary concatenation (``swirl_path``
 builds that concatenation explicitly from polygon isomorphisms, as a
-reference; ``swirl`` just adds integers).  The index of a face is
-(lift + swirl) / fiber size, an exact integer division.  The totals add
+reference; ``totals`` just adds integers).  The index of a face is
+(lift + swirl) / fiber size, an exact integer division.  Both are read
+from the ``IndexRow`` of the face, and the totals add
 the per-face indices, and the swirls and lifts as turns s_F / n_F and
 f_F / n_F, summed per fiber size, so components with different fiber
 sizes are reported together.  Report rows are named tuples whose labels
@@ -113,21 +114,13 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     return VectorField(conn, positions, resolved)
 
 
-def swirl(vf: VectorField, face: OrientedFace) -> int:
-    """Sum of the edge steps around the face boundary.  Independent of the
-    basepoint: a rotation of the boundary permutes the same three terms."""
-    h = 3 * vf.conn.surface.face_id(face.key)
-    steps = vf.steps
-    return steps[h] + steps[h + 1] + steps[h + 2]
-
-
 def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
     """The boundary decomposition done explicitly, transport by transport.
 
     Each edge contributes its step path in the head fiber; the remaining
     boundary transports carry it into the basepoint fiber, where the three
     pieces concatenate into a path from holonomy(X_v) to X_v.  Its step
-    count equals ``swirl`` because transports preserve steps.
+    count equals the face's swirl because transports preserve steps.
     """
     v0 = basepoint(face, base)
     edges = boundary(face, v0)
@@ -154,12 +147,6 @@ def _whole_turns(key: str, total: int, n: int) -> int:
             f"face {key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
         )
     return turns
-
-
-def index(vf: VectorField, flatness: FlatnessStructure, face: OrientedFace) -> int:
-    """(lift + swirl) / fiber size, which must divide exactly."""
-    n = vf.conn.size(basepoint(face))
-    return _whole_turns(face.key, flatness.lift(face) + swirl(vf, face), n)
 
 
 class IndexRow(NamedTuple):

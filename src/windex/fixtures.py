@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complex import OrientedSurface, build_surface
-from .errors import BadArity
-from .polygon import Polygon
 
 
 def octahedron() -> OrientedSurface:
@@ -94,13 +92,6 @@ def csaszar_torus() -> OrientedSurface:
         faces.append((a, b, c))
         faces.append((a, c, d))
     return build_surface(vertices, faces)
-
-
-def cycle_complex(n: int) -> Polygon:
-    """The 1-dimensional complex C(n): vertices v1..vn joined in a cycle."""
-    if n < 3:
-        raise BadArity(f"cycle complexes need n >= 3, got {n}")
-    return Polygon(tuple(f"v{i}" for i in range(1, n + 1)))
 
 
 # Transport table for the octahedron connection, one entry per directed edge

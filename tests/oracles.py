@@ -1,13 +1,65 @@
 """Brute-force oracles, independent of the library's closed-form arithmetic.
 
-These expand paths into explicit label walks (one entry per unit step) and
-recount steps by looking at adjacency only, so they share no code with the
-crossing-count formulas they are used to check.
+The path oracles expand paths into explicit label walks (one entry per unit
+step) and recount steps by looking at adjacency only, so they share no code
+with the crossing-count formulas they are used to check.  The bundle oracles
+compose explicit ``PolyIso`` transports around a face, where the library
+adds integer offsets.
 """
 
 from __future__ import annotations
 
-from windex.polygon import Polygon, PolyPath
+from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint, boundary
+from windex.complex import OrientedFace
+from windex.errors import BadArity
+from windex.polygon import Polygon, PolyIso, PolyPath
+
+
+def cycle_complex(n: int) -> Polygon:
+    """The 1-dimensional complex C(n): vertices v1..vn joined in a cycle."""
+    if n < 3:
+        raise BadArity(f"cycle complexes need n >= 3, got {n}")
+    return Polygon(tuple(f"v{i}" for i in range(1, n + 1)))
+
+
+def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None = None) -> PolyIso:
+    """Composite transport around the face boundary, an endomorphism of the
+    basepoint fiber.  The explicit form of ``conn.holonomy``."""
+    v = basepoint(face, base)
+    iso = PolyIso.identity(conn.fiber(v))
+    for i, j in boundary(face, v):
+        iso = conn.transport(i, j).compose(iso)
+    return iso
+
+
+def trivialize_face(
+    conn: DiscreteConnection,
+    flatness: FlatnessStructure,
+    face: OrientedFace,
+    base: str | None = None,
+) -> dict[str, PolyIso]:
+    """Chart isomorphisms fiber(v) -> fiber(v_F) for the three face vertices.
+
+    The basepoint chart is the identity and the others pull back along the
+    boundary, so the transition functions on the two leading boundary edges
+    are trivial and the closing edge carries exactly the holonomy rotation,
+    which the lift then cancels.
+    """
+    v0 = basepoint(face, base)
+    (e0, e1, _) = boundary(face, v0)
+    charts = {v0: PolyIso.identity(conn.fiber(v0))}
+    charts[e0[1]] = conn.transport(*e0).invert()
+    charts[e1[1]] = conn.transport(*e1).compose(conn.transport(*e0)).invert()
+
+    # sanity: transitions compose to the lift-determined rotation
+    composite = charts[v0]
+    for i, j in boundary(face, v0):
+        transition = charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
+        composite = transition.compose(composite)
+    lift = flatness.lifts[conn.surface.face_id(face.key)]
+    if composite.rotation_steps() != lift % conn.size(v0):
+        raise AssertionError(f"cocycle of face {face.key} disagrees with its flatness lift")
+    return charts
 
 
 def walk_labels(poly: Polygon, start: str, steps: int) -> list[str]:

@@ -11,16 +11,15 @@ from random import Random
 from windex.bundle import (
     attach_flatness,
     canonical_flatness,
-    curvature_turns,
+    face_reports,
     flat_connection,
     gauge_transform,
-    holonomy_steps,
     net_holonomy,
     tangent_connection,
     total_flatness_winding,
 )
 from windex.complex import euler_characteristic
-from windex.field import gauge_transform_field, index, swirl, swirl_path, totals
+from windex.field import gauge_transform_field, swirl_path, totals
 from windex.fixtures import (
     boundary_delta3,
     csaszar_torus,
@@ -55,10 +54,11 @@ def _instances(seed):
 
 def test_criterion_1_octahedron_curvature():
     conn = octahedron_connection()
-    for face in conn.surface.faces:
-        assert holonomy_steps(conn, face) == 1
+    for face, row in zip(conn.surface.faces, face_reports(conn, canonical_flatness(conn))):
+        assert row.face == face.key
+        assert row.holonomy_steps == 1
         assert conn.fiber(min(face.vertices)).n == 4
-        assert curvature_turns(conn, face) == Fraction(1, 4)
+        assert row.curvature == Fraction(1, 4)
     assert net_holonomy(conn) == 0
     assert total_flatness_winding(conn, canonical_flatness(conn)) == 2
     print("criterion 1: PASS - octahedron curvature 1/4 per face, net 0, total winding 2")
@@ -68,19 +68,19 @@ def test_criterion_2_octahedron_index():
     conn = octahedron_connection()
     spin = octahedron_spin_field(conn)
     flat = canonical_flatness(conn)
-    surface = conn.surface
+    report = totals(spin, flat)
+    rows = {r.face: r for r in report.rows}
 
     north = ["g,w,r", "g,o,w", "b,w,o", "b,r,w"]  # wrgw, wgow, wobw, wbrw
-    swirls = [swirl(spin, surface.face_by_key(k)) for k in north]
+    swirls = [rows[k].swirl for k in north]
     assert swirls == [3, -1, -1, -1]
-    indices = [index(spin, flat, surface.face_by_key(k)) for k in north]
+    indices = [rows[k].index for k in north]
     assert indices == [1, 0, 0, 0]
 
     south = ["b,y,r", "g,r,y", "g,y,o", "b,o,y"]
-    south_indices = sorted(index(spin, flat, surface.face_by_key(k)) for k in south)
+    south_indices = sorted(rows[k].index for k in south)
     assert south_indices == [0, 0, 0, 1]
 
-    report = totals(spin, flat)
     assert report.total_index == 2
     assert report.total_swirl == 0
     print(
@@ -119,20 +119,19 @@ def test_criterion_5_gauge_invariance():
     conn = octahedron_connection()
     spin = octahedron_spin_field(conn)
     flat = canonical_flatness(conn)
-    baseline = {
-        f.key: (holonomy_steps(conn, f), curvature_turns(conn, f), index(spin, flat, f))
-        for f in conn.surface.faces
-    }
+
+    def per_face(conn, field):
+        return {c.face: (c.holonomy_steps, c.curvature, i.index)
+                for c, i in zip(face_reports(conn, flat), totals(field, flat).rows)}
+
+    baseline = per_face(conn, spin)
+    assert len(baseline) == len(conn.surface.faces)
     rng = Random(303)
     for _ in range(100):
         gauge = random_gauge(conn, rng)
         gauged = gauge_transform(conn, gauge)
         carried = gauge_transform_field(spin, gauge)
-        for face in conn.surface.faces:
-            steps, turns, idx = baseline[face.key]
-            assert holonomy_steps(gauged, face) == steps
-            assert curvature_turns(gauged, face) == turns
-            assert index(carried, flat, face) == idx
+        assert per_face(gauged, carried) == baseline
     print("criterion 5: PASS - 100 random gauges leave holonomy, curvature, index unchanged")
 
 
@@ -227,7 +226,7 @@ def test_criterion_7_euler_characteristic_cross_check():
 
     torus = csaszar_torus()
     conn = flat_connection(torus, 6)
-    assert all(holonomy_steps(conn, f) == 0 for f in torus.faces)
+    assert conn.holonomy == [0] * len(torus.faces)
     flat = attach_flatness(conn, {f.key: 0 for f in torus.faces})
     field = random_field(conn, rng)
     assert euler_characteristic(torus) == 0
@@ -238,9 +237,9 @@ def test_criterion_7_euler_characteristic_cross_check():
 def test_criterion_8_boundary_decomposition():
     faces_checked = 0
     for name, trial, conn, flat, field, _ in _instances(seed=505):
-        for face in conn.surface.faces:
+        for face, row in zip(conn.surface.faces, totals(field, flat).rows):
             path = swirl_path(field, face)
-            assert path.steps == swirl(field, face), (name, trial, face.key)
+            assert path.steps == row.swirl, (name, trial, face.key)
             faces_checked += 1
     assert faces_checked == TRIALS * (8 + 20 + 14)
     print(

@@ -12,17 +12,13 @@ from windex.bundle import (
     boundary,
     build_connection,
     canonical_flatness,
-    curvature_turns,
     default_refinement,
     face_reports,
     flat_connection,
     gauge_transform,
-    holonomy_iso,
-    holonomy_steps,
     net_holonomy,
     tangent_connection,
     total_flatness_winding,
-    trivialize_face,
     GaugeTransformation,
 )
 from windex.errors import NotIncident, ValidationFailed
@@ -35,6 +31,7 @@ from windex.fixtures import (
 from windex.polygon import PolyIso
 from windex.sampling import random_connection, random_gauge
 
+from oracles import holonomy_iso, trivialize_face
 from surfaces import bipyramid, tet_and_octahedron
 
 
@@ -159,6 +156,29 @@ class TestBuild:
             DiscreteConnection(octa, refined, [0] * offsets)
         assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == want
 
+    @pytest.mark.parametrize("shift, twin_shift", [(4, 0), (-4, 0), (1, 0), (1, 1)],
+                             ids=["plus-n", "minus-n", "not-inverse", "both-shifted"])
+    def test_constructor_checks_offset_values(self, octa, conn, shift, twin_shift):
+        # one NotInverse per bad edge: out of [0, n), or not -o mod n on the twin
+        h = octa.half_edge("b", "r")
+        offsets = list(conn.offsets)
+        offsets[h] += shift
+        offsets[octa.twin[h]] = (offsets[octa.twin[h]] + twin_shift) % 4
+        with pytest.raises(ValidationFailed) as excinfo:
+            DiscreteConnection(octa, None, offsets)
+        o, t = offsets[h], offsets[octa.twin[h]]
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("NotInverse", "{b,r}", f"offsets {o} on (b,r) and {t} on (r,b) are not inverse in [0, 4)"),
+        ]
+
+    def test_constructor_refuses_offsets_outside_the_fibers(self, octa):
+        with pytest.raises(ValidationFailed) as excinfo:
+            DiscreteConnection(octa, None, [7] * 24)
+        violations = excinfo.value.report.violations
+        assert [v.rule for v in violations] == ["NotInverse"] * 12
+        assert str(violations[0]) == (
+            "NotInverse [{b,o}]: offsets 7 on (b,o) and 7 on (o,b) are not inverse in [0, 4)")
+
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))
         assert set(conn.sizes) == {5}
@@ -167,33 +187,35 @@ class TestBuild:
 
 class TestHolonomy:
     def test_quarter_turn_everywhere(self, octa, conn):
-        for face in octa.faces:
-            assert holonomy_steps(conn, face) == 1
-            assert curvature_turns(conn, face) == Fraction(1, 4)
+        rows = face_reports(conn, canonical_flatness(conn))
+        assert [r.face for r in rows] == [f.key for f in octa.faces]
+        for row in rows:
+            assert row.holonomy_steps == 1
+            assert row.curvature == Fraction(1, 4)
 
     def test_basepoint_independent(self, octa, conn):
-        for face in octa.faces:
+        for f, face in enumerate(octa.faces):
             for v in face.vertices:
-                assert holonomy_iso(conn, face, v).rotation_steps() == holonomy_steps(conn, face)
+                assert holonomy_iso(conn, face, v).rotation_steps() == conn.holonomy[f]
 
     def test_out_and_back_is_identity(self, conn):
         round_trip = conn.transport("r", "w").compose(conn.transport("w", "r"))
         assert round_trip.rotation_steps() == 0
 
     def test_reversed_boundary_negates_holonomy(self, octa, conn):
-        for face in octa.faces:
+        for f, face in enumerate(octa.faces):
             v = basepoint(face)
             backwards = PolyIso.identity(conn.fiber(v))
             for i, j in reversed(boundary(face, v)):
                 backwards = conn.transport(j, i).compose(backwards)
             n = conn.fiber(v).n
-            assert backwards.rotation_steps() == (-holonomy_steps(conn, face)) % n
+            assert backwards.rotation_steps() == (-conn.holonomy[f]) % n
 
     def test_net_holonomy_zero(self, conn):
         assert net_holonomy(conn) == 0
 
     def test_boundary_and_basepoint(self, octa):
-        face = octa.face_by_key("g,w,r")
+        face = octa.faces[octa.face_id("g,w,r")]
         assert basepoint(face) == "g"
         assert boundary(face, "w") == [("w", "r"), ("r", "g"), ("g", "w")]
         assert boundary(face, "r") == [("r", "g"), ("g", "w"), ("w", "r")]
@@ -214,7 +236,8 @@ class TestHolonomy:
                 conn = random_connection(surface, mode, rng)
                 n = conn.size(surface.vertices[0])
                 assert set(conn.sizes) == {n}
-                assert sum(holonomy_steps(conn, f) for f in surface.faces) % n == 0
+                assert len(conn.holonomy) == len(surface.faces)
+                assert sum(conn.holonomy) % n == 0
 
     def test_net_holonomy_zero_on_mixed_fiber_sizes(self):
         # disjoint union of a tetrahedron and an octahedron: valid complex,
@@ -230,7 +253,7 @@ class TestHolonomy:
 class TestFlatness:
     def test_canonical_lifts(self, octa, conn):
         flat = canonical_flatness(conn)
-        assert all(flat.lift(f) == 1 for f in octa.faces)
+        assert flat.lifts == [1] * len(octa.faces)
         assert total_flatness_winding(conn, flat) == 2
 
     def test_all_plus_one_lifts_attach(self, octa, conn):
@@ -261,7 +284,7 @@ class TestFlatness:
     def test_zero_holonomy_zero_lifts(self):
         conn = flat_connection(csaszar_torus(), 6)
         flat = canonical_flatness(conn)
-        assert all(flat.lift(f) == 0 for f in conn.surface.faces)
+        assert flat.lifts == [0] * len(conn.surface.faces)
         assert total_flatness_winding(conn, flat) == 0
 
     def test_face_reports(self, octa, conn):
@@ -292,8 +315,7 @@ class TestGauge:
 
     def test_single_vertex_rotation_preserves_holonomy(self, octa, conn):
         gauged = gauge_transform(conn, GaugeTransformation({"w": 1}))
-        for face in octa.faces:
-            assert holonomy_steps(gauged, face) == 1
+        assert gauged.holonomy == [1] * len(octa.faces)
 
     def test_gauges_compose_additively(self, conn):
         rng = Random(5)
@@ -320,7 +342,7 @@ class TestTangentAndTrivialization:
 
     def test_trivialization_transitions(self, octa, conn):
         flat = canonical_flatness(conn)
-        for face in octa.faces:
+        for f, face in enumerate(octa.faces):
             v0 = basepoint(face)
             charts = trivialize_face(conn, flat, face)
             assert charts[v0] == PolyIso.identity(conn.fiber(v0))
@@ -329,7 +351,7 @@ class TestTangentAndTrivialization:
                 transition = (
                     charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
                 )
-                expected = 0 if k < 2 else holonomy_steps(conn, face)
+                expected = 0 if k < 2 else conn.holonomy[f]
                 assert transition.rotation_steps() == expected
 
     def test_flat_connection_trivializes_trivially(self):
@@ -357,4 +379,4 @@ class TestTangentAndTrivialization:
             )
             composite = transition.compose(composite)
         n = conn.fiber(v0).n
-        assert composite.rotation_steps() == flat.lift(face) % n
+        assert composite.rotation_steps() == flat.lifts[7] % n

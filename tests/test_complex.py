@@ -7,11 +7,12 @@ from windex.errors import BadArity, NotIncident, ValidationFailed
 from windex.fixtures import (
     boundary_delta3,
     csaszar_torus,
-    cycle_complex,
     icosahedron,
     octahedron,
 )
 from windex.polygon import Polygon
+
+from oracles import cycle_complex
 
 OCTA_FACES = [
     ("w", "b", "r"), ("w", "r", "g"), ("w", "g", "o"), ("w", "o", "b"),
@@ -124,6 +125,14 @@ def test_face_key_made_at_construction():
 def test_boundary_edge():
     report = rejection("abc", [("a", "b", "c")])
     assert any(v.rule == "BoundaryEdge" for v in report.violations)
+
+
+@pytest.mark.parametrize("face", [5, None])
+def test_non_iterable_face_is_a_bad_face(face):
+    # the element is the value as given; a ValidationFailed, not a TypeError
+    assert [(v.rule, v.element, v.message) for v in rejection("abc", [face]).violations] == [
+        ("BadFace", str(face), "faces are 3 distinct vertices"),
+    ]
 
 
 def test_pinch_point_is_not_a_surface():

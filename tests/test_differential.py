@@ -20,12 +20,13 @@ from random import Random
 import pytest
 
 from windex import cli
-from windex.bundle import DiscreteConnection, gauge_transform, holonomy_iso, tangent_connection
+from windex.bundle import DiscreteConnection, gauge_transform, tangent_connection
 from windex.complex import build_surface
 from windex.errors import ValidationFailed
 from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
+from oracles import holonomy_iso
 from surfaces import bipyramid, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -10,15 +10,12 @@ from windex.bundle import (
     GaugeTransformation,
     canonical_flatness,
     flat_connection,
-    holonomy_iso,
 )
 from windex.errors import NonIntegralIndex, NotIncident, ValidationFailed
 from windex.field import (
     VectorField,
     build_field,
     gauge_transform_field,
-    index,
-    swirl,
     swirl_path,
     totals,
 )
@@ -34,6 +31,7 @@ from windex.fixtures import (
 from windex.polygon import PolyPath
 from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
+from oracles import holonomy_iso
 from surfaces import tet_and_octahedron
 
 # swirls of the spin field, per face, frozen from the boundary sums
@@ -108,6 +106,25 @@ class TestBuild:
         with pytest.raises(NotIncident, match="'zzz' is not a vertex"):
             spin.value("zzz")
 
+    @pytest.mark.parametrize("lookup", [
+        lambda s, c, vf: s.face_id(["w"]),
+        lambda s, c, vf: s.half_edge(["w"], "b"),
+        lambda s, c, vf: s.half_edge("w", ["b"]),
+        lambda s, c, vf: s.link(["w"]),
+        lambda s, c, vf: c.size(["w"]),
+        lambda s, c, vf: c.position(["w"], "b"),
+        lambda s, c, vf: c.label_at(["w"], 0),
+        lambda s, c, vf: c.fiber(["w"]),
+        lambda s, c, vf: c.transport(["w"], "b"),
+        lambda s, c, vf: c.transport("w", ["b"]),
+        lambda s, c, vf: vf.value(["w"]),
+        lambda s, c, vf: vf.step(["w"], "b"),
+    ], ids=["face_id", "half_edge-tail", "half_edge-head", "link", "size", "position",
+            "label_at", "fiber", "transport-tail", "transport-head", "value", "step"])
+    def test_unhashable_label_is_not_incident(self, conn, spin, lookup):
+        with pytest.raises(NotIncident, match=r"\['w'\]|\['b'\]"):
+            lookup(conn.surface, conn, spin)
+
     def test_unknown_fiber_point(self, conn, spin):
         at = dict(OCTAHEDRON_SPIN_AT)
         at["w"] = "w"  # w is not in its own link
@@ -150,21 +167,20 @@ class TestBuild:
 
 
 class TestSwirl:
-    def test_expected_swirls(self, conn, spin):
-        for face in conn.surface.faces:
-            assert swirl(spin, face) == EXPECTED_SWIRLS[face.key]
+    def test_expected_swirls(self, spin, flat):
+        assert {r.face: r.swirl for r in totals(spin, flat).rows} == EXPECTED_SWIRLS
 
     def test_swirl_path_around_top_face(self, conn, spin):
-        face = conn.surface.face_by_key("g,w,r")
+        face = conn.surface.faces[conn.surface.face_id("g,w,r")]
         path = swirl_path(spin, face, "w")
         assert path == PolyPath(conn.fiber("w"), "g", 3)
         assert path.end == spin.value("w")
 
-    def test_swirl_path_connects_holonomy_image_to_value(self, conn, spin):
-        for face in conn.surface.faces:
+    def test_swirl_path_connects_holonomy_image_to_value(self, conn, spin, flat):
+        for face, row in zip(conn.surface.faces, totals(spin, flat).rows):
             for v in face.vertices:
                 path = swirl_path(spin, face, v)
-                assert path.steps == swirl(spin, face)
+                assert path.steps == row.swirl
                 assert path.start == holonomy_iso(conn, face, v)(spin.value(v))
                 assert path.end == spin.value(v)
 
@@ -177,48 +193,52 @@ class TestSwirl:
         conn = flat_connection(csaszar_torus(), 6)
         at = {v: conn.fiber(v).labels[0] for v in conn.surface.vertices}
         vf = build_field(conn, at, {e: 0 for e in conn.surface.edges})
-        assert all(swirl(vf, face) == 0 for face in conn.surface.faces)
+        rows = totals(vf, canonical_flatness(conn)).rows
+        assert len(rows) == len(conn.surface.faces)
+        assert all(r.swirl == 0 for r in rows)
 
 
 class TestIndex:
-    def test_north_indices(self, conn, spin, flat):
-        surface = conn.surface
+    def test_north_indices(self, spin, flat):
+        rows = {r.face: r for r in totals(spin, flat).rows}
         keys = ["g,w,r", "g,o,w", "b,w,o", "b,r,w"]
-        values = [index(spin, flat, surface.face_by_key(k)) for k in keys]
+        values = [rows[k].index for k in keys]
         assert values == [1, 0, 0, 0]
 
-    def test_south_indices_multiset(self, conn, spin, flat):
+    def test_south_indices_multiset(self, spin, flat):
+        rows = {r.face: r for r in totals(spin, flat).rows}
         south = ["b,y,r", "g,r,y", "g,y,o", "b,o,y"]
-        values = sorted(
-            index(spin, flat, conn.surface.face_by_key(k)) for k in south
-        )
+        values = sorted(rows[k].index for k in south)
         assert values == [0, 0, 0, 1]
 
     def test_lift_shift_shifts_index(self, conn, spin, flat):
         from windex.bundle import attach_flatness
 
-        lifts = {f.key: flat.lift(f) for f in conn.surface.faces}
+        lifts = dict(zip(conn.surface.keys, flat.lifts))
         lifts["g,w,r"] += 4
         shifted = attach_flatness(conn, lifts)
-        face = conn.surface.face_by_key("g,w,r")
-        assert index(spin, shifted, face) == index(spin, flat, face) + 1
+        before = {r.face: r.index for r in totals(spin, flat).rows}
+        after = {r.face: r.index for r in totals(spin, shifted).rows}
+        assert after["g,w,r"] == before["g,w,r"] + 1
 
     def test_index_basepoint_free(self, conn, spin, flat):
         # recompute (lift + swirl)/n from scratch at every corner
-        for face in conn.surface.faces:
+        rows = totals(spin, flat).rows
+        for f, face in enumerate(conn.surface.faces):
+            lift = flat.lifts[f]
             for v in face.vertices:
                 n = conn.fiber(v).n
                 s = swirl_path(spin, face, v).steps
-                assert (flat.lift(face) + s) // n == index(spin, flat, face)
-                assert (flat.lift(face) + s) % n == 0
+                assert (lift + s) // n == rows[f].index
+                assert (lift + s) % n == 0
 
     def test_corrupted_field_rejected_at_index(self, conn, spin, flat):
         broken_steps = list(spin.steps)
         broken_steps[conn.surface.half_edge("w", "r")] += 1
         broken = VectorField(conn, list(spin.at), broken_steps)
-        face = conn.surface.face_by_key("g,w,r")
-        with pytest.raises(NonIntegralIndex):
-            index(broken, flat, face)
+        # only face g,w,r runs through (w,r)
+        with pytest.raises(NonIntegralIndex, match="^face g,w,r: "):
+            totals(broken, flat)
 
 
 class TestTotals:
@@ -276,9 +296,8 @@ class TestGaugeCarry:
             gauge = random_gauge(conn, rng)
             carried = gauge_transform_field(spin, gauge)
             assert carried.steps == spin.steps
-            for face in conn.surface.faces:
-                assert swirl(carried, face) == swirl(spin, face)
-                assert index(carried, flat, face) == index(spin, flat, face)
+            assert ([(r.face, r.swirl, r.index) for r in totals(carried, flat).rows]
+                    == [(r.face, r.swirl, r.index) for r in totals(spin, flat).rows])
 
     def test_values_rotate_with_fibers(self, conn, spin):
         gauge = GaugeTransformation({"w": 1})

@@ -51,7 +51,7 @@ class TestScene:
         lifted = parse_scene_text(json.dumps(obj))
         again = parse_scene_text(serialize_scene(lifted))
         assert again.flatness == lifted.flatness
-        assert all(again.flatness.lift(f) == 5 for f in again.surface.faces)
+        assert again.flatness.lifts == [5] * len(again.surface.faces)
 
     def test_unknown_keys_rejected(self):
         bad = dict(MINIMAL, color="blue")
