@@ -109,12 +109,15 @@ class DiscreteConnection:
                           f"{len(o)} offsets for {len(tails)} half-edges, need one each")
             collector.raise_if_failed("invalid connection")
         n = deg if refined is None else [refined] * len(deg)
-        # both fibers of an edge have one size s
+        # both fibers of an edge have one size s; only int offsets are compared
         for h in [h for h in surface.edge_half
-                  if not 0 <= (x := o[h]) < (s := n[tails[h]]) or o[twin[h]] != -x % s]:
+                  if type(x := o[h]) is not int or type(y := o[twin[h]]) is not int
+                  or not 0 <= x < (s := n[tails[h]]) or y != -x % s]:
             a, b = surface.vertices[tails[h]], surface.vertices[tails[twin[h]]]
-            collector.add("NotInverse", f"{{{a},{b}}}", f"offsets {o[h]} on ({a},{b}) and "
-                          f"{o[twin[h]]} on ({b},{a}) are not inverse in [0, {n[tails[h]]})")
+            ints = type(o[h]) is int and type(o[twin[h]]) is int
+            collector.add("NotInverse" if ints else "NotAnInteger", f"{{{a},{b}}}",
+                          f"offsets {o[h]!r} on ({a},{b}) and {o[twin[h]]!r} on ({b},{a}) are "
+                          + (f"not inverse in [0, {n[tails[h]]})" if ints else "not both integers"))
         collector.raise_if_failed("invalid connection")
         object.__setattr__(self, "refined", refined)
         face_n = [n[tails[h]] for h in range(0, len(tails), 3)]

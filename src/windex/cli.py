@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import SIGN_CONVENTIONS
 from .bundle import (
@@ -80,11 +81,36 @@ def _need(scene: SceneFile, what: str):
     return value
 
 
-def _report(args, payload: dict, lines) -> None:
-    """Print a report stamped with the sign conventions: ``payload`` as
-    JSON under --json, else the text ``lines``."""
+# json.dumps's text of each field type of a report row, a str once quoted
+_JSON_FORMAT = {str: "%s", int: "%s", Fraction: '"%s"'}
+
+
+def _json_rows(rows) -> str:
+    """Named tuples of one type (each field of one type throughout) as the
+    list ``json.dumps(..., sort_keys=True, indent=2)`` writes one level
+    down, from one template with the fields in sorted order; strs are
+    quoted by the stdlib encoder's own function."""
+    if not rows:
+        return "[]"
+    first, names = rows[0], rows[0]._fields
+    order = sorted(range(len(names)), key=names.__getitem__)
+    columns = list(zip(*rows))
+    template = "    {\n" + ",\n".join(
+        f'      "{names[i]}": {_JSON_FORMAT[type(first[i])]}' for i in order) + "\n    }"
+    values = zip(*[map(encode_basestring_ascii, columns[i]) if type(first[i]) is str
+                   else columns[i] for i in order])
+    return "[\n" + ",\n".join(map(template.__mod__, values)) + "\n  ]"
+
+
+def _report(args, payload: dict, lines, rows=None) -> None:
+    """Print a report stamped with the sign conventions: ``payload``, with
+    the per-face ``rows`` in its "faces": None slot, as JSON under --json,
+    else the text ``lines``."""
     if args.json:
-        _emit(json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2))
+        text = json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2)
+        # a string value never holds a raw newline, so the slot is the only match
+        _emit(text if rows is None else
+              text.replace('\n  "faces": null', '\n  "faces": ' + _json_rows(rows), 1))
     else:
         _emit(f"sign conventions {SIGN_CONVENTIONS}")
         for line in lines:
@@ -116,18 +142,13 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
     rows = face_reports(conn, flatness, overrides)
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
-    payload = {
-        "faces": [{**r._asdict(), "curvature": str(r.curvature), "lift_turns": str(r.lift_turns)}
-                  for r in rows],
-        "net_holonomy": str(net),
-        "total_flatness_winding": total,
-    }
+    payload = {"faces": None, "net_holonomy": str(net), "total_flatness_winding": total}
     _report(args, payload, chain(
         [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'curvature':<11}lift turns"],
         (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
          f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}" for r in rows),
         [f"net holonomy: {net}", f"total flatness winding: {total}"],
-    ))
+    ), rows)
     return EXIT_OK
 
 
@@ -142,7 +163,7 @@ def _index_payload(scene: SceneFile, args):
 def _cmd_index(scene: SceneFile, args) -> int:
     report = _index_payload(scene, args)
     payload = {
-        "faces": [r._asdict() for r in report.rows],
+        "faces": None,
         "total_swirl": str(report.total_swirl),
         "total_index": report.total_index,
         "total_flatness_winding": report.total_flatness_winding,
@@ -156,7 +177,7 @@ def _cmd_index(scene: SceneFile, args) -> int:
          f"total index: {report.total_index}",
          f"total flatness winding: {report.total_flatness_winding}",
          f"theorem holds: {report.theorem_holds}"],
-    ))
+    ), report.rows)
     return EXIT_OK
 
 

@@ -216,9 +216,10 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
             a, b, c = map(index.__getitem__, raw)
         except (KeyError, TypeError, ValueError):
             a = b = None
-        if a is None or a == b or b == c or c == a:
-            try:
-                face = tuple(map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
+        if a is None or a == b or b == c or c == a or isinstance(raw, str):
+            try:  # a str is one label, not three: reported as given
+                face = raw if isinstance(raw, str) else tuple(
+                    map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
             except TypeError:  # not iterable: reported as given
                 face = raw
             if type(face) is not tuple or len(face) != 3 or len(set(face)) != 3:

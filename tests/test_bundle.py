@@ -179,6 +179,26 @@ class TestBuild:
         assert str(violations[0]) == (
             "NotInverse [{b,o}]: offsets 7 on (b,o) and 7 on (o,b) are not inverse in [0, 4)")
 
+    @pytest.mark.parametrize("offset", ["0", 0.0], ids=["str", "float"])
+    def test_constructor_refuses_offsets_that_are_not_integers(self, octa, offset):
+        # one NotAnInteger per edge, never a TypeError or a float holonomy table
+        with pytest.raises(ValidationFailed) as excinfo:
+            DiscreteConnection(octa, None, [offset] * 24)
+        violations = excinfo.value.report.violations
+        assert [v.rule for v in violations] == ["NotAnInteger"] * 12
+        assert str(violations[0]) == (
+            f"NotAnInteger [{{b,o}}]: offsets {offset!r} on (b,o) and {offset!r} on (o,b) "
+            "are not both integers")
+
+    def test_constructor_reports_each_edge_once_by_its_first_fault(self, octa, conn):
+        offsets = list(conn.offsets)
+        offsets[octa.half_edge("r", "b")] = 1.0
+        offsets[octa.half_edge("g", "o")] += 4
+        with pytest.raises(ValidationFailed) as excinfo:
+            DiscreteConnection(octa, None, offsets)
+        assert [(v.rule, v.element) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", "{b,r}"), ("NotInverse", "{g,o}")]
+
     def test_random_refined_connection_on_icosahedron(self):
         conn = random_connection(icosahedron(), 5, Random(11))
         assert set(conn.sizes) == {5}

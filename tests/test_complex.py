@@ -135,6 +135,14 @@ def test_non_iterable_face_is_a_bad_face(face):
     ]
 
 
+def test_string_face_is_a_bad_face():
+    # a str is one label, not three: the octahedron spelled with str faces
+    faces = ["wbr", "wrg", "wgo", "wob", "yrb", "ygr", "yog", "ybo"]
+    assert [(v.rule, v.element) for v in rejection(list("wybrgo"), faces).violations] == [
+        ("BadFace", face) for face in faces
+    ]
+
+
 def test_pinch_point_is_not_a_surface():
     # two tetrahedra sharing only the vertex "0": every edge closes up but
     # the link at "0" splits into two cycles

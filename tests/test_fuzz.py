@@ -3,9 +3,11 @@
 Each example makes one or two edits to a small golden scene: a structural
 edit (delete a key or list item, duplicate a list item) or a leaf edit
 (replace a node by an odd value or by another value found in the scene).
-The edited scene goes through every scene subcommand; whether it is valid
-or not, the CLI must answer with exit 0, 1 or 2 and let no exception
-escape.  Derandomized, so every run tries the same examples.
+The edited scene goes through every scene subcommand, and the ``--json``
+forms of the per-face reports; whether it is valid or not, the CLI must
+answer with exit 0, 1 or 2 and let no exception escape, and every JSON
+report it prints must be the text json.dumps(sort_keys=True, indent=2)
+gives for it.  Derandomized, so every run tries the same examples.
 """
 
 import contextlib
@@ -24,7 +26,8 @@ BASES = {
     name: json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
     for name in ("tet-link", "octa-link-a", "mixed-link")
 }
-COMMANDS = ("validate", "links", "curvature", "index", "check", "export")
+COMMANDS = ("validate", "links", "curvature", "index", "check", "export",
+            "curvature --json", "index --json")
 ODD_VALUES = (0, -1, 3, 2**70, 1.5, "", "0", "x~1", "a,b", None, True, [], {})
 
 
@@ -83,6 +86,9 @@ def test_edited_scenes_exit_cleanly(scene_file, edited):
     for command in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, str(scene_file)])
+            code = cli.main(command.split() + [str(scene_file)])
         assert code in (0, 1, 2), (name, command, code, err.getvalue())
         assert "Traceback" not in err.getvalue(), (name, command)
+        if code == 0 and command.endswith("--json"):
+            text = out.getvalue()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", (name, command)

@@ -305,3 +305,61 @@ class TestCli:
         scene.write_text(fixture_scene(capsys, "octahedron"))
         _, out, _ = run(capsys, "index", "--json", str(scene))
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# labels the encoder escapes: non-ASCII, a quote, a backslash and a lone
+# surrogate (the scene file spells it as the JSON escape \ud800)
+ODD_LABELS = {"w": "é", "b": '"', "r": "\\", "g": "\ud800"}
+
+
+def _relabel(node):
+    if isinstance(node, str):
+        return ODD_LABELS.get(node, node)
+    if isinstance(node, list):
+        return [_relabel(item) for item in node]
+    if isinstance(node, dict):
+        return {_relabel(key): _relabel(value) for key, value in node.items()}
+    return node
+
+
+@pytest.mark.parametrize("command", ["index", "curvature"])
+@pytest.mark.parametrize("canonical", [False, True], ids=["scene-lifts", "canonical"])
+@pytest.mark.parametrize("override", [False, True], ids=["least-basepoints", "basepoint-override"])
+def test_per_face_json_is_the_encoders_text(capsys, tmp_path, command, canonical, override):
+    """The per-face rows are written without json.dumps, byte for byte as
+    json.dumps(sort_keys=True, indent=2) writes the same report."""
+    obj = _relabel(json.loads(fixture_scene(capsys, "octahedron")))
+    faces = parse_scene_text(json.dumps(obj)).surface.faces
+    obj["flatness"] = {f.key: 5 for f in faces}  # 1 + one turn: not the canonical lifts
+    scene = tmp_path / "odd.json"
+    scene.write_text(json.dumps(obj), encoding="utf-8")
+    assert "\\ud800" in scene.read_text(encoding="utf-8")
+    argv = [command, "--json", str(scene)]
+    if canonical:
+        argv.append("--canonical-flatness")
+    if override:  # the greatest label, never a face's default (least) basepoint
+        face = next(f for f in faces if "\ud800" in f.vertices)
+        argv += ["--basepoint", f"{face.key}=\ud800"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    payload = json.loads(out)
+    assert {row["face"] for row in payload["faces"]} == {f.key for f in faces}
+    assert payload["total_flatness_winding"] == (2 if canonical else 10)
+    if override:
+        assert next(r for r in payload["faces"] if r["face"] == face.key)["basepoint"] == "\ud800"
+
+
+@pytest.mark.parametrize("command", ["index", "curvature"])
+def test_per_face_json_of_the_empty_surface(capsys, tmp_path, command):
+    # the empty surface validates, and its rows are the encoder's "[]"
+    scene = tmp_path / "empty.json"
+    scene.write_text(json.dumps({
+        "surface": {"vertices": [], "faces": []},
+        "connection": {"fiber_mode": "link", "transports": []},
+        "field": {"at": {}, "steps": []},
+    }))
+    code, out, err = run(capsys, command, "--json", str(scene))
+    assert code == 0, err
+    assert json.loads(out)["faces"] == []
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
