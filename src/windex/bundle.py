@@ -50,11 +50,7 @@ LINK_MODE = "link"
 def basepoint(face: OrientedFace, override: str | None = None) -> str:
     """Default basepoint is the least vertex label, which the face stores
     first; any override must lie on the face."""
-    if override is None:
-        return face.vertices[0]
-    if override not in face:
-        raise NotIncident(f"{override!r} is not a vertex of face {face.key}")
-    return override
+    return face.vertices[0] if override is None else face.corner_order(override)[0]
 
 
 def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
@@ -127,19 +123,13 @@ class DiscreteConnection:
         object.__setattr__(self, "holonomy", [(o[h] + o[h + 1] + o[h + 2]) % size
                                               for h, size in zip(range(0, len(o), 3), face_n)])
 
-    def _id(self, v: str) -> int:
-        try:
-            return self.surface.index[v]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise NotIncident(f"{v!r} is not a vertex of this surface") from None
-
     def size(self, v: str) -> int:
-        return self.sizes[self._id(v)]
+        return self.sizes[self.surface.vertex_id(v)]
 
     def position(self, v: str, label: str) -> int:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
-        i = self._id(v)
+        i = self.surface.vertex_id(v)
         table, arc = self.surface.link_pos[i], self.arcs[i]
         if label in table:
             return table[label] * arc
@@ -155,13 +145,13 @@ class DiscreteConnection:
         return ring[k] if j == 0 else f"{ring[k]}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
-        return self._label(self._id(v), position)
+        return self._label(self.surface.vertex_id(v), position)
 
     def fiber(self, v: str) -> Polygon:
         try:
             return self._fibers[v]
         except (KeyError, TypeError):  # not built yet, or an unhashable label
-            i = self._id(v)
+            i = self.surface.vertex_id(v)
         self._fibers[v] = self.surface.link(v).subdivide(self.arcs[i])[0]
         return self._fibers[v]
 
@@ -209,15 +199,14 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     is its negation, mod ``modulus[v]`` of an end v unless ``modulus`` is
     None, and values supplied both ways must cancel, mod that or exactly,
     else the rule ``clash`` is reported."""
-    get, half, V = surface.index.get, surface.half, len(surface.vertices)
-    ids = [half.get(get(i, V) * (V + 1) + get(j, V)) for i, j in supplied]
+    ids = surface.half_ids(supplied)
     given = dict(zip(ids, supplied.values()))
     if None in given or not (read or set(map(type, given.values())) <= {int}):
         given.pop(None, None)
         for h, (i, j), value in zip(ids, supplied, supplied.values()):
             if h is None:
                 collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
-            elif not (read or isinstance(value, int)):
+            elif not (read or type(value) is int):
                 collector.add("NotAnInteger", f"({i},{j})", f"{noun} {value!r} is not an integer")
                 given[h] = None
 
@@ -294,9 +283,9 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     full label map).  One direction per undirected edge suffices; if both
     are supplied they must be mutually inverse.
     """
-    if fiber_mode is None:  # the constructor would read None as link mode
+    if fiber_mode is None:  # flat_connection would read None as the default mode
         _refinement(surface, fiber_mode)
-    fibers = DiscreteConnection(surface, fiber_mode, [0] * len(surface.tails))
+    fibers = flat_connection(surface, fiber_mode)
     collector = ReportCollector()
     offsets = antisymmetric(surface, transports, collector, "transport",
                             _offset_reader(fibers, collector), "NotInverse", fibers.sizes)
@@ -331,14 +320,13 @@ class FlatnessStructure:
 
 
 def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
-    """Validate a lift per face, given by face key or by face: each must be
+    """Validate a lift per face, given by face key: each must be an ``int``
     congruent to the holonomy steps mod the fiber size."""
     collector = ReportCollector()
     surface = conn.surface
     face_index = surface.face_index
     resolved: list[int | None] = [None] * len(surface.keys)
     for key, value in lifts.items():
-        key = str(key)  # an OrientedFace prints as its key
         f = face_index.get(key)
         if f is None:
             collector.add("MissingFace", key, "lift given for a face not on the surface")
@@ -347,7 +335,7 @@ def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     for key, lift, r, n in zip(surface.keys, resolved, conn.holonomy, conn.face_sizes):
         if lift is None:
             collector.add("MissingFace", key, "no lift supplied")
-        elif not isinstance(lift, int):
+        elif type(lift) is not int:
             collector.add("NotAnInteger", key, f"lift {lift!r} is not an integer")
         elif lift % n != r:
             collector.add(
@@ -412,27 +400,29 @@ def face_reports(
                                        conn.holonomy, flatness.lifts)]
 
 
-@dataclass(frozen=True)
-class GaugeTransformation:
-    """A rotation of each vertex fiber, acting on connections by
-    conjugation."""
-
-    steps: dict[str, int] = field(repr=False)
-
-    def at(self, v: str) -> int:
-        return self.steps.get(v, 0)
+# A gauge transformation rotates each vertex fiber: vertex label -> int
+# steps, 0 where absent.
+GaugeTransformation = dict
 
 
 def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> DiscreteConnection:
     """Conjugate every transport: t'(i,j) = rot_j(g_j) o t(i,j) o rot_i(-g_i),
-    i.e. o'_ij = o_ij + g_j - g_i.
+    i.e. o'_ij = o_ij + g_j - g_i.  Every key must be a vertex and every
+    value an ``int`` (MissingVertex, NotAnInteger).
 
     The gauge steps cancel around every face boundary, so every holonomy
     step count is unchanged; the table is recomputed from the new offsets
     all the same.
     """
     surface, n = conn.surface, conn.sizes
-    g = [gauge.at(v) for v in surface.vertices]
+    collector = ReportCollector()
+    for v, step in gauge.items():
+        if v not in surface.index:
+            collector.add("MissingVertex", v, "gauge step given for a vertex not on the surface")
+        elif type(step) is not int:
+            collector.add("NotAnInteger", v, f"gauge step {step!r} is not an integer")
+    collector.raise_if_failed("invalid gauge transformation")
+    g = [gauge.get(v, 0) for v in surface.vertices]
     offsets = [(o + g[j] - g[i]) % n[j]
                for o, i, j in zip(conn.offsets, surface.tails, surface.heads)]
     return DiscreteConnection(surface, conn.refined, offsets)

@@ -117,11 +117,14 @@ class OrientedSurface:
         labels, tails, heads = self.vertices, self.tails, self.heads
         return tuple([(labels[tails[h]], labels[heads[h]]) for h in self.edge_half])
 
-    def link(self, v: str) -> Polygon:
+    def vertex_id(self, v: str) -> int:
         try:
-            return Polygon(tuple(self.link_labels[self.index[v]]))
+            return self.index[v]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
+
+    def link(self, v: str) -> Polygon:
+        return Polygon(tuple(self.link_labels[self.vertex_id(v)]))
 
     def face_id(self, key: str) -> int:
         try:
@@ -129,8 +132,15 @@ class OrientedSurface:
         except (KeyError, TypeError):
             raise NotIncident(f"no face with key {key!r}") from None
 
+    def half_ids(self, pairs) -> list[int | None]:
+        """The half-edge of each label pair ``(i, j)``, or None where it is
+        not a directed edge."""
+        get, half, V = self.index.get, self.half, len(self.vertices)
+        return [half.get(get(i, V) * (V + 1) + get(j, V)) for i, j in pairs]
+
     def half_edge(self, i: str, j: str) -> int:
-        """The half-edge from vertex ``i`` to vertex ``j``."""
+        """The half-edge from vertex ``i`` to vertex ``j``: ``half_ids`` for
+        one pair, spelled out, since swirl_path asks for six per face."""
         V = len(self.vertices)
         try:
             h = self.half.get(self.index.get(i, V) * (V + 1) + self.index.get(j, V))
@@ -218,8 +228,7 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
             a = b = None
         if a is None or a == b or b == c or c == a or isinstance(raw, str):
             try:  # a str is one label, not three: reported as given
-                face = raw if isinstance(raw, str) else tuple(
-                    map(str, raw.vertices if isinstance(raw, OrientedFace) else raw))
+                face = raw if isinstance(raw, str) else tuple(map(str, raw))
             except TypeError:  # not iterable: reported as given
                 face = raw
             if type(face) is not tuple or len(face) != 3 or len(set(face)) != 3:

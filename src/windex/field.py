@@ -57,7 +57,7 @@ class VectorField:
     steps: list[int] = field(repr=False)
 
     def value(self, v: str) -> str:
-        i = self.conn._id(v)
+        i = self.conn.surface.vertex_id(v)
         return self.conn._label(i, self.at[i])
 
     def step(self, i: str, j: str) -> int:
@@ -198,11 +198,12 @@ def totals(
 
 
 def gauge_transform_field(vf: VectorField, gauge: GaugeTransformation) -> VectorField:
-    """Carry a field along a gauge transformation: fiber points rotate with
-    their fibers, edge steps are untouched.  The result is checked again
-    against the congruence of every step."""
+    """Carry a field along a gauge transformation, checked as
+    ``gauge_transform`` checks it: fiber points rotate with their fibers,
+    edge steps are untouched.  The result is checked again against the
+    congruence of every step."""
     conn = gauge_transform(vf.conn, gauge)
-    at = [(x + gauge.at(v)) % n for v, x, n in zip(conn.surface.vertices, vf.at, conn.sizes)]
+    at = [(x + gauge.get(v, 0)) % n for v, x, n in zip(conn.surface.vertices, vf.at, conn.sizes)]
     collector = ReportCollector()
     _check_congruence(conn, at, vf.steps, collector)
     collector.raise_if_failed("invalid vector field")

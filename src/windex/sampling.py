@@ -14,7 +14,6 @@ from random import Random
 from .bundle import (
     DiscreteConnection,
     FlatnessStructure,
-    GaugeTransformation,
     attach_flatness,
     build_connection,
     flat_connection,
@@ -54,7 +53,5 @@ def random_field(conn: DiscreteConnection, rng: Random) -> VectorField:
     return build_field(conn, {v: conn._label(i, at[i]) for i, v in enumerate(labels)}, steps)
 
 
-def random_gauge(conn: DiscreteConnection, rng: Random) -> GaugeTransformation:
-    return GaugeTransformation(
-        {v: rng.randrange(conn.size(v)) for v in conn.surface.vertices}
-    )
+def random_gauge(conn: DiscreteConnection, rng: Random) -> dict[str, int]:
+    return {v: rng.randrange(n) for v, n in zip(conn.surface.vertices, conn.sizes)}

@@ -301,6 +301,22 @@ class TestFlatness:
             ("NotAnInteger", "b,r,w", "lift 1.9 is not an integer"),
         ]
 
+    def test_bool_lifts_rejected(self, octa, conn):
+        # True would pass as the holonomy 1 of every face; lifts are exactly int
+        with pytest.raises(ValidationFailed) as excinfo:
+            attach_flatness(conn, {key: True for key in octa.keys})
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", key, "lift True is not an integer") for key in octa.keys
+        ]
+
+    def test_face_object_is_not_a_lift_key(self, octa, conn):
+        lifts = dict(zip(octa.faces, conn.holonomy))
+        with pytest.raises(ValidationFailed) as excinfo:
+            attach_flatness(conn, lifts)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("MissingFace", key, "lift given for a face not on the surface") for key in octa.keys
+        ] + [("MissingFace", key, "no lift supplied") for key in octa.keys]
+
     def test_zero_holonomy_zero_lifts(self):
         conn = flat_connection(csaszar_torus(), 6)
         flat = canonical_flatness(conn)
@@ -341,13 +357,36 @@ class TestGauge:
         rng = Random(5)
         g1, g2 = random_gauge(conn, rng), random_gauge(conn, rng)
         twice = gauge_transform(gauge_transform(conn, g1), g2)
-        summed = GaugeTransformation({v: g1.at(v) + g2.at(v) for v in conn.surface.vertices})
+        summed = GaugeTransformation({v: g1.get(v, 0) + g2.get(v, 0) for v in conn.surface.vertices})
         assert twice == gauge_transform(conn, summed)
 
     def test_net_holonomy_gauge_invariant(self, conn):
         rng = Random(9)
         for _ in range(25):
             assert net_holonomy(gauge_transform(conn, random_gauge(conn, rng))) == 0
+
+    def test_gauge_is_a_dict(self, conn):
+        assert GaugeTransformation is dict
+        assert type(random_gauge(conn, Random(1))) is dict
+
+    @pytest.mark.parametrize("gauge, want", [
+        ({"zz": 1}, ("MissingVertex", "zz", "gauge step given for a vertex not on the surface")),
+        ({"w": "1"}, ("NotAnInteger", "w", "gauge step '1' is not an integer")),
+        ({"w": 1.5}, ("NotAnInteger", "w", "gauge step 1.5 is not an integer")),
+        ({"w": True}, ("NotAnInteger", "w", "gauge step True is not an integer")),
+    ], ids=["missing-vertex", "str", "float", "bool"])
+    def test_bad_gauge_rejected(self, conn, gauge, want):
+        with pytest.raises(ValidationFailed, match="^invalid gauge transformation: ") as excinfo:
+            gauge_transform(conn, gauge)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [want]
+
+    def test_every_bad_gauge_entry_reported(self, conn):
+        gauge = {"w": 1.5, "b": 2, "zz": 1, "y": True}
+        with pytest.raises(ValidationFailed) as excinfo:
+            gauge_transform(conn, gauge)
+        assert [(v.rule, v.element) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", "w"), ("MissingVertex", "zz"), ("NotAnInteger", "y"),
+        ]
 
 
 class TestTangentAndTrivialization:

@@ -143,6 +143,14 @@ def test_string_face_is_a_bad_face():
     ]
 
 
+def test_face_object_is_a_bad_face():
+    # faces are label triples; an OrientedFace is reported as given
+    faces = [OrientedFace(face) for face in OCTA_FACES]
+    assert [(v.rule, v.element) for v in rejection(list("wybrgo"), faces).violations] == [
+        ("BadFace", face.key) for face in faces
+    ]
+
+
 def test_pinch_point_is_not_a_surface():
     # two tetrahedra sharing only the vertex "0": every edge closes up but
     # the link at "0" splits into two cycles

@@ -106,7 +106,24 @@ class TestBuild:
         with pytest.raises(NotIncident, match="'zzz' is not a vertex"):
             spin.value("zzz")
 
+    def test_vertex_id(self, conn):
+        surface = conn.surface
+        assert [surface.vertex_id(v) for v in surface.vertices] == list(range(6))
+        with pytest.raises(NotIncident, match="^'zzz' is not a vertex of this surface$"):
+            surface.vertex_id("zzz")
+
+    def test_bool_steps_rejected(self, conn):
+        # True would pass as the step 1; steps are exactly int
+        steps = {e: True for e in conn.surface.edges}
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_field(conn, OCTAHEDRON_SPIN_AT, steps)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("NotAnInteger", f"({i},{j})", "step count True is not an integer")
+            for i, j in conn.surface.edges
+        ]
+
     @pytest.mark.parametrize("lookup", [
+        lambda s, c, vf: s.vertex_id(["w"]),
         lambda s, c, vf: s.face_id(["w"]),
         lambda s, c, vf: s.half_edge(["w"], "b"),
         lambda s, c, vf: s.half_edge("w", ["b"]),
@@ -119,7 +136,7 @@ class TestBuild:
         lambda s, c, vf: c.transport("w", ["b"]),
         lambda s, c, vf: vf.value(["w"]),
         lambda s, c, vf: vf.step(["w"], "b"),
-    ], ids=["face_id", "half_edge-tail", "half_edge-head", "link", "size", "position",
+    ], ids=["vertex_id", "face_id", "half_edge-tail", "half_edge-head", "link", "size", "position",
             "label_at", "fiber", "transport-tail", "transport-head", "value", "step"])
     def test_unhashable_label_is_not_incident(self, conn, spin, lookup):
         with pytest.raises(NotIncident, match=r"\['w'\]|\['b'\]"):
@@ -304,3 +321,16 @@ class TestGaugeCarry:
         carried = gauge_transform_field(spin, gauge)
         fiber = conn.fiber("w")
         assert carried.value("w") == fiber.label_at(fiber.position(spin.value("w")) + 1)
+
+    @pytest.mark.parametrize("gauge, rule", [
+        ({"zz": 1}, "MissingVertex"),
+        ({"w": "1"}, "NotAnInteger"),
+        ({"w": 1.5}, "NotAnInteger"),
+        ({"w": True}, "NotAnInteger"),
+    ], ids=["missing-vertex", "str", "float", "bool"])
+    def test_bad_gauge_rejected(self, spin, gauge, rule):
+        with pytest.raises(ValidationFailed, match="^invalid gauge transformation: ") as excinfo:
+            gauge_transform_field(spin, gauge)
+        assert [(v.rule, v.element) for v in excinfo.value.report.violations] == [
+            (rule, next(iter(gauge))),
+        ]
