@@ -97,14 +97,14 @@ class DiscreteConnection:
 
     def __post_init__(self) -> None:
         surface, o = self.surface, self.offsets
-        deg, tails, twin = surface.degrees, surface.tails, surface.twin
-        refined = _refinement(surface, LINK_MODE if self.refined is None else self.refined)
+        tails, twin = surface.tails, surface.twin
+        mode = LINK_MODE if self.refined is None else self.refined
+        refined, n, arcs = _fiber_sizes(surface, mode)
         collector = ReportCollector()
         if len(o) != len(tails):
             collector.add("SizeMismatch", "offsets",
                           f"{len(o)} offsets for {len(tails)} half-edges, need one each")
             collector.raise_if_failed("invalid connection")
-        n = deg if refined is None else [refined] * len(deg)
         # both fibers of an edge have one size s; only int offsets are compared
         for h in [h for h in surface.edge_half
                   if type(x := o[h]) is not int or type(y := o[twin[h]]) is not int
@@ -118,7 +118,7 @@ class DiscreteConnection:
         object.__setattr__(self, "refined", refined)
         face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
         object.__setattr__(self, "sizes", n)
-        object.__setattr__(self, "arcs", [size // d for size, d in zip(n, deg)])
+        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "face_sizes", face_n)
         object.__setattr__(self, "holonomy", [(o[h] + o[h + 1] + o[h + 2]) % size
                                               for h, size in zip(range(0, len(o), 3), face_n)])
@@ -130,14 +130,7 @@ class DiscreteConnection:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
         i = self.surface.vertex_id(v)
-        table, arc = self.surface.link_pos[i], self.arcs[i]
-        if label in table:
-            return table[label] * arc
-        base, _, j = label.partition("~")
-        # only the spelling subdivide produces: ASCII digits, no leading 0
-        if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-            return table[base] * arc + int(j)
-        raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+        return _position(self.surface.link_pos[i], self.arcs[i], v, label)
 
     def _label(self, v: int, position: int) -> str:
         ring = self.surface.link_labels[v]
@@ -169,11 +162,10 @@ def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
     deg, labels = surface.degrees, surface.vertices
     if fiber_mode == LINK_MODE:
         tails, heads = surface.tails, surface.heads
-        for h in surface.edge_half:
+        for h in [h for h in surface.edge_half if deg[tails[h]] != deg[heads[h]]]:
             a, b = tails[h], heads[h]
-            if deg[a] != deg[b]:
-                collector.add("SizeMismatch", f"{{{labels[a]},{labels[b]}}}",
-                              f"link-mode transport needs equal degrees, got {deg[a]} and {deg[b]}")
+            collector.add("SizeMismatch", f"{{{labels[a]},{labels[b]}}}",
+                          f"link-mode transport needs equal degrees, got {deg[a]} and {deg[b]}")
         collector.raise_if_failed("invalid connection")
         return None
     if not isinstance(fiber_mode, int) or fiber_mode < 3:
@@ -188,33 +180,68 @@ def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
     return fiber_mode
 
 
+def _fiber_sizes(surface: OrientedSurface, fiber_mode) -> tuple[int | None, list[int], list[int]]:
+    """``refined`` of a fiber mode that fits the surface, and by vertex id
+    the fiber size and the arc, size // degree."""
+    refined, deg = _refinement(surface, fiber_mode), surface.degrees
+    n = deg if refined is None else [refined] * len(deg)
+    return refined, n, [size // d for size, d in zip(n, deg)]
+
+
+def _position(table: dict[str, int], arc: int, v: str, label: str) -> int:
+    """The position of ``label`` in the fiber at ``v``, whose link labels
+    sit at ``table[label] * arc``."""
+    if label in table:
+        return table[label] * arc
+    base, _, j = label.partition("~")
+    # only the spelling subdivide produces: ASCII digits, no leading 0
+    if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+        return table[base] * arc + int(j)
+    raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+
+
 _ABSENT = object()
+
+
+def _edge_keys(surface: OrientedSurface, supplied: dict, collector):
+    """(half-edge id, value) for each key of ``supplied`` that is a directed
+    edge ``(i, j)``; each other key is reported when it is reached, as
+    BadEdge if it is not a pair and MissingEdge if it is no edge."""
+    ids = iter(surface.half_ids([key for key in supplied
+                                 if isinstance(key, tuple) and len(key) == 2]))
+    for key, value in supplied.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            collector.add("BadEdge", repr(key), "an edge is a pair of vertex labels")
+        elif (h := next(ids)) is None:
+            collector.add("MissingEdge", f"({key[0]},{key[1]})", "not an edge of the surface")
+        else:
+            yield h, value
 
 
 def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
     """One integer per half-edge (None where unresolved) from values
-    supplied by label pair on one direction of every edge or both:
-    ``read(h, value)`` gives the integer (None once it has reported a bad
-    value), else the value must be one (rule NotAnInteger).  The reverse
-    is its negation, mod ``modulus[v]`` of an end v unless ``modulus`` is
-    None, and values supplied both ways must cancel, mod that or exactly,
-    else the rule ``clash`` is reported."""
-    ids = surface.half_ids(supplied)
-    given = dict(zip(ids, supplied.values()))
-    if None in given or not (read or set(map(type, given.values())) <= {int}):
-        given.pop(None, None)
-        for h, (i, j), value in zip(ids, supplied, supplied.values()):
-            if h is None:
-                collector.add("MissingEdge", f"({i},{j})", "not an edge of the surface")
-            elif not (read or type(value) is int):
-                collector.add("NotAnInteger", f"({i},{j})", f"{noun} {value!r} is not an integer")
-                given[h] = None
+    supplied on one direction of every edge or both, as a dict keyed by
+    label pair or as the scene parser resolves them, (half-edge id, value)
+    pairs, each half-edge once: ``read(h, value)`` gives the integer (None
+    once it has reported a bad value), else the value must be one (rule
+    NotAnInteger).  The reverse is its negation, mod ``modulus[v]`` of an
+    end v unless ``modulus`` is None, and values supplied both ways must
+    cancel, mod that or exactly, else the rule ``clash`` is reported."""
+    labels, tails, heads, twin = surface.vertices, surface.tails, surface.heads, surface.twin
+    given = [_ABSENT] * len(tails)
+    if isinstance(supplied, dict):
+        supplied = _edge_keys(surface, supplied, collector)
+    for h, value in supplied:
+        if not (read or type(value) is int):
+            collector.add("NotAnInteger", f"({labels[tails[h]]},{labels[heads[h]]})",
+                          f"{noun} {value!r} is not an integer")
+            value = None
+        given[h] = value
 
-    labels, tails, twin = surface.vertices, surface.tails, surface.twin
-    resolved = [None] * len(surface.tails)
+    resolved = [None] * len(tails)
     for h in surface.edge_half:
         t = twin[h]
-        forward, backward = given.get(h, _ABSENT), given.get(t, _ABSENT)
+        forward, backward = given[h], given[t]
         if forward is _ABSENT and backward is _ABSENT:
             a, b = labels[tails[h]], labels[tails[t]]
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
@@ -235,18 +262,20 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     return resolved
 
 
-def _offset_reader(fibers: DiscreteConnection, collector):
+def _offset_reader(surface: OrientedSurface, n_at, arc, collector):
     """``read`` for ``antisymmetric``: the offset on half-edge h of an anchor
-    pair or of a full label map.  Both fibers of an edge have size n."""
-    surface, n_at, arc, position = fibers.surface, fibers.sizes, fibers.arcs, fibers.position
+    pair or of a full label map, with fiber sizes ``n_at`` and arcs ``arc``
+    by vertex id.  Both fibers of an edge have size n."""
     labels, tails, heads, pos = surface.vertices, surface.tails, surface.heads, surface.link_pos
 
     def read(h: int, value) -> int | None:
         t, u = tails[h], heads[h]
-        i, j, n = labels[t], labels[u], n_at[u]
+        n = n_at[u]
         if isinstance(value, dict):
+            i, j = labels[t], labels[u]
             try:
-                pairs = [(position(i, str(x)), position(j, str(y))) for x, y in value.items()]
+                pairs = [(_position(pos[t], arc[t], i, str(x)),
+                          _position(pos[u], arc[u], j, str(y))) for x, y in value.items()]
             except UnknownLabel:
                 pairs = []
             if len(pairs) != n or len({q for _, q in pairs}) != n:
@@ -260,15 +289,19 @@ def _offset_reader(fibers: DiscreteConnection, collector):
             collector.add(rule, f"({i},{j})", why)
             return None
         try:
-            a, b = map(str, value)
+            a, b = value
+            if type(a) is not str or type(b) is not str:
+                a, b = str(a), str(b)
         except (TypeError, ValueError):
-            collector.add("UnknownLabel", f"({i},{j})", f"cannot read transport spec {value!r}")
+            collector.add("UnknownLabel", f"({labels[t]},{labels[u]})",
+                          f"cannot read transport spec {value!r}")
             return None
         p, q = pos[t].get(a), pos[u].get(b)
         if p is not None and q is not None:  # two link labels, at k * arc
             return (q * arc[u] - p * arc[t]) % n
+        i, j = labels[t], labels[u]
         try:
-            return (position(j, b) - position(i, a)) % n
+            return (_position(pos[u], arc[u], j, b) - _position(pos[t], arc[t], i, a)) % n
         except UnknownLabel as exc:
             collector.add("UnknownLabel", f"({i},{j})", str(exc))
             return None
@@ -280,17 +313,16 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     """Validate and assemble a connection.
 
     ``transports`` maps directed edges to transport specs (anchor pair or
-    full label map).  One direction per undirected edge suffices; if both
-    are supplied they must be mutually inverse.
+    full label map), as a dict keyed by label pair or as (half-edge id,
+    spec) pairs (see ``antisymmetric``).  One direction per undirected edge
+    suffices; if both are supplied they must be mutually inverse.
     """
-    if fiber_mode is None:  # flat_connection would read None as the default mode
-        _refinement(surface, fiber_mode)
-    fibers = flat_connection(surface, fiber_mode)
+    refined, n, arcs = _fiber_sizes(surface, fiber_mode)
     collector = ReportCollector()
     offsets = antisymmetric(surface, transports, collector, "transport",
-                            _offset_reader(fibers, collector), "NotInverse", fibers.sizes)
+                            _offset_reader(surface, n, arcs, collector), "NotInverse", n)
     collector.raise_if_failed("invalid connection")
-    return DiscreteConnection(surface, fibers.refined, offsets)
+    return DiscreteConnection(surface, refined, offsets)
 
 
 def sum_turns(terms) -> Turns:
@@ -438,9 +470,8 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     """
     if fiber_mode is None:
         fiber_mode = _default_mode(surface, even=True)
-    fibers = flat_connection(surface, fiber_mode)
+    refined, n, arc = _fiber_sizes(surface, fiber_mode)
     collector = ReportCollector()
-    n, arc = fibers.sizes, fibers.arcs
     for v, size in zip(surface.vertices, n):
         if size % 2 != 0:
             collector.add("SizeMismatch", v, f"fiber size {size} is odd, antipodes undefined")
@@ -449,7 +480,7 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     labels, pos = surface.vertices, surface.link_pos
     offsets = [(pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
                for a, b in zip(surface.tails, surface.heads)]
-    return DiscreteConnection(surface, fibers.refined, offsets)
+    return DiscreteConnection(surface, refined, offsets)
 
 
 def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:

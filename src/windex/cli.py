@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -241,7 +242,11 @@ def _off_number(value) -> str:
     return repr(float(frac))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Parsing
+    leaves it unchanged (``--basepoint`` appends to a fresh list), so
+    ``main`` may be called any number of times in one process."""
     parser = argparse.ArgumentParser(
         prog="windex",
         description="exact curvature and vector-field index calculations on combinatorial surfaces",

@@ -136,7 +136,8 @@ class OrientedSurface:
         """The half-edge of each label pair ``(i, j)``, or None where it is
         not a directed edge."""
         get, half, V = self.index.get, self.half, len(self.vertices)
-        return [half.get(get(i, V) * (V + 1) + get(j, V)) for i, j in pairs]
+        W = V + 1
+        return [half.get(get(i, V) * W + get(j, V)) for i, j in pairs]
 
     def half_edge(self, i: str, j: str) -> int:
         """The half-edge from vertex ``i`` to vertex ``j``: ``half_ids`` for

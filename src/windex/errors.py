@@ -4,11 +4,11 @@ Builders (surfaces, connections, fields) collect every rule violation into a
 ValidationReport and raise ValidationFailed carrying it, so a caller sees all
 problems at once.  Violations name their rule as a string (DuplicateFace,
 BoundaryEdge, OrientationClash, NonPolygonLink, BadFiberMode, SizeMismatch,
-MissingEdge, NotInverse, OrientationReversing, UnknownLabel, NotAnInteger,
-LiftIncongruent, EndpointIncongruent, AntisymmetryViolation, ...).  Every
-other failure raises one of the WindexError subclasses below directly; only
-a PolyIso ``orientation`` that is neither "preserving" nor "reversing" is a
-plain ValueError, a caller's misuse rather than bad data.
+BadEdge, MissingEdge, NotInverse, OrientationReversing, UnknownLabel,
+NotAnInteger, LiftIncongruent, EndpointIncongruent, AntisymmetryViolation,
+...).  Every other failure raises one of the WindexError subclasses below
+directly; only a PolyIso ``orientation`` that is neither "preserving" nor
+"reversing" is a plain ValueError, a caller's misuse rather than bad data.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ optional ``connection``, ``flatness`` and ``field`` sections::
 
 Unknown keys are rejected.  Structural problems raise SceneParseError;
 semantic problems surface as ValidationFailed from the builders, which
-intern the labels into the surface's integer id tables once; every later
-section is read into lists by half-edge, face or vertex id.
+intern the labels into the surface's integer id tables once; the parser
+resolves the edge of each transport and step entry to its half-edge once,
+and every later section is read into lists by half-edge, face or vertex
+id.
 Serialization writes labels back from those tables and is canonical
 (sorted keys, least-rotation face lists, lexicographic edge directions,
 anchors at the fiber's first label), so parse -> serialize -> parse is
@@ -146,40 +148,65 @@ _TRANSPORT_KEYS = frozenset({"edge", "anchor", "map"})
 _STEP_KEYS = frozenset({"edge", "steps"})
 
 
+def _check_duplicates(edges, where: str) -> None:
+    """Raise the error for the first of ``edges``, label pairs in file
+    order, that repeats an earlier one, if any."""
+    seen = set()
+    for k, (a, b) in enumerate(edges):
+        if (a, b) in seen:
+            raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {(a, b)}") from None
+        seen.add((a, b))
+
+
+def _resolve(surface: OrientedSurface, edges, values, where: str):
+    """The entries' values for a builder: (half-edge id, value) pairs when
+    every edge is a directed edge of the surface, else a dict by label pair,
+    so that the builder reports each stray edge.  An edge given twice is a
+    SceneParseError."""
+    ids = surface.half_ids(edges)
+    if len(set(ids)) < len(ids):  # a repeated edge, or two strays
+        _check_duplicates(edges, where)
+    if None in ids:
+        return dict(zip(map(tuple, edges), values))
+    return zip(ids, values)
+
+
 def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
     """Each entry is checked inline; its place in the file is spelled out
-    only for the error when a check fails."""
+    only for the error when a check fails, unless an earlier entry repeats
+    an edge.  The edges are resolved to half-edges once, after the loop."""
     _require_keys(obj, {"fiber_mode", "transports"}, {"fiber_mode", "transports"}, "connection")
     mode = _parse_fiber_mode(obj["fiber_mode"])
     raw = obj["transports"]
     where = "connection.transports"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    transports = {}
-    for k, entry in enumerate(raw):
-        if not (type(entry) is dict and entry.keys() <= _TRANSPORT_KEYS and "edge" in entry):
-            raise _key_error(entry, _TRANSPORT_KEYS, {"edge"}, f"{where}[{k}]")
-        pair = entry["edge"]
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str):
-            raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-        edge = (pair[0], pair[1])
-        if edge in transports:
-            raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {edge}")
-        if ("anchor" in entry) == ("map" in entry):
-            raise SceneParseError(f"{where}[{k}]: give exactly one of 'anchor' or 'map'")
-        if "anchor" in entry:
-            pair = entry["anchor"]
+    edges, specs = [], []
+    try:
+        for k, entry in enumerate(raw):
+            if not (type(entry) is dict and entry.keys() <= _TRANSPORT_KEYS and "edge" in entry):
+                raise _key_error(entry, _TRANSPORT_KEYS, {"edge"}, f"{where}[{k}]")
+            pair = entry["edge"]
             if not (type(pair) is list and len(pair) == 2
                     and type(pair[0]) is str and type(pair[1]) is str):
-                raise SceneParseError(f"{where}[{k}].anchor: expected a pair of fiber labels")
-            transports[edge] = (pair[0], pair[1])
-        else:
-            mapping = entry["map"]
-            if not (type(mapping) is dict and _only(str, mapping) and _only(str, mapping.values())):
-                raise SceneParseError(f"{where}[{k}].map: expected an object of label pairs")
-            transports[edge] = dict(mapping)
-    return build_connection(surface, mode, transports)
+                raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
+            edges.append(pair)
+            if ("anchor" in entry) == ("map" in entry):
+                raise SceneParseError(f"{where}[{k}]: give exactly one of 'anchor' or 'map'")
+            if "anchor" in entry:
+                spec = entry["anchor"]
+                if not (type(spec) is list and len(spec) == 2
+                        and type(spec[0]) is str and type(spec[1]) is str):
+                    raise SceneParseError(f"{where}[{k}].anchor: expected a pair of fiber labels")
+            else:
+                spec = entry["map"]
+                if not (type(spec) is dict and _only(str, spec) and _only(str, spec.values())):
+                    raise SceneParseError(f"{where}[{k}].map: expected an object of label pairs")
+            specs.append(spec)
+    except SceneParseError:
+        _check_duplicates(edges, where)
+        raise
+    return build_connection(surface, mode, _resolve(surface, edges, specs, where))
 
 
 def _parse_flatness(obj, conn: DiscreteConnection) -> FlatnessStructure:
@@ -189,7 +216,7 @@ def _parse_flatness(obj, conn: DiscreteConnection) -> FlatnessStructure:
 
 
 def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
-    """Each step entry is checked inline, as in ``_parse_connection``."""
+    """Each step entry is checked and resolved as in ``_parse_connection``."""
     _require_keys(obj, {"at", "steps"}, {"at", "steps"}, "field")
     at = obj["at"]
     if not (type(at) is dict and _only(str, at) and _only(str, at.values())):
@@ -198,22 +225,24 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
     where = "field.steps"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    steps = {}
-    for k, entry in enumerate(raw):
-        if not (type(entry) is dict and entry.keys() == _STEP_KEYS):
-            raise _key_error(entry, _STEP_KEYS, _STEP_KEYS, f"{where}[{k}]")
-        pair = entry["edge"]
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str):
-            raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-        edge = (pair[0], pair[1])
-        if edge in steps:
-            raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {edge}")
-        count = entry["steps"]
-        if type(count) is not int:
-            raise SceneParseError(f"{where}[{k}].steps: expected an integer")
-        steps[edge] = count
-    return build_field(conn, at, steps)
+    edges, counts = [], []
+    try:
+        for k, entry in enumerate(raw):
+            if not (type(entry) is dict and entry.keys() == _STEP_KEYS):
+                raise _key_error(entry, _STEP_KEYS, _STEP_KEYS, f"{where}[{k}]")
+            pair = entry["edge"]
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str):
+                raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
+            edges.append(pair)
+            count = entry["steps"]
+            if type(count) is not int:
+                raise SceneParseError(f"{where}[{k}].steps: expected an integer")
+            counts.append(count)
+    except SceneParseError:
+        _check_duplicates(edges, where)
+        raise
+    return build_field(conn, at, _resolve(conn.surface, edges, counts, where))
 
 
 def parse_scene_text(text: str) -> SceneFile:

@@ -81,6 +81,19 @@ class TestBuild:
             build_connection(octa, "link", transports)
         assert any(v.rule == "MissingEdge" for v in excinfo.value.report.violations)
 
+    @pytest.mark.parametrize("key", [5, ("w", "b", "r"), "wb"])
+    def test_a_key_that_is_not_a_label_pair_is_reported(self, octa, key):
+        """A key is read as an edge only if it is a pair: an int or a 3-tuple
+        raised a bare TypeError or ValueError, and "wb" was read as (w, b)."""
+        transports = dict(OCTAHEDRON_TRANSPORTS)
+        transports[key] = transports.pop(("w", "b"))
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_connection(octa, "link", transports)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("BadEdge", repr(key), "an edge is a pair of vertex labels"),
+            ("MissingEdge", "{b,w}", "no transport supplied"),
+        ]
+
     def test_unknown_anchor_label(self, octa):
         transports = dict(OCTAHEDRON_TRANSPORTS)
         transports[("w", "r")] = ("b", "q")

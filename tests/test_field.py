@@ -102,6 +102,17 @@ class TestBuild:
             ("NotAnInteger", "(b,o)", "step count 1.9 is not an integer"),
         ]
 
+    @pytest.mark.parametrize("key", [5, ("w", "b", "r"), "wb"])
+    def test_a_key_that_is_not_a_label_pair_is_reported(self, conn, spin, key):
+        steps = {e: spin.step(*e) for e in conn.surface.edges}
+        steps[key] = steps.pop(("b", "w"))
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_field(conn, OCTAHEDRON_SPIN_AT, steps)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("BadEdge", repr(key), "an edge is a pair of vertex labels"),
+            ("MissingEdge", "{b,w}", "no step count supplied"),
+        ]
+
     def test_value_off_the_surface(self, spin):
         with pytest.raises(NotIncident, match="'zzz' is not a vertex"):
             spin.value("zzz")

@@ -63,3 +63,24 @@ def test_rejected_scene_output_unchanged(capsys, key):
     got = capsys.readouterr()
     want = REJECTED[key]
     assert (got.out, got.err, code) == (want["stdout"], want["stderr"], want["code"])
+
+
+def test_calls_in_turn_share_one_parser(capsys):
+    """``cli.main`` builds its parser once per process: a flag given on one
+    call reaches none after it, and a usage error leaves the parser as it
+    was.  Each pair's outputs differ, so a leaked flag would show."""
+    scene = str(GOLDEN / "scenes" / "octa-link-a.json")
+    keys = ["octa-link-a index --json --basepoint b,o,y=y", "octa-link-a index --json",
+            "octa-link-a check --canonical-flatness", "octa-link-a check"]
+    assert OUTPUTS[keys[0]] != OUTPUTS[keys[1]] and OUTPUTS[keys[2]] != OUTPUTS[keys[3]]
+    for key in keys:
+        code = cli.main(key.split(" ")[1:] + [scene])
+        want = OUTPUTS[key]
+        assert (capsys.readouterr().out, code) == (want["stdout"], want["code"]), key
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["check", "--bogus", scene])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, want = cli.main(["check", scene]), OUTPUTS[keys[3]]
+    assert (capsys.readouterr().out, code) == (want["stdout"], want["code"])
+    assert cli.build_parser() is cli.build_parser()

@@ -1,7 +1,12 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +103,24 @@ class TestScene:
         entry = obj["connection"]["transports"][0]
         entry["map"] = {"a": "b"}
         with pytest.raises(SceneParseError):
+            parse_scene_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("where", ["connection.transports", "field.steps"])
+    @pytest.mark.parametrize("repeat, broken", [(2, 4), (4, 2), (2, 2)])
+    def test_the_first_fault_in_the_file_is_reported(self, capsys, where, repeat, broken):
+        """An entry repeating an earlier edge and a malformed entry: the
+        error names whichever comes first; in one entry, the repeat."""
+        obj = json.loads(fixture_scene(capsys, "octahedron"))
+        section, key = where.split(".")
+        value, why = {"connection": ("anchor", "a pair of fiber labels"),
+                      "field": ("steps", "an integer")}[section]
+        entries = obj[section][key]
+        entries[repeat] = dict(entries[0])
+        entries[broken] = dict(entries[broken], **{value: "x"})
+        edge = tuple(entries[0]["edge"])
+        want = (f"{where}[{repeat}]: duplicate entry for edge {edge}" if repeat <= broken
+                else f"{where}[{broken}].{value}: expected {why}")
+        with pytest.raises(SceneParseError, match=f"^{re.escape(want)}$"):
             parse_scene_text(json.dumps(obj))
 
 
@@ -363,3 +386,19 @@ def test_per_face_json_of_the_empty_surface(capsys, tmp_path, command):
     assert code == 0, err
     assert json.loads(out)["faces"] == []
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_windex_as_processes_in_a_pipe():
+    """``windex fixture octahedron | windex check -`` as two real processes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    command = [sys.executable, "-m", "windex.cli"]
+    with subprocess.Popen(command + ["fixture", "octahedron"], stdout=subprocess.PIPE,
+                          env=env) as fixture:
+        check = subprocess.run(command + ["check", "-"], stdin=fixture.stdout, capture_output=True,
+                               text=True, env=env, timeout=60)
+        fixture.stdout.close()
+        assert fixture.wait(timeout=60) == 0
+    assert check.returncode == 0, check.stderr
+    assert check.stdout.endswith(": PASS\n")
