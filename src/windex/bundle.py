@@ -289,6 +289,8 @@ def _offset_reader(surface: OrientedSurface, n_at, arc, collector):
             collector.add(rule, f"({i},{j})", why)
             return None
         try:
+            if type(value) is str:  # one label, not a pair of them
+                raise TypeError
             a, b = value
             if type(a) is not str or type(b) is not str:
                 a, b = str(a), str(b)

@@ -41,7 +41,14 @@ from .fixtures import (
     octahedron_connection,
     octahedron_spin_field,
 )
-from .scene import SceneFile, SceneParseError, parse_scene, serialize_scene
+from .scene import (
+    SceneFile,
+    SceneParseError,
+    fill_nulls,
+    json_block,
+    parse_scene,
+    serialize_scene,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -100,7 +107,7 @@ def _json_rows(rows) -> str:
         f'      "{names[i]}": {_JSON_FORMAT[type(first[i])]}' for i in order) + "\n    }"
     values = zip(*[map(encode_basestring_ascii, columns[i]) if type(first[i]) is str
                    else columns[i] for i in order])
-    return "[\n" + ",\n".join(map(template.__mod__, values)) + "\n  ]"
+    return json_block("[]", "  ", template, values)
 
 
 def _report(args, payload: dict, lines, rows=None) -> None:
@@ -109,9 +116,7 @@ def _report(args, payload: dict, lines, rows=None) -> None:
     else the text ``lines``."""
     if args.json:
         text = json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2)
-        # a string value never holds a raw newline, so the slot is the only match
-        _emit(text if rows is None else
-              text.replace('\n  "faces": null', '\n  "faces": ' + _json_rows(rows), 1))
+        _emit(text if rows is None else fill_nulls(text, [('\n  "faces"', _json_rows(rows))]))
     else:
         _emit(f"sign conventions {SIGN_CONVENTIONS}")
         for line in lines:

@@ -28,10 +28,11 @@ intern the labels into the surface's integer id tables once; the parser
 resolves the edge of each transport and step entry to its half-edge once,
 and every later section is read into lists by half-edge, face or vertex
 id.
-Serialization writes labels back from those tables and is canonical
-(sorted keys, least-rotation face lists, lexicographic edge directions,
-anchors at the fiber's first label), so parse -> serialize -> parse is
-the identity.
+Serialization writes labels back from those tables, entry by entry from
+fixed templates, to the bytes json.dumps(sort_keys=True, indent=2) gives.
+It is canonical (sorted keys, least-rotation face lists, lexicographic
+edge directions, anchors at the fiber's first label), so parse ->
+serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .bundle import (
     LINK_MODE,
@@ -284,43 +286,79 @@ def parse_scene(path: str) -> SceneFile:
     return parse_scene_text(text)
 
 
-def scene_to_obj(scene: SceneFile) -> dict:
-    surface = scene.surface
-    labels, tails, heads = surface.vertices, surface.tails, surface.heads
-    obj: dict = {
-        "surface": {
-            "vertices": list(labels),
-            "faces": [[labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]]
-                      for h in range(0, len(tails), 3)],
-        }
-    }
-    if surface.positions is not None:
-        obj["surface"]["positions"] = {
-            v: [str(Fraction(c)) for c in coords]
-            for v, coords in sorted(surface.positions.items())
-        }
-    conn = scene.connection
-    if conn is not None:
-        mode = "link" if conn.refined is None else {"refined": conn.refined}
-        entries = []
-        for h in surface.edge_half:
-            a, b = tails[h], heads[h]
-            anchor = [conn._label(a, 0), conn._label(b, conn.offsets[h])]
-            entries.append({"edge": [labels[a], labels[b]], "anchor": anchor})
-        obj["connection"] = {"fiber_mode": mode, "transports": entries}
-    if scene.flatness is not None:
-        obj["flatness"] = dict(zip(surface.keys, scene.flatness.lifts))
-    field = scene.field
-    if field is not None:
-        obj["field"] = {
-            "at": {v: field.conn._label(i, x) for i, (v, x) in enumerate(zip(labels, field.at))},
-            "steps": [
-                {"edge": [labels[tails[h]], labels[heads[h]]], "steps": field.steps[h]}
-                for h in surface.edge_half
-            ],
-        }
-    return obj
+def json_block(brackets: str, indent: str, template: str, values) -> str:
+    """The list or object (``brackets`` "[]" or "{}") that
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes with its closing
+    bracket at ``indent``: one entry per value, formatted by ``template``,
+    which carries the entries' own indent and, for an object, their keys in
+    sorted order."""
+    body = ",\n".join(map(template.__mod__, values))
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}" if body else brackets
+
+
+def fill_nulls(head: str, slots) -> str:
+    """``head``, the text json.dumps(sort_keys=True, indent=2) writes for an
+    object with None at some keys, with the text of each (key line, text)
+    of ``slots``, in their order in ``head``, in place of that key's null.
+    A key line is the newline, indent and quoted key before ': null'; a
+    string never holds a raw newline, so only the slot can match it."""
+    parts = []
+    for line, text in slots:
+        before, _, head = head.partition(line + ": null")
+        parts += before, line, ": ", text
+    parts.append(head)
+    return "".join(parts)
+
+
+# one entry of each table of a scene file, at its depth in the file
+_FACE = "      [\n        %s,\n        %s,\n        %s\n      ]"
+_TRANSPORT = ("      {\n        \"anchor\": [\n          %s,\n          %s\n        ],\n"
+              "        \"edge\": [\n          %s,\n          %s\n        ]\n      }")
+_STEP = ("      {\n        \"edge\": [\n          %s,\n          %s\n        ],\n"
+         "        \"steps\": %d\n      }")
 
 
 def serialize_scene(scene: SceneFile) -> str:
-    return json.dumps(scene_to_obj(scene), indent=2, sort_keys=True) + "\n"
+    """The scene as ``json.dumps(..., sort_keys=True, indent=2)`` writes it,
+    plus a newline.  Only a head goes through json.dumps: the sections,
+    the fiber mode and the positions, with None for every table.  Each
+    table is written from its entry template, labels quoted by the
+    encoder's own function; vertex labels and face keys are already in
+    sorted order, so the ``at`` and ``flatness`` objects need no sort."""
+    surface = scene.surface
+    labels, tails, heads, edges = surface.vertices, surface.tails, surface.heads, surface.edge_half
+    quote = encode_basestring_ascii
+    quoted = list(map(quote, labels))
+    head: dict = {"surface": {"faces": None, "vertices": None}}
+    if surface.positions is not None:
+        head["surface"]["positions"] = {
+            v: [str(Fraction(c)) for c in coords]
+            for v, coords in sorted(surface.positions.items())
+        }
+    slots = []  # in the order json.dumps writes their keys
+    conn = scene.connection
+    if conn is not None:
+        mode = "link" if conn.refined is None else {"refined": conn.refined}
+        head["connection"] = {"fiber_mode": mode, "transports": None}
+        label, offsets = conn._label, conn.offsets
+        first = [quote(label(v, 0)) for v in range(len(labels))]
+        slots.append(('\n    "transports"', json_block("[]", "    ", _TRANSPORT, [
+            (first[tails[h]], quote(label(heads[h], offsets[h])), quoted[tails[h]], quoted[heads[h]])
+            for h in edges])))
+    field = scene.field
+    if field is not None:
+        head["field"] = {"at": None, "steps": None}
+        label, steps = field.conn._label, field.steps
+        slots.append(('\n    "at"', json_block("{}", "    ", "      %s: %s", [
+            (quoted[i], quote(label(i, x))) for i, x in enumerate(field.at)])))
+        slots.append(('\n    "steps"', json_block("[]", "    ", _STEP, [
+            (quoted[tails[h]], quoted[heads[h]], steps[h]) for h in edges])))
+    if scene.flatness is not None:
+        head["flatness"] = None
+        slots.append(('\n  "flatness"', json_block(
+            "{}", "  ", "    %s: %d", zip(map(quote, surface.keys), scene.flatness.lifts))))
+    slots.append(('\n    "faces"', json_block("[]", "    ", _FACE, [
+        (quoted[tails[h]], quoted[tails[h + 1]], quoted[tails[h + 2]])
+        for h in range(0, len(tails), 3)])))
+    slots.append(('\n    "vertices"', json_block("[]", "    ", "      %s", quoted)))
+    return fill_nulls(json.dumps(head, sort_keys=True, indent=2), slots) + "\n"

@@ -4,15 +4,19 @@ The path oracles expand paths into explicit label walks (one entry per unit
 step) and recount steps by looking at adjacency only, so they share no code
 with the crossing-count formulas they are used to check.  The bundle oracles
 compose explicit ``PolyIso`` transports around a face, where the library
-adds integer offsets.
+adds integer offsets.  ``scene_to_obj`` builds the object a scene file
+encodes, for comparing ``serialize_scene`` with the stdlib encoder.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint, boundary
 from windex.complex import OrientedFace
 from windex.errors import BadArity
 from windex.polygon import Polygon, PolyIso, PolyPath
+from windex.scene import SceneFile
 
 
 def cycle_complex(n: int) -> Polygon:
@@ -133,3 +137,43 @@ def subdivide_walk_oracle(poly: Polygon, k: int, path: PolyPath) -> int:
             expanded.extend(f"{b}~{j}" for j in range(k - 1, 0, -1))
             expanded.append(b)
     return steps_of_walk(fine, expanded)
+
+
+def scene_to_obj(scene: SceneFile) -> dict:
+    """The object whose ``json.dumps(sort_keys=True, indent=2)`` text, plus
+    a newline, ``serialize_scene`` writes without the encoder."""
+    surface = scene.surface
+    labels, tails, heads = surface.vertices, surface.tails, surface.heads
+    obj: dict = {
+        "surface": {
+            "vertices": list(labels),
+            "faces": [[labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]]
+                      for h in range(0, len(tails), 3)],
+        }
+    }
+    if surface.positions is not None:
+        obj["surface"]["positions"] = {
+            v: [str(Fraction(c)) for c in coords]
+            for v, coords in sorted(surface.positions.items())
+        }
+    conn = scene.connection
+    if conn is not None:
+        mode = "link" if conn.refined is None else {"refined": conn.refined}
+        entries = []
+        for h in surface.edge_half:
+            a, b = tails[h], heads[h]
+            anchor = [conn._label(a, 0), conn._label(b, conn.offsets[h])]
+            entries.append({"edge": [labels[a], labels[b]], "anchor": anchor})
+        obj["connection"] = {"fiber_mode": mode, "transports": entries}
+    if scene.flatness is not None:
+        obj["flatness"] = dict(zip(surface.keys, scene.flatness.lifts))
+    field = scene.field
+    if field is not None:
+        obj["field"] = {
+            "at": {v: field.conn._label(i, x) for i, (v, x) in enumerate(zip(labels, field.at))},
+            "steps": [
+                {"edge": [labels[tails[h]], labels[heads[h]]], "steps": field.steps[h]}
+                for h in surface.edge_half
+            ],
+        }
+    return obj

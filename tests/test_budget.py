@@ -78,11 +78,16 @@ def test_a_second_call_builds_no_parser(tmp_path):
 
 
 def test_serialize_and_basepoint_build_no_face(tmp_path):
-    """Faces are written and basepoints checked from the id tables."""
+    """Faces are written and basepoints checked from the id tables, and a
+    scene's tables are written from templates: only its head goes through
+    one json.dumps, and no list through the pure-Python encoder."""
     scene = parse_scene_text(serialize_scene(grid_scene(8)))
     profile = cProfile.Profile()
     profile.runcall(serialize_scene, scene)
-    assert calls_by_name(pstats.Stats(profile)).get(("complex.py", "__post_init__"), 0) == 0
+    calls = calls_by_name(pstats.Stats(profile))
+    assert calls.get(("complex.py", "__post_init__"), 0) == 0
+    assert calls[("__init__.py", "dumps")] == 1
+    assert calls.get(("encoder.py", "_iterencode_list"), 0) == 0
     key = scene.surface.keys[5]
     override = f"{key}={key.rpartition(',')[2]}"
     stats = profile_cli("index", 8, tmp_path, "--json", "--basepoint", override)

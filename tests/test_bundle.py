@@ -94,6 +94,19 @@ class TestBuild:
             ("MissingEdge", "{b,w}", "no transport supplied"),
         ]
 
+    def test_a_str_anchor_is_not_a_label_pair(self, octa, conn):
+        """A two-character str anchor was unpacked, so "bb" read as (b, b)."""
+        anchor = conn.transport("w", "r").anchor
+        transports = dict(OCTAHEDRON_TRANSPORTS)
+        transports[("w", "r")] = anchor
+        assert build_connection(octa, "link", transports).offsets == conn.offsets
+        transports[("w", "r")] = "".join(anchor)
+        with pytest.raises(ValidationFailed) as excinfo:
+            build_connection(octa, "link", transports)
+        assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+            ("UnknownLabel", "(w,r)", f"cannot read transport spec {''.join(anchor)!r}"),
+        ]
+
     def test_unknown_anchor_label(self, octa):
         transports = dict(OCTAHEDRON_TRANSPORTS)
         transports[("w", "r")] = ("b", "q")

@@ -26,6 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windex import cli
+from windex.scene import parse_scene_text, serialize_scene
+
+from oracles import scene_to_obj
 
 SCENES = Path(__file__).resolve().parent / "golden" / "scenes"
 BASES = {
@@ -140,7 +143,9 @@ def near_valid_scenes(draw):
 @given(edited=near_valid_scenes())
 def _near_valid_scenes_exit_cleanly(scene_file, validated, edited):
     """The checks of test_edited_scenes_exit_cleanly; appends to
-    ``validated`` the name of each scene that ``validate`` accepts."""
+    ``validated`` the name of each scene that ``validate`` accepts, whose
+    ``serialize_scene`` text must be the encoder's and serialize again
+    unchanged once parsed."""
     name, scene = edited
     scene_file.write_text(json.dumps(scene), encoding="utf-8")
     for command in COMMANDS:
@@ -151,6 +156,10 @@ def _near_valid_scenes_exit_cleanly(scene_file, validated, edited):
         assert "Traceback" not in err.getvalue(), (name, command)
         if code == 0 and command == "validate":
             validated.append(name)
+            parsed = parse_scene_text(scene_file.read_text(encoding="utf-8"))
+            text = serialize_scene(parsed)
+            assert text == json.dumps(scene_to_obj(parsed), sort_keys=True, indent=2) + "\n", name
+            assert serialize_scene(parse_scene_text(text)) == text, name
         if code == 0 and command.endswith("--json"):
             text = out.getvalue()
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", (name, command)

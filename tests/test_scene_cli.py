@@ -7,11 +7,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from windex import cli
-from windex.scene import SceneParseError, parse_scene_text, serialize_scene
+from windex.fixtures import octahedron, octahedron_connection, octahedron_spin_field
+from windex.sampling import random_connection, random_field, random_lifts
+from windex.scene import SceneFile, SceneParseError, parse_scene_text, serialize_scene
+
+from oracles import scene_to_obj
 
 MINIMAL = {
     "surface": {
@@ -386,6 +391,67 @@ def test_per_face_json_of_the_empty_surface(capsys, tmp_path, command):
     assert code == 0, err
     assert json.loads(out)["faces"] == []
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _octahedron_obj(sections=("connection", "flatness", "field"), relabel=False) -> dict:
+    """The octahedron fixture's scene object, its labels made ``ODD_LABELS``
+    if ``relabel``, with the given sections: lifts of 5 (1 + one turn) on
+    every face when a flatness section is asked."""
+    conn = octahedron_connection()
+    obj = scene_to_obj(SceneFile(conn.surface, conn, None, octahedron_spin_field(conn)))
+    if relabel:
+        obj = _relabel(obj)
+    faces = parse_scene_text(json.dumps(obj)).surface.keys
+    obj["flatness"] = {key: 5 for key in faces}
+    return {key: value for key, value in obj.items() if key == "surface" or key in sections}
+
+
+def _refined_obj() -> dict:
+    rng = Random(8)
+    conn = random_connection(octahedron(), 8, rng)
+    return scene_to_obj(SceneFile(conn.surface, conn, random_lifts(conn, rng),
+                                  random_field(conn, rng)))
+
+
+def _positioned_obj() -> dict:
+    obj = _octahedron_obj(relabel=True)
+    obj["surface"]["positions"] = {
+        "é": ["-1/2", -3, 0.25], '"': ["7/3", "-0.125", 0], "\ud800": [-1, "1e-2", "-2"],
+    }
+    return obj
+
+
+SCENE_OBJS = {
+    "escaped-labels": lambda: _octahedron_obj(relabel=True),
+    "escaped-positions": _positioned_obj,
+    "refined": _refined_obj,
+    "empty-surface": lambda: {"surface": {"vertices": [], "faces": []}},
+    "empty-sections": lambda: {
+        "surface": {"vertices": [], "faces": []},
+        "connection": {"fiber_mode": "link", "transports": []},
+        "flatness": {},
+        "field": {"at": {}, "steps": []},
+    },
+    "surface-only": lambda: _octahedron_obj(()),
+    "with-connection": lambda: _octahedron_obj(("connection",)),
+    "with-flatness": lambda: _octahedron_obj(("connection", "flatness")),
+    "with-field-no-flatness": lambda: _octahedron_obj(("connection", "field")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_OBJS))
+def test_serialize_scene_is_the_encoders_text(name):
+    """``serialize_scene`` writes its tables from templates, byte for byte
+    as json.dumps(sort_keys=True, indent=2) writes the scene's object."""
+    obj = SCENE_OBJS[name]()
+    scene = parse_scene_text(json.dumps(obj))
+    text = serialize_scene(scene)
+    assert text == json.dumps(scene_to_obj(scene), sort_keys=True, indent=2) + "\n"
+    assert json.loads(text).keys() == obj.keys()
+    if name.startswith("empty"):
+        assert '\n    "faces": [],\n' in text and '\n    "vertices": []\n' in text
+    if name == "escaped-positions":
+        assert "\\ud800" in text and '"-1/2"' in text and '"1/100"' in text
 
 
 def test_windex_as_processes_in_a_pipe():
