@@ -118,9 +118,12 @@ def _report(args, payload: dict, lines, rows=None) -> None:
         text = json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2)
         _emit(text if rows is None else fill_nulls(text, [('\n  "faces"', _json_rows(rows))]))
     else:
+        # a label stdout cannot encode (a lone surrogate) prints as its
+        # escape, the spelling the JSON forms use
+        encoding = sys.stdout.encoding or "utf-8"
         _emit(f"sign conventions {SIGN_CONVENTIONS}")
         for line in lines:
-            _emit(line)
+            _emit(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _cmd_validate(scene: SceneFile, args) -> int:
@@ -232,7 +235,7 @@ def _cmd_export(scene: SceneFile, args) -> int:
     tails = surface.tails
     lines = ["OFF", f"{len(surface.vertices)} {len(surface.keys)} {len(surface.edge_half)}"]
     for v in surface.vertices:
-        coords = " ".join(_off_number(c) for c in surface.positions[v])
+        coords = " ".join(_off_number(v, c) for c in surface.positions[v])
         lines.append(coords)
     for h in range(0, len(tails), 3):
         lines.append(f"3 {tails[h]} {tails[h + 1]} {tails[h + 2]}")
@@ -240,11 +243,15 @@ def _cmd_export(scene: SceneFile, args) -> int:
     return EXIT_OK
 
 
-def _off_number(value) -> str:
+def _off_number(v: str, value) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
-    return repr(float(frac))
+    try:
+        return repr(float(frac))
+    except OverflowError:
+        raise NotIncident(f"export cannot write the position of {v!r}: "
+                          "a coordinate is out of float range") from None
 
 
 @cache

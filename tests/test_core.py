@@ -79,7 +79,7 @@ def test_misspelled_labels_exit_2(capsys, tmp_path, refined_octahedron, label, w
         entry = next(e for e in obj["connection"]["transports"] if e["edge"][1] == "r")
         entry["anchor"][1] = label
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(obj))
+    scene.write_text(json.dumps(obj), encoding="utf-8")
     assert cli.main(["validate", str(scene)]) == 2
     assert "UnknownLabel" in capsys.readouterr().err
 
@@ -128,11 +128,12 @@ def _peak_bytes(capsys, argv):
     return code, capsys.readouterr().out, peak
 
 
+@pytest.mark.parametrize("size", [3, 600])  # 3: arc 1, the least refinement
 @pytest.mark.parametrize("argv", [["check"], ["curvature", "--json"]])
-def test_memory_does_not_grow_with_refinement(capsys, tmp_path, argv):
+def test_memory_does_not_grow_with_refinement(capsys, tmp_path, argv, size):
     small, large = tmp_path / "small.json", tmp_path / "large.json"
-    small.write_text(json.dumps(tetrahedron_scene(600)))
-    large.write_text(json.dumps(tetrahedron_scene(600000)))
+    small.write_text(json.dumps(tetrahedron_scene(size)), encoding="utf-8")
+    large.write_text(json.dumps(tetrahedron_scene(600000)), encoding="utf-8")
     code_s, out_s, peak_s = _peak_bytes(capsys, argv + [str(small)])
     code_l, out_l, peak_l = _peak_bytes(capsys, argv + [str(large)])
     assert code_s == code_l == 0

@@ -6,8 +6,9 @@ windex, so a sign or orientation bug would need two independent mistakes
 to pass here.  Seeded scenes on seven surfaces, in link mode where the
 degrees allow it and refined to twice the lcm of the degrees, go through
 ``index --json``, ``curvature --json``, ``check`` and a parse/serialize
-round trip (the differential test); each ``scenes.CORRUPTIONS`` kind
-applied to them must be rejected under its named rule (the mutation
+round trip (the differential test), and their swirls are decomposed
+transport by transport at every basepoint; each ``scenes.CORRUPTIONS``
+kind applied to them must be rejected under its named rule (the mutation
 test).
 """
 
@@ -23,6 +24,7 @@ from windex import cli
 from windex.bundle import DiscreteConnection, gauge_transform, tangent_connection
 from windex.complex import build_surface
 from windex.errors import ValidationFailed
+from windex.field import swirl_path
 from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
@@ -115,6 +117,21 @@ def test_reports_match_the_oracle(capsys, tmp_path, name, mode, seed):
     assert json.loads(_run(capsys, ["curvature", "--json"], path)) == scenes.expect_curvature(scene)
     assert _run(capsys, ["check"], path) == scenes.expect_check(scene)
     assert serialize_scene(parse_scene_text(text)) == scenes.expect_serialized(scene)
+
+
+@pytest.mark.parametrize("name, mode, seed", CASES)
+def test_swirl_path_matches_the_oracle_at_every_basepoint(name, mode, seed):
+    """The paper's boundary decomposition, carried through the explicit
+    transports into each corner's fiber, counts the oracle's swirl."""
+    scene = _scene(name, mode, seed)
+    field = parse_scene_text(scenes.dump(scene)).field
+    faces = {face.key: face for face in field.conn.surface.faces}
+    rows = scenes.face_rows(scene)
+    assert sorted(faces) == [row["face"] for row in rows]
+    for row in rows:
+        face = faces[row["face"]]
+        for v in face.vertices:
+            assert swirl_path(field, face, v).steps == row["swirl"], (row["face"], v)
 
 
 @pytest.mark.parametrize("kind", sorted(scenes.CORRUPTIONS))

@@ -132,14 +132,14 @@ class TestScene:
 class TestCli:
     def test_check_passes_on_octahedron(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "check", str(scene))
         assert code == 0
         assert "total index 2 == total flatness winding 2: PASS" in out
 
     def test_check_json_output(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "check", "--json", str(scene))
         payload = json.loads(out)
         assert code == 0
@@ -149,7 +149,7 @@ class TestCli:
 
     def test_curvature_report(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "curvature", "--json", str(scene))
         payload = json.loads(out)
         assert code == 0
@@ -161,7 +161,7 @@ class TestCli:
 
     def test_index_with_basepoint_override(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(
             capsys, "index", "--json", "--basepoint", "g,w,r=w", str(scene)
         )
@@ -174,7 +174,7 @@ class TestCli:
 
     def test_bad_basepoint_is_validation_error(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, _, err = run(capsys, "index", "--basepoint", "g,w,r=y", str(scene))
         assert code == 2
         assert "not a vertex" in err
@@ -185,7 +185,7 @@ class TestCli:
         scene = parse_scene_text(text)
         obj["flatness"] = {f.key: 5 for f in scene.surface.faces}  # 1 + one turn
         file = tmp_path / "octa.json"
-        file.write_text(json.dumps(obj))
+        file.write_text(json.dumps(obj), encoding="utf-8")
         code, out, _ = run(capsys, "curvature", "--json", str(file))
         assert code == 0
         assert json.loads(out)["total_flatness_winding"] == 10
@@ -195,14 +195,14 @@ class TestCli:
 
     def test_links_subcommand(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "links", "--json", str(scene))
         assert code == 0
         assert json.loads(out)["links"]["w"] == ["b", "r", "g", "o"]
 
     def test_validate_ok(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "validate", str(scene))
         assert code == 0
         for section in ("surface", "connection", "field"):
@@ -210,7 +210,7 @@ class TestCli:
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
         scene = tmp_path / "bad.json"
-        scene.write_text('{"surface": {"vertices": []}}')
+        scene.write_text('{"surface": {"vertices": []}}', encoding="utf-8")
         code, _, err = run(capsys, "validate", str(scene))
         assert code == 1
         assert "parse error" in err
@@ -219,7 +219,7 @@ class TestCli:
         scene = tmp_path / "open.json"
         scene.write_text(json.dumps(
             {"surface": {"vertices": ["a", "b", "c"], "faces": [["a", "b", "c"]]}}
-        ))
+        ), encoding="utf-8")
         code, _, err = run(capsys, "validate", str(scene))
         assert code == 2
         assert "BoundaryEdge" in err
@@ -230,7 +230,7 @@ class TestCli:
 
     def test_check_needs_field(self, capsys, tmp_path):
         scene = tmp_path / "ico.json"
-        scene.write_text(fixture_scene(capsys, "icosahedron"))
+        scene.write_text(fixture_scene(capsys, "icosahedron"), encoding="utf-8")
         code, _, err = run(capsys, "check", str(scene))
         assert code == 2
         assert "field" in err
@@ -238,7 +238,7 @@ class TestCli:
     def test_failing_verdict_exits_3(self, capsys, tmp_path, monkeypatch):
         # valid inputs cannot produce a failing verdict, so fake the totals
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         real = cli.totals
 
         def lying_totals(*args, **kwargs):
@@ -253,7 +253,7 @@ class TestCli:
 
     def test_export_off(self, capsys, tmp_path):
         scene = tmp_path / "tet.json"
-        scene.write_text(fixture_scene(capsys, "tetrahedron"))
+        scene.write_text(fixture_scene(capsys, "tetrahedron"), encoding="utf-8")
         code, out, _ = run(capsys, "export", "--format", "off", str(scene))
         lines = out.strip().splitlines()
         assert code == 0
@@ -265,7 +265,7 @@ class TestCli:
 
     def test_export_needs_positions(self, capsys, tmp_path):
         scene = tmp_path / "torus.json"
-        scene.write_text(fixture_scene(capsys, "torus"))
+        scene.write_text(fixture_scene(capsys, "torus"), encoding="utf-8")
         code, _, err = run(capsys, "export", str(scene))
         assert code == 2
         assert "positions" in err
@@ -307,7 +307,7 @@ class TestCli:
     ], ids=["deep-nesting", "long-integer"])
     def test_json_decoder_limits_are_parse_errors(self, capsys, tmp_path, text):
         scene = tmp_path / "hostile.json"
-        scene.write_text(text)
+        scene.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "check", str(scene))
         assert code == 1
         assert err.startswith("parse error:")
@@ -320,7 +320,7 @@ class TestCli:
             "0": [coordinate, 0, 0], "1": [1, 0, 0], "2": [0, 1, 0], "3": [0, 0, 1],
         })
         scene = tmp_path / "far.json"
-        scene.write_text(json.dumps(obj))
+        scene.write_text(json.dumps(obj), encoding="utf-8")
         start = time.perf_counter()
         code, _, err = run(capsys, "export", str(scene))
         assert time.perf_counter() - start < 0.5
@@ -328,9 +328,21 @@ class TestCli:
         assert err.startswith("parse error:")
         assert "Traceback" not in err
 
+    def test_coordinate_outside_float_range_is_validation_error(self, capsys, tmp_path):
+        # an exact rational the parser keeps, but no float holds
+        obj = dict(MINIMAL)
+        obj["surface"] = dict(MINIMAL["surface"], positions={
+            "0": [0, 0, 0], "1": [1, 0, 0], "2": ["1" + "0" * 400 + ".5", 1, 0], "3": [0, 0, 1],
+        })
+        scene = tmp_path / "far.json"
+        scene.write_text(json.dumps(obj), encoding="utf-8")
+        code, _, err = run(capsys, "export", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:") and "'2'" in err
+
     def test_json_keys_sorted(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
-        scene.write_text(fixture_scene(capsys, "octahedron"))
+        scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
         _, out, _ = run(capsys, "index", "--json", str(scene))
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
@@ -340,13 +352,13 @@ class TestCli:
 ODD_LABELS = {"w": "é", "b": '"', "r": "\\", "g": "\ud800"}
 
 
-def _relabel(node):
+def _relabel(node, labels=ODD_LABELS):
     if isinstance(node, str):
-        return ODD_LABELS.get(node, node)
+        return labels.get(node, node)
     if isinstance(node, list):
-        return [_relabel(item) for item in node]
+        return [_relabel(item, labels) for item in node]
     if isinstance(node, dict):
-        return {_relabel(key): _relabel(value) for key, value in node.items()}
+        return {_relabel(key, labels): _relabel(value, labels) for key, value in node.items()}
     return node
 
 
@@ -386,7 +398,7 @@ def test_per_face_json_of_the_empty_surface(capsys, tmp_path, command):
         "surface": {"vertices": [], "faces": []},
         "connection": {"fiber_mode": "link", "transports": []},
         "field": {"at": {}, "steps": []},
-    }))
+    }), encoding="utf-8")
     code, out, err = run(capsys, command, "--json", str(scene))
     assert code == 0, err
     assert json.loads(out)["faces"] == []
@@ -454,17 +466,44 @@ def test_serialize_scene_is_the_encoders_text(name):
         assert "\\ud800" in text and '"-1/2"' in text and '"1/100"' in text
 
 
-def test_windex_as_processes_in_a_pipe():
-    """``windex fixture octahedron | windex check -`` as two real processes."""
+WINDEX = [sys.executable, "-m", "windex.cli"]
+
+
+def _process_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    command = [sys.executable, "-m", "windex.cli"]
-    with subprocess.Popen(command + ["fixture", "octahedron"], stdout=subprocess.PIPE,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_windex_as_processes_in_a_pipe():
+    """``windex fixture octahedron | windex check -`` as two real processes."""
+    env = _process_env()
+    with subprocess.Popen(WINDEX + ["fixture", "octahedron"], stdout=subprocess.PIPE,
                           env=env) as fixture:
-        check = subprocess.run(command + ["check", "-"], stdin=fixture.stdout, capture_output=True,
-                               text=True, env=env, timeout=60)
+        check = subprocess.run(WINDEX + ["check", "-"], stdin=fixture.stdout, capture_output=True,
+                               encoding="utf-8", env=env, timeout=60)
         fixture.stdout.close()
         assert fixture.wait(timeout=60) == 0
     assert check.returncode == 0, check.stderr
     assert check.stdout.endswith(": PASS\n")
+
+
+SCENE_ARGVS = [[command, *form] for command in ("validate", "links", "curvature", "index", "check")
+               for form in ([], ["--json"])] + [["export"]]
+
+
+@pytest.mark.parametrize("argv", SCENE_ARGVS, ids=" ".join)
+def test_a_lone_surrogate_label_through_a_strict_utf8_stdout(capsys, tmp_path, argv):
+    """The octahedron fixture with vertex w named "\\ud800", which no UTF-8
+    stream can encode: every subcommand, as a real process whose stdout is
+    strict UTF-8, exits 0 and prints the label as its JSON escape."""
+    obj = _relabel(json.loads(fixture_scene(capsys, "octahedron")), {"w": "\ud800"})
+    scene = tmp_path / "surrogate.json"
+    scene.write_text(json.dumps(obj), encoding="utf-8")
+    env = dict(_process_env(), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(WINDEX + argv + [str(scene)], capture_output=True, env=env, timeout=60)
+    err = proc.stderr.decode("utf-8")
+    assert (proc.returncode, err) == (0, ""), err  # no traceback
+    out = proc.stdout.decode("utf-8")
+    if argv[0] in ("links", "curvature", "index"):
+        assert "\\ud800" in out

@@ -81,7 +81,7 @@ def test_every_wrapped_name_records_a_span():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     run = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(SCENE)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout.splitlines()[-1])
