@@ -27,8 +27,9 @@ like every total of per-face turns it is summed as integers per fiber size
 (``sum_turns``), so components with different fiber sizes add up exactly.
 Each per-face quantity is read from its table or its ``FaceReport`` row.
 Explicit polygons and isomorphisms (``fiber``, ``transport``) are built
-only on request, for the polygon algebra and ``field.swirl_path``; so are
-the rows' labels and keys.
+only on request, for the polygon algebra, and so are the rows' labels and
+keys; ``field.swirl_path`` builds only its basepoint fiber and reads the
+rest off the tables.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -36,7 +37,7 @@ Sign conventions are listed in docs/conventions.md (version 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,7 +83,8 @@ class DiscreteConnection:
     construction, which derives the rest, immutable.  By vertex id, ``sizes``
     holds the fiber size (the degree in link mode) and ``arcs`` size //
     degree; by face id, ``face_sizes`` the one size of its three fibers and
-    ``holonomy`` r_F."""
+    ``holonomy`` r_F.  The builders pass ``_sizes``, the ``_fiber_sizes`` of
+    ``refined`` they have already checked, in place of that check."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -94,12 +96,13 @@ class DiscreteConnection:
     _fibers: dict[str, Polygon] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _sizes: InitVar[tuple | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _sizes) -> None:
         surface, o = self.surface, self.offsets
         tails, twin = surface.tails, surface.twin
         mode = LINK_MODE if self.refined is None else self.refined
-        refined, n, arcs = _fiber_sizes(surface, mode)
+        refined, n, arcs = _sizes or _fiber_sizes(surface, mode)
         collector = ReportCollector()
         if len(o) != len(tails):
             collector.add("SizeMismatch", "offsets",
@@ -145,7 +148,8 @@ class DiscreteConnection:
             return self._fibers[v]
         except (KeyError, TypeError):  # not built yet, or an unhashable label
             i = self.surface.vertex_id(v)
-        self._fibers[v] = self.surface.link(v).subdivide(self.arcs[i])[0]
+        link, arc = self.surface.link(v), self.arcs[i]
+        self._fibers[v] = link if arc == 1 else link.subdivide(arc)[0]
         return self._fibers[v]
 
     def transport(self, i: str, j: str) -> PolyIso:
@@ -319,12 +323,12 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     spec) pairs (see ``antisymmetric``).  One direction per undirected edge
     suffices; if both are supplied they must be mutually inverse.
     """
-    refined, n, arcs = _fiber_sizes(surface, fiber_mode)
+    sizes = refined, n, arcs = _fiber_sizes(surface, fiber_mode)
     collector = ReportCollector()
     offsets = antisymmetric(surface, transports, collector, "transport",
                             _offset_reader(surface, n, arcs, collector), "NotInverse", n)
     collector.raise_if_failed("invalid connection")
-    return DiscreteConnection(surface, refined, offsets)
+    return DiscreteConnection(surface, refined, offsets, _sizes=sizes)
 
 
 def sum_turns(terms) -> Turns:
@@ -459,7 +463,8 @@ def gauge_transform(conn: DiscreteConnection, gauge: GaugeTransformation) -> Dis
     g = [gauge.get(v, 0) for v in surface.vertices]
     offsets = [(o + g[j] - g[i]) % n[j]
                for o, i, j in zip(conn.offsets, surface.tails, surface.heads)]
-    return DiscreteConnection(surface, conn.refined, offsets)
+    sizes = conn.refined, n, conn.arcs
+    return DiscreteConnection(surface, conn.refined, offsets, _sizes=sizes)
 
 
 def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:
@@ -472,7 +477,7 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     """
     if fiber_mode is None:
         fiber_mode = _default_mode(surface, even=True)
-    refined, n, arc = _fiber_sizes(surface, fiber_mode)
+    sizes = refined, n, arc = _fiber_sizes(surface, fiber_mode)
     collector = ReportCollector()
     for v, size in zip(surface.vertices, n):
         if size % 2 != 0:
@@ -482,7 +487,7 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
     labels, pos = surface.vertices, surface.link_pos
     offsets = [(pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
                for a, b in zip(surface.tails, surface.heads)]
-    return DiscreteConnection(surface, refined, offsets)
+    return DiscreteConnection(surface, refined, offsets, _sizes=sizes)
 
 
 def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnection:

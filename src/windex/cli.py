@@ -248,10 +248,13 @@ def _off_number(v: str, value) -> str:
     if frac.denominator == 1:
         return str(frac.numerator)
     try:
-        return repr(float(frac))
+        number = float(frac)
     except OverflowError:
+        number = 0.0
+    if not number:  # too large, or a nonzero fraction below the least float
         raise NotIncident(f"export cannot write the position of {v!r}: "
-                          "a coordinate is out of float range") from None
+                          "a coordinate is out of float range")
+    return repr(number)
 
 
 @cache

@@ -140,11 +140,9 @@ class OrientedSurface:
         return [half.get(get(i, V) * W + get(j, V)) for i, j in pairs]
 
     def half_edge(self, i: str, j: str) -> int:
-        """The half-edge from vertex ``i`` to vertex ``j``: ``half_ids`` for
-        one pair, spelled out, since swirl_path asks for six per face."""
-        V = len(self.vertices)
+        """The half-edge from vertex ``i`` to vertex ``j``."""
         try:
-            h = self.half.get(self.index.get(i, V) * (V + 1) + self.index.get(j, V))
+            (h,) = self.half_ids([(i, j)])
         except TypeError:  # an unhashable label
             h = None
         if h is None:

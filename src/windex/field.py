@@ -13,15 +13,15 @@ the data together:
 
 The swirl of a face is the sum of d over its boundary, its three
 half-edges.  Because transports preserve step counts, this equals the step
-count of the fully transported boundary concatenation (``swirl_path``
-builds that concatenation explicitly from polygon isomorphisms, as a
-reference; ``totals`` just adds integers).  The index of a face is
-(lift + swirl) / fiber size, an exact integer division.  Both are read
-from the ``IndexRow`` of the face, and the totals add
-the per-face indices, and the swirls and lifts as turns s_F / n_F and
-f_F / n_F, summed per fiber size, so components with different fiber
-sizes are reported together.  Report rows are named tuples whose labels
-and face keys are read from the surface's tables.
+count of the fully transported boundary concatenation, a path from the
+holonomy image of X_v back to X_v (conventions rule 10); ``swirl_path``
+reads that path off the tables, and ``totals`` just adds integers.  The
+index of a face is (lift + swirl) / fiber size, an exact integer
+division.  Both are read from the ``IndexRow`` of the face, and the
+totals add the per-face indices, and the swirls and lifts as turns
+s_F / n_F and f_F / n_F, summed per fiber size, so components with
+different fiber sizes are reported together.  Report rows are named
+tuples whose labels and face keys are read from the surface's tables.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .bundle import (
     GaugeTransformation,
     antisymmetric,
     basepoint,
-    boundary,
     face_basepoints,
     gauge_transform,
     sum_turns,
@@ -115,29 +114,16 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
 
 
 def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
-    """The boundary decomposition done explicitly, transport by transport.
-
-    Each edge contributes its step path in the head fiber; the remaining
-    boundary transports carry it into the basepoint fiber, where the three
-    pieces concatenate into a path from holonomy(X_v) to X_v.  Its step
-    count equals the face's swirl because transports preserve steps.
-    """
+    """The boundary decomposition in the basepoint fiber: the path of s_F
+    steps from the holonomy image of X_v back to X_v (conventions rule 10).
+    The face must be one of the surface's (NotIncident otherwise); its
+    holonomy rotation is the same at every corner."""
+    conn, steps = vf.conn, vf.steps
+    f = conn.surface.face_id(face.key)
     v0 = basepoint(face, base)
-    edges = boundary(face, v0)
-    conn = vf.conn
-    transports = [conn.transport(i, j) for i, j in edges]
-
-    pieces: list[PolyPath] = []
-    for k, (i, j) in enumerate(edges):
-        piece = PolyPath(conn.fiber(j), transports[k](vf.value(i)), vf.step(i, j))
-        for later in transports[k + 1:]:
-            piece = later.apply(piece)
-        pieces.append(piece)
-
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total.concat(piece)
-    return total
+    i = conn.surface.index[v0]
+    return PolyPath(conn.fiber(v0), conn._label(i, vf.at[i] + conn.holonomy[f]),
+                    steps[3 * f] + steps[3 * f + 1] + steps[3 * f + 2])
 
 
 def _whole_turns(key: str, total: int, n: int) -> int:

@@ -2,10 +2,11 @@
 
 The path oracles expand paths into explicit label walks (one entry per unit
 step) and recount steps by looking at adjacency only, so they share no code
-with the crossing-count formulas they are used to check.  The bundle oracles
-compose explicit ``PolyIso`` transports around a face, where the library
-adds integer offsets.  ``scene_to_obj`` builds the object a scene file
-encodes, for comparing ``serialize_scene`` with the stdlib encoder.
+with the crossing-count formulas they are used to check.  The bundle and
+field oracles compose explicit ``PolyIso`` transports around a face, where
+the library adds integer offsets.  ``scene_to_obj`` builds the object a
+scene file encodes, for comparing ``serialize_scene`` with the stdlib
+encoder.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint, boundary
 from windex.complex import OrientedFace
 from windex.errors import BadArity
+from windex.field import VectorField
 from windex.polygon import Polygon, PolyIso, PolyPath
 from windex.scene import SceneFile
 
@@ -34,6 +36,33 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
     for i, j in boundary(face, v):
         iso = conn.transport(i, j).compose(iso)
     return iso
+
+
+def swirl_path_explicit(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
+    """The boundary decomposition done explicitly, transport by transport.
+
+    Each edge contributes its step path in the head fiber; the remaining
+    boundary transports carry it into the basepoint fiber, where the three
+    pieces concatenate into a path from holonomy(X_v) to X_v.  Its step
+    count equals the face's swirl because transports preserve steps.  The
+    explicit form of ``field.swirl_path``.
+    """
+    v0 = basepoint(face, base)
+    edges = boundary(face, v0)
+    conn = vf.conn
+    transports = [conn.transport(i, j) for i, j in edges]
+
+    pieces: list[PolyPath] = []
+    for k, (i, j) in enumerate(edges):
+        piece = PolyPath(conn.fiber(j), transports[k](vf.value(i)), vf.step(i, j))
+        for later in transports[k + 1:]:
+            piece = later.apply(piece)
+        pieces.append(piece)
+
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total = total.concat(piece)
+    return total
 
 
 def trivialize_face(

@@ -1,6 +1,7 @@
-"""Call budget of ``windex validate`` and ``windex check``: Python function
-calls per face on sampled torus grids, counted with cProfile, so a slower
-algorithm shows up as a count rather than as timing noise."""
+"""Call budget of ``windex validate``, ``windex check`` and ``swirl_path``:
+Python function calls per face on sampled torus grids, counted with
+cProfile, so a slower algorithm shows up as a count rather than as timing
+noise."""
 
 import argparse
 import contextlib
@@ -9,7 +10,9 @@ import io
 import pstats
 from random import Random
 
-from windex import cli
+from windex import bundle, cli
+from windex.field import swirl_path
+from windex.polygon import Polygon, PolyIso
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
@@ -46,6 +49,12 @@ def calls_by_name(stats: pstats.Stats) -> dict[tuple[str, str], int]:
     return calls
 
 
+def code_key(function) -> tuple[str, int, str]:
+    """The key of ``function`` in ``pstats.Stats.stats``."""
+    code = function.__code__
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
 def test_check_calls_per_face(tmp_path):
     small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
@@ -72,9 +81,40 @@ def test_validate_calls_per_face(tmp_path):
 
 def test_a_second_call_builds_no_parser(tmp_path):
     """``cli.main`` builds its argparse parser on its first call only."""
-    init = argparse.ArgumentParser.__init__.__code__
     stats = profile_cli("validate", 4, tmp_path)
-    assert (init.co_filename, init.co_firstlineno, init.co_name) not in stats.stats
+    assert code_key(argparse.ArgumentParser.__init__) not in stats.stats
+
+
+def test_swirl_path_builds_no_transport():
+    """``swirl_path`` reads the tables: at every corner of every face of a
+    sampled 32x32 grid it builds no ``PolyIso``, and one fiber ``Polygon``
+    per vertex, its link, since a link-mode fiber needs no subdivision."""
+    vf = grid_scene(32).field
+    corners = [(face, v) for face in vf.conn.surface.faces for v in face.vertices]
+    profile = cProfile.Profile()
+    paths = profile.runcall(lambda: [swirl_path(vf, face, v) for face, v in corners])
+    assert len(paths) == 3 * 2 * 32 * 32
+    stats = pstats.Stats(profile).stats
+    assert code_key(PolyIso.__post_init__) not in stats
+    assert stats[code_key(Polygon.__post_init__)][1] == 32 * 32
+
+
+def test_builders_check_the_fiber_mode_once():
+    """A builder checks its fiber mode in ``_fiber_sizes`` and hands the
+    constructor the checked sizes; ``gauge_transform`` keeps its
+    connection's sizes and checks none."""
+    conn = grid_scene(8).connection
+    calls = {}
+    for name, build in [
+        ("build_connection", lambda: bundle.build_connection(
+            conn.surface, "link", {(a, b): (b, a) for a, b in conn.surface.edges})),
+        ("tangent_connection", lambda: bundle.tangent_connection(conn.surface, "link")),
+        ("gauge_transform", lambda: bundle.gauge_transform(conn, {})),
+    ]:
+        profile = cProfile.Profile()
+        profile.runcall(build)
+        calls[name] = pstats.Stats(profile).stats.get(code_key(bundle._refinement), (0, 0))[1]
+    assert calls == {"build_connection": 1, "tangent_connection": 1, "gauge_transform": 0}
 
 
 def test_serialize_and_basepoint_build_no_face(tmp_path):

@@ -6,8 +6,8 @@ windex, so a sign or orientation bug would need two independent mistakes
 to pass here.  Seeded scenes on seven surfaces, in link mode where the
 degrees allow it and refined to twice the lcm of the degrees, go through
 ``index --json``, ``curvature --json``, ``check`` and a parse/serialize
-round trip (the differential test), and their swirls are decomposed
-transport by transport at every basepoint; each ``scenes.CORRUPTIONS``
+round trip (the differential test), and their swirl paths are checked
+against the decomposition transport by transport at every basepoint; each ``scenes.CORRUPTIONS``
 kind applied to them must be rejected under its named rule (the mutation
 test).
 """
@@ -28,7 +28,7 @@ from windex.field import swirl_path
 from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
-from oracles import holonomy_iso
+from oracles import holonomy_iso, swirl_path_explicit
 from surfaces import bipyramid, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -121,8 +121,9 @@ def test_reports_match_the_oracle(capsys, tmp_path, name, mode, seed):
 
 @pytest.mark.parametrize("name, mode, seed", CASES)
 def test_swirl_path_matches_the_oracle_at_every_basepoint(name, mode, seed):
-    """The paper's boundary decomposition, carried through the explicit
-    transports into each corner's fiber, counts the oracle's swirl."""
+    """``swirl_path``, read off the tables, is the paper's boundary
+    decomposition carried through the explicit transports into each
+    corner's fiber, and counts the scene oracle's swirl."""
     scene = _scene(name, mode, seed)
     field = parse_scene_text(scenes.dump(scene)).field
     faces = {face.key: face for face in field.conn.surface.faces}
@@ -131,7 +132,9 @@ def test_swirl_path_matches_the_oracle_at_every_basepoint(name, mode, seed):
     for row in rows:
         face = faces[row["face"]]
         for v in face.vertices:
-            assert swirl_path(field, face, v).steps == row["swirl"], (row["face"], v)
+            path = swirl_path(field, face, v)
+            assert path == swirl_path_explicit(field, face, v), (row["face"], v)
+            assert path.steps == row["swirl"], (row["face"], v)
 
 
 @pytest.mark.parametrize("kind", sorted(scenes.CORRUPTIONS))

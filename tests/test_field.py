@@ -23,6 +23,7 @@ from windex.fixtures import (
     OCTAHEDRON_SPIN_AT,
     boundary_delta3,
     csaszar_torus,
+    icosahedron,
     OCTAHEDRON_SPIN_PATHS,
     octahedron,
     octahedron_connection,
@@ -31,7 +32,7 @@ from windex.fixtures import (
 from windex.polygon import PolyPath
 from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
-from oracles import holonomy_iso
+from oracles import holonomy_iso, swirl_path_explicit
 from surfaces import tet_and_octahedron
 
 # swirls of the spin field, per face, frozen from the boundary sums
@@ -211,6 +212,31 @@ class TestSwirl:
                 assert path.steps == row.swirl
                 assert path.start == holonomy_iso(conn, face, v)(spin.value(v))
                 assert path.end == spin.value(v)
+
+    # 60 is the lcm of the degrees 3 to 6; link mode needs equal degrees
+    @pytest.mark.parametrize("surface, mode", [
+        (make, mode) for make in (boundary_delta3, octahedron, icosahedron, csaszar_torus)
+        for mode in ("link", 60)] + [(tet_and_octahedron, 60)])
+    def test_swirl_path_is_the_explicit_decomposition(self, surface, mode, spin):
+        """On every face and corner, the path read off the tables is the one
+        the transports and concatenations build."""
+        rng = Random(f"{surface.__name__} {mode}")
+        fields = [random_field(random_connection(surface(), mode, rng), rng)]
+        if surface is octahedron and mode == "link":
+            fields.append(spin)
+        for vf in fields:
+            for face in vf.conn.surface.faces:
+                for v in face.vertices:
+                    assert swirl_path(vf, face, v) == swirl_path_explicit(vf, face, v), (face.key, v)
+
+    def test_swirl_path_needs_a_face_of_the_surface(self, conn, spin):
+        face = conn.surface.faces[conn.surface.face_id("g,w,r")]
+        # the reversed face's edges are half-edges of the surface, but it
+        # bounds no face of it
+        with pytest.raises(NotIncident):
+            swirl_path(spin, face.reversed())
+        with pytest.raises(NotIncident):
+            swirl_path(spin, face, "b")
 
     def test_all_zero_steps_mean_zero_swirl(self):
         # position-preserving transports admit the constant section with

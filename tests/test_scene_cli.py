@@ -340,6 +340,18 @@ class TestCli:
         assert code == 2
         assert err.startswith("validation error:") and "'2'" in err
 
+    def test_coordinate_below_float_range_is_validation_error(self, capsys, tmp_path):
+        # nonzero, but its float is 0.0: writing that would move the vertex
+        obj = dict(MINIMAL)
+        obj["surface"] = dict(MINIMAL["surface"], positions={
+            "0": ["0." + "0" * 400 + "1", 0, 0], "1": [1, 0, 0], "2": [0, 1, 0], "3": [0, 0, 1],
+        })
+        scene = tmp_path / "near.json"
+        scene.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "export", str(scene))
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error:") and "'0'" in err
+
     def test_json_keys_sorted(self, capsys, tmp_path):
         scene = tmp_path / "octa.json"
         scene.write_text(fixture_scene(capsys, "octahedron"), encoding="utf-8")
