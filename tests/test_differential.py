@@ -7,9 +7,9 @@ to pass here.  Seeded scenes on seven surfaces, in link mode where the
 degrees allow it and refined to twice the lcm of the degrees, go through
 ``index --json``, ``curvature --json``, ``check`` and a parse/serialize
 round trip (the differential test), and their swirl paths are checked
-against the decomposition transport by transport at every basepoint; each ``scenes.CORRUPTIONS``
-kind applied to them must be rejected under its named rule (the mutation
-test).
+against the decomposition transport by transport at every basepoint;
+each ``scenes.CORRUPTIONS`` kind applied to them must be rejected under
+its named rule (the mutation test).
 """
 
 import json

@@ -41,6 +41,12 @@ EXPECTED_SWIRLS = {
     "b,y,r": -1, "g,r,y": -1, "g,y,o": -1, "b,o,y": 3,
 }
 
+# every library fixture surface, in link mode where its degrees are equal
+# and refined to 60, the lcm of the degrees 3 to 6
+SURFACE_MODES = [(make, mode) for make in (boundary_delta3, octahedron, icosahedron,
+                                           csaszar_torus) for mode in ("link", 60)]
+SURFACE_MODES.append((tet_and_octahedron, 60))
+
 
 def both_ways(vf):
     """The field's step on every directed edge, keyed by label pair: the
@@ -213,10 +219,8 @@ class TestSwirl:
                 assert path.start == holonomy_iso(conn, face, v)(spin.value(v))
                 assert path.end == spin.value(v)
 
-    # 60 is the lcm of the degrees 3 to 6; link mode needs equal degrees
-    @pytest.mark.parametrize("surface, mode", [
-        (make, mode) for make in (boundary_delta3, octahedron, icosahedron, csaszar_torus)
-        for mode in ("link", 60)] + [(tet_and_octahedron, 60)])
+    @pytest.mark.parametrize("surface, mode", SURFACE_MODES,
+                             ids=[f"{make.__name__}-{mode}" for make, mode in SURFACE_MODES])
     def test_swirl_path_is_the_explicit_decomposition(self, surface, mode, spin):
         """On every face and corner, the path read off the tables is the one
         the transports and concatenations build."""
