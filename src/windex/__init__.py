@@ -8,7 +8,6 @@ from .bundle import (
     GaugeTransformation,
     attach_flatness,
     basepoint,
-    boundary,
     build_connection,
     canonical_flatness,
     face_reports,
@@ -33,7 +32,6 @@ from .field import (
     swirl_path,
     totals,
 )
-from .polygon import Polygon, PolyIso, PolyPath, Turns
 
 SIGN_CONVENTIONS = "v1"  # see docs/conventions.md
 
@@ -45,18 +43,13 @@ __all__ = [
     "IndexReport",
     "OrientedFace",
     "OrientedSurface",
-    "Polygon",
-    "PolyIso",
-    "PolyPath",
     "SIGN_CONVENTIONS",
-    "Turns",
     "ValidationFailed",
     "ValidationReport",
     "VectorField",
     "WindexError",
     "attach_flatness",
     "basepoint",
-    "boundary",
     "build_connection",
     "build_field",
     "build_surface",

@@ -1,8 +1,9 @@
 """Discrete circle bundles with connection.
 
-A connection assigns a fiber polygon to every vertex and an
-orientation-preserving polygon isomorphism (the transport) to every
-directed edge, inverse on the reverse edge.  Fibers come in two modes:
+A connection assigns a fiber, a combinatorial circle of n points, to every
+vertex and an orientation-preserving rotation offset (the transport) to
+every directed edge, its negation on the reverse edge.  Fibers come in two
+modes:
 
 * link mode: the fiber at v is link(v) itself, so transports only exist
   where the two endpoint degrees agree;
@@ -25,11 +26,8 @@ stored by face id.  The total flatness winding is the sum of f_F / n_F
 over all faces, the exact integer the index theorem compares against;
 like every total of per-face turns it is summed as integers per fiber size
 (``sum_turns``), so components with different fiber sizes add up exactly.
-Each per-face quantity is read from its table or its ``FaceReport`` row.
-Explicit polygons and isomorphisms (``fiber``, ``transport``) are built
-only on request, for the polygon algebra, and so are the rows' labels and
-keys; ``field.swirl_path`` builds only its basepoint fiber and reads the
-rest off the tables.
+Each per-face quantity is read from its table or its ``FaceReport`` row;
+the rows' labels and keys are read from the surface's tables.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -42,22 +40,26 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complex import OrientedFace, OrientedSurface
-from .errors import NonIntegralTotal, NotIncident, ReportCollector, UnknownLabel
-from .polygon import Polygon, PolyIso, Turns
+from .errors import NonIntegralTotal, NotIncident, ReportCollector, UnknownLabel, WindexError
 
 LINK_MODE = "link"
+
+# angles, in turns: 1 is one full revolution
+Turns = Fraction
+
+
+class Fiber(NamedTuple):
+    """The fiber at ``vertex``: the positions 0 .. n - 1, read as labels by
+    ``DiscreteConnection.label_at``."""
+
+    vertex: str
+    n: int
 
 
 def basepoint(face: OrientedFace, override: str | None = None) -> str:
     """Default basepoint is the least vertex label, which the face stores
     first; any override must lie on the face."""
     return face.vertices[0] if override is None else face.corner_order(override)[0]
-
-
-def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
-    """The face's three directed edges, in cyclic order from ``start``."""
-    a, b, c = face.corner_order(start)
-    return [(a, b), (b, c), (c, a)]
 
 
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
@@ -83,8 +85,11 @@ class DiscreteConnection:
     construction, which derives the rest, immutable.  By vertex id, ``sizes``
     holds the fiber size (the degree in link mode) and ``arcs`` size //
     degree; by face id, ``face_sizes`` the one size of its three fibers and
-    ``holonomy`` r_F.  The builders pass ``_sizes``, the ``_fiber_sizes`` of
-    ``refined`` they have already checked, in place of that check."""
+    ``holonomy`` r_F.  No fiber label is stored: ``position`` and
+    ``label_at`` convert between a label and its position, and ``fiber``
+    is the record of a fiber's size.  The builders pass ``_sizes``, the
+    ``_fiber_sizes`` of ``refined`` they have already checked, in place of
+    that check."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -93,9 +98,6 @@ class DiscreteConnection:
     arcs: list[int] = field(init=False, repr=False, compare=False)
     face_sizes: list[int] = field(init=False, repr=False, compare=False)
     holonomy: list[int] = field(init=False, repr=False, compare=False)
-    _fibers: dict[str, Polygon] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _sizes: InitVar[tuple | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _sizes) -> None:
@@ -131,7 +133,7 @@ class DiscreteConnection:
 
     def position(self, v: str, label: str) -> int:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
-        arc = size / degree: the positions of ``Polygon.subdivide(arc)``."""
+        arc = size / degree: the points a subdivided link gains after x."""
         i = self.surface.vertex_id(v)
         return _position(self.surface.link_pos[i], self.arcs[i], v, label)
 
@@ -143,20 +145,8 @@ class DiscreteConnection:
     def label_at(self, v: str, position: int) -> str:
         return self._label(self.surface.vertex_id(v), position)
 
-    def fiber(self, v: str) -> Polygon:
-        try:
-            return self._fibers[v]
-        except (KeyError, TypeError):  # not built yet, or an unhashable label
-            i = self.surface.vertex_id(v)
-        link, arc = self.surface.link(v), self.arcs[i]
-        self._fibers[v] = link if arc == 1 else link.subdivide(arc)[0]
-        return self._fibers[v]
-
-    def transport(self, i: str, j: str) -> PolyIso:
-        surface = self.surface
-        h = surface.half_edge(i, j)
-        anchor = (self._label(surface.tails[h], 0), self._label(surface.heads[h], self.offsets[h]))
-        return PolyIso(self.fiber(i), self.fiber(j), anchor)
+    def fiber(self, v: str) -> Fiber:
+        return Fiber(v, self.sizes[self.surface.vertex_id(v)])
 
 
 def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
@@ -357,6 +347,13 @@ class FlatnessStructure:
     lifts: list[int] = field(repr=False)
 
 
+def check_flatness_surface(conn: DiscreteConnection, flatness: FlatnessStructure) -> None:
+    """Lifts are read by face id, so a flatness must lie on the
+    connection's surface: the same object or an equal one."""
+    if flatness.surface is not conn.surface and flatness.surface != conn.surface:
+        raise WindexError("the flatness structure lies on another surface than the connection")
+
+
 def attach_flatness(conn: DiscreteConnection, lifts) -> FlatnessStructure:
     """Validate a lift per face, given by face key: each must be an ``int``
     congruent to the holonomy steps mod the fiber size."""
@@ -393,6 +390,7 @@ def canonical_flatness(conn: DiscreteConnection) -> FlatnessStructure:
 def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure) -> int:
     """Sum of lift turns f_F / n_F over all faces; integral whenever the net
     holonomy vanishes mod 1, which validation guarantees."""
+    check_flatness_surface(conn, flatness)
     total = sum_turns(zip(conn.face_sizes, flatness.lifts))
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
@@ -432,6 +430,7 @@ def face_reports(
     flatness: FlatnessStructure,
     basepoints: dict[str, str] | None = None,
 ) -> list[FaceReport]:
+    check_flatness_surface(conn, flatness)
     bases = face_basepoints(conn.surface, basepoints)
     return [FaceReport(key, v, n, r, f, Fraction(r, n), Fraction(f, n))
             for key, v, n, r, f in zip(conn.surface.keys, bases, conn.face_sizes,

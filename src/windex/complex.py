@@ -13,8 +13,8 @@ order; face f owns the half-edges 3f, 3f + 1, 3f + 2 of its boundary, each
 with a twin running back (Botsch et al., *Polygon Mesh Processing*, 2010,
 ch. 2).  Links are position tables.  The tables downstream are lists by
 half-edge, face or vertex id; labels and keys are formatted for output and
-violations only, and ``OrientedFace``s, link ``Polygon``s and label-pair
-edges are built on demand, for the public API and the reference oracles.
+violations only, and ``OrientedFace``s and label-pair edges are built on
+demand, for the public API and the reference oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BadArity, NotIncident, ReportCollector
-from .polygon import Polygon
 
 # characters reserved by face keys, refinement labels and the CLI
 _FORBIDDEN = frozenset(',~= \t\n')
@@ -79,9 +78,9 @@ class OrientedSurface:
     link of v is ``link_labels[v]``, from its least label, and its position
     table ``link_pos[v]`` maps each label to its place.  ``edge_half``
     holds the half-edge of each edge from its lesser end, in sorted order.
-    ``positions`` is pass-through geometry for export only.  ``faces``,
-    ``edges`` and ``link`` are label views for library users; windex itself
-    reads the tables.
+    ``positions`` is pass-through geometry for export only.  ``faces`` and
+    ``edges`` are label views for library users; windex itself reads the
+    tables.
     """
 
     vertices: tuple[str, ...]
@@ -122,9 +121,6 @@ class OrientedSurface:
             return self.index[v]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise NotIncident(f"{v!r} is not a vertex of this surface") from None
-
-    def link(self, v: str) -> Polygon:
-        return Polygon(tuple(self.link_labels[self.vertex_id(v)]))
 
     def face_id(self, key: str) -> int:
         try:

@@ -6,9 +6,8 @@ problems at once.  Violations name their rule as a string (DuplicateFace,
 BoundaryEdge, OrientationClash, NonPolygonLink, BadFiberMode, SizeMismatch,
 BadEdge, MissingEdge, NotInverse, OrientationReversing, UnknownLabel,
 NotAnInteger, LiftIncongruent, EndpointIncongruent, AntisymmetryViolation,
-...).  Every other failure raises one of the WindexError subclasses below
-directly; only a PolyIso ``orientation`` that is neither "preserving" nor
-"reversing" is a plain ValueError, a caller's misuse rather than bad data.
+...).  Every other failure raises WindexError or one of its subclasses
+below directly.
 """
 
 from __future__ import annotations
@@ -20,33 +19,9 @@ class WindexError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# -- polygon / path arithmetic ------------------------------------------------
+# -- fiber labels -----------------------------------------------------------------
 
 class UnknownLabel(WindexError):
-    pass
-
-
-class EndpointMismatch(WindexError):
-    pass
-
-
-class NotALoop(WindexError):
-    pass
-
-
-class SizeMismatch(WindexError):
-    pass
-
-
-class NotAnEndomorphism(WindexError):
-    pass
-
-
-class OrientationReversing(WindexError):
-    pass
-
-
-class TooSmall(WindexError):
     pass
 
 

@@ -15,13 +15,14 @@ The swirl of a face is the sum of d over its boundary, its three
 half-edges.  Because transports preserve step counts, this equals the step
 count of the fully transported boundary concatenation, a path from the
 holonomy image of X_v back to X_v (conventions rule 10); ``swirl_path``
-reads that path off the tables, and ``totals`` just adds integers.  The
-index of a face is (lift + swirl) / fiber size, an exact integer
-division.  Both are read from the ``IndexRow`` of the face, and the
-totals add the per-face indices, and the swirls and lifts as turns
-s_F / n_F and f_F / n_F, summed per fiber size, so components with
-different fiber sizes are reported together.  Report rows are named
-tuples whose labels and face keys are read from the surface's tables.
+reads that path off the tables, as a start label and a step count, and
+``totals`` just adds integers.  The index of a face is (lift + swirl) /
+fiber size, an exact integer division.  Both are read from the
+``IndexRow`` of the face, and the totals add the per-face indices, and
+the swirls and lifts as turns s_F / n_F and f_F / n_F, summed per fiber
+size, so components with different fiber sizes are reported together.
+Report rows are named tuples whose labels and face keys are read from
+the surface's tables.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ from typing import NamedTuple
 
 from .bundle import (
     DiscreteConnection,
+    Fiber,
     FlatnessStructure,
     GaugeTransformation,
+    Turns,
     antisymmetric,
     basepoint,
+    check_flatness_surface,
     face_basepoints,
     gauge_transform,
     sum_turns,
@@ -42,7 +46,6 @@ from .bundle import (
 )
 from .complex import OrientedFace
 from .errors import NonIntegralIndex, ReportCollector, UnknownLabel
-from .polygon import PolyPath, Turns
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,15 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     return VectorField(conn, positions, resolved)
 
 
-def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> PolyPath:
+class SwirlPath(NamedTuple):
+    """A path in ``fiber``: ``steps`` signed steps from the label ``start``."""
+
+    fiber: Fiber
+    start: str
+    steps: int
+
+
+def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> SwirlPath:
     """The boundary decomposition in the basepoint fiber: the path of s_F
     steps from the holonomy image of X_v back to X_v (conventions rule 10).
     The face must be one of the surface's (NotIncident otherwise); its
@@ -122,8 +133,8 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
     f = conn.surface.face_id(face.key)
     v0 = basepoint(face, base)
     i = conn.surface.index[v0]
-    return PolyPath(conn.fiber(v0), conn._label(i, vf.at[i] + conn.holonomy[f]),
-                    steps[3 * f] + steps[3 * f + 1] + steps[3 * f + 2])
+    return SwirlPath(Fiber(v0, conn.sizes[i]), conn._label(i, vf.at[i] + conn.holonomy[f]),
+                     steps[3 * f] + steps[3 * f + 1] + steps[3 * f + 2])
 
 
 def _whole_turns(key: str, total: int, n: int) -> int:
@@ -170,6 +181,7 @@ def totals(
     boundary, and reverse steps cancel in fibers of one size), which forces
     total index = total flatness winding."""
     conn, steps = vf.conn, vf.steps
+    check_flatness_surface(conn, flatness)
     sizes, bases = conn.face_sizes, face_basepoints(conn.surface, basepoints)
     swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
     rows = [IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))

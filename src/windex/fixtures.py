@@ -163,13 +163,15 @@ def octahedron_connection():
 
 def octahedron_spin_field(conn=None):
     """The spin field, edge paths read as minimal-step representatives of
-    the table's label pairs."""
+    the table's label pairs, a tie at n/2 going forward (conventions
+    rule 9)."""
     from .field import build_field
 
     if conn is None:
         conn = octahedron_connection()
-    steps = {
-        (i, j): conn.fiber(j).minimal_steps(src, dst)
-        for (i, j), (src, dst) in OCTAHEDRON_SPIN_PATHS.items()
-    }
+    steps = {}
+    for (i, j), (src, dst) in OCTAHEDRON_SPIN_PATHS.items():
+        n = conn.size(j)
+        d = (conn.position(j, dst) - conn.position(j, src)) % n
+        steps[(i, j)] = d if 2 * d <= n else d - n
     return build_field(conn, OCTAHEDRON_SPIN_AT, steps)

@@ -1,10 +1,16 @@
-"""Brute-force oracles, independent of the library's closed-form arithmetic.
+"""Reference semantics and brute-force oracles, independent of the
+library's closed-form arithmetic.
 
-The path oracles expand paths into explicit label walks (one entry per unit
-step) and recount steps by looking at adjacency only, so they share no code
-with the crossing-count formulas they are used to check.  The bundle and
-field oracles compose explicit ``PolyIso`` transports around a face, where
-the library adds integer offsets.  ``scene_to_obj`` builds the object a
+windex computes every fiber quantity as an integer mod the fiber size.
+The paper's own construction, with label objects, lives here and in
+``polygon.py``: ``link`` builds the link polygon of a vertex, ``fiber``
+the link subdivided by its arc, ``transport`` the anchored ``PolyIso``
+of a directed edge and ``boundary`` the directed edges of a face.  The
+bundle and field oracles compose those transports around a face, where
+the library adds integer offsets.  The path oracles expand paths into
+explicit label walks (one entry per unit step) and recount steps by
+looking at adjacency only, so they share no code with the crossing-count
+formulas they are used to check.  ``scene_to_obj`` builds the object a
 scene file encodes, for comparing ``serialize_scene`` with the stdlib
 encoder.
 """
@@ -13,12 +19,46 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint, boundary
-from windex.complex import OrientedFace
+from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint
+from windex.complex import OrientedFace, OrientedSurface
 from windex.errors import BadArity
-from windex.field import VectorField
-from windex.polygon import Polygon, PolyIso, PolyPath
+from windex.field import SwirlPath, VectorField
 from windex.scene import SceneFile
+
+from polygon import Polygon, PolyIso, PolyPath
+
+
+def link(surface: OrientedSurface, v: str) -> Polygon:
+    """The link of ``v``: its neighbours in the cyclic order the faces
+    around it induce (conventions rule 2)."""
+    return Polygon(tuple(surface.link_labels[surface.vertex_id(v)]))
+
+
+def fiber(conn: DiscreteConnection, v: str) -> Polygon:
+    """The fiber at ``v``: its link, each arc subdivided into
+    size / degree steps."""
+    poly = link(conn.surface, v)
+    arc = conn.size(v) // poly.n
+    return poly if arc == 1 else poly.subdivide(arc)[0]
+
+
+def transport(conn: DiscreteConnection, i: str, j: str) -> PolyIso:
+    """The transport along the directed edge (i, j): position 0 of the
+    fiber at ``i`` goes to the position its offset names at ``j``."""
+    h = conn.surface.half_edge(i, j)
+    anchor = (conn.label_at(i, 0), conn.label_at(j, conn.offsets[h]))
+    return PolyIso(fiber(conn, i), fiber(conn, j), anchor)
+
+
+def reference_path(conn: DiscreteConnection, path: SwirlPath) -> PolyPath:
+    """The ``PolyPath`` a ``SwirlPath`` records, on the reference fiber."""
+    return PolyPath(fiber(conn, path.fiber.vertex), path.start, path.steps)
+
+
+def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
+    """The face's three directed edges, in cyclic order from ``start``."""
+    a, b, c = face.corner_order(start)
+    return [(a, b), (b, c), (c, a)]
 
 
 def cycle_complex(n: int) -> Polygon:
@@ -32,9 +72,9 @@ def holonomy_iso(conn: DiscreteConnection, face: OrientedFace, base: str | None 
     """Composite transport around the face boundary, an endomorphism of the
     basepoint fiber.  The explicit form of ``conn.holonomy``."""
     v = basepoint(face, base)
-    iso = PolyIso.identity(conn.fiber(v))
+    iso = PolyIso.identity(fiber(conn, v))
     for i, j in boundary(face, v):
-        iso = conn.transport(i, j).compose(iso)
+        iso = transport(conn, i, j).compose(iso)
     return iso
 
 
@@ -50,11 +90,11 @@ def swirl_path_explicit(vf: VectorField, face: OrientedFace, base: str | None = 
     v0 = basepoint(face, base)
     edges = boundary(face, v0)
     conn = vf.conn
-    transports = [conn.transport(i, j) for i, j in edges]
+    transports = [transport(conn, i, j) for i, j in edges]
 
     pieces: list[PolyPath] = []
     for k, (i, j) in enumerate(edges):
-        piece = PolyPath(conn.fiber(j), transports[k](vf.value(i)), vf.step(i, j))
+        piece = PolyPath(fiber(conn, j), transports[k](vf.value(i)), vf.step(i, j))
         for later in transports[k + 1:]:
             piece = later.apply(piece)
         pieces.append(piece)
@@ -80,14 +120,14 @@ def trivialize_face(
     """
     v0 = basepoint(face, base)
     (e0, e1, _) = boundary(face, v0)
-    charts = {v0: PolyIso.identity(conn.fiber(v0))}
-    charts[e0[1]] = conn.transport(*e0).invert()
-    charts[e1[1]] = conn.transport(*e1).compose(conn.transport(*e0)).invert()
+    charts = {v0: PolyIso.identity(fiber(conn, v0))}
+    charts[e0[1]] = transport(conn, *e0).invert()
+    charts[e1[1]] = transport(conn, *e1).compose(transport(conn, *e0)).invert()
 
     # sanity: transitions compose to the lift-determined rotation
     composite = charts[v0]
     for i, j in boundary(face, v0):
-        transition = charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
+        transition = charts[j].compose(transport(conn, i, j)).compose(charts[i].invert())
         composite = transition.compose(composite)
     lift = flatness.lifts[conn.surface.face_id(face.key)]
     if composite.rotation_steps() != lift % conn.size(v0):

@@ -1,4 +1,6 @@
-"""Combinatorial circles with exact path and winding arithmetic.
+"""Combinatorial circles with exact path and winding arithmetic: the
+paper's label-object semantics, kept as the reference that windex's
+integer core is checked against.
 
 A Polygon is a cycle graph on n labeled points, the combinatorial stand-in
 for the circle.  A path on it is stored as a homotopy class: a start label
@@ -13,6 +15,11 @@ Sign conventions (see docs/conventions.md, version 1):
 * when a path between two labels is read off from a label pair, the
   minimal-|steps| representative is meant, with a tie at n/2 broken
   toward positive.
+
+Failures are ``WindexError``s, like windex's own: ``BadArity`` and
+``UnknownLabel`` from windex, and the six classes below, which only this
+algebra raises.  An ``orientation`` that is neither "preserving" nor
+"reversing" is a plain ValueError, a caller's misuse rather than bad data.
 """
 
 from __future__ import annotations
@@ -21,18 +28,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import (
-    BadArity,
-    EndpointMismatch,
-    NotALoop,
-    NotAnEndomorphism,
-    OrientationReversing,
-    SizeMismatch,
-    TooSmall,
-    UnknownLabel,
-)
+from windex.bundle import Turns
+from windex.errors import BadArity, UnknownLabel, WindexError
 
-Turns = Fraction
+
+class EndpointMismatch(WindexError):
+    pass
+
+
+class NotALoop(WindexError):
+    pass
+
+
+class SizeMismatch(WindexError):
+    pass
+
+
+class NotAnEndomorphism(WindexError):
+    pass
+
+
+class OrientationReversing(WindexError):
+    pass
+
+
+class TooSmall(WindexError):
+    pass
+
 
 PRESERVING = "preserving"
 REVERSING = "reversing"

@@ -12,10 +12,10 @@ from random import Random
 
 from windex import bundle, cli
 from windex.field import swirl_path
-from windex.polygon import Polygon, PolyIso
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
+import polygon
 from surfaces import torus_grid
 
 
@@ -87,16 +87,15 @@ def test_a_second_call_builds_no_parser(tmp_path):
 
 def test_swirl_path_builds_no_transport():
     """``swirl_path`` reads the tables: at every corner of every face of a
-    sampled 32x32 grid it builds no ``PolyIso``, and one fiber ``Polygon``
-    per vertex, its link, since a link-mode fiber needs no subdivision."""
+    sampled 32x32 grid it runs no code of the reference polygon algebra."""
     vf = grid_scene(32).field
     corners = [(face, v) for face in vf.conn.surface.faces for v in face.vertices]
     profile = cProfile.Profile()
     paths = profile.runcall(lambda: [swirl_path(vf, face, v) for face, v in corners])
     assert len(paths) == 3 * 2 * 32 * 32
     stats = pstats.Stats(profile).stats
-    assert code_key(PolyIso.__post_init__) not in stats
-    assert stats[code_key(Polygon.__post_init__)][1] == 32 * 32
+    reference = [key for key in stats if key[0] == polygon.__file__]
+    assert reference == [], reference
 
 
 def test_builders_check_the_fiber_mode_once():

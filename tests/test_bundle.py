@@ -9,7 +9,6 @@ from windex.bundle import (
     DiscreteConnection,
     attach_flatness,
     basepoint,
-    boundary,
     build_connection,
     canonical_flatness,
     default_refinement,
@@ -21,17 +20,18 @@ from windex.bundle import (
     total_flatness_winding,
     GaugeTransformation,
 )
-from windex.errors import NotIncident, ValidationFailed
+from windex.errors import NotIncident, ValidationFailed, WindexError
 from windex.fixtures import (
     OCTAHEDRON_TRANSPORTS,
+    boundary_delta3,
     csaszar_torus,
     icosahedron,
     octahedron,
 )
-from windex.polygon import PolyIso
 from windex.sampling import random_connection, random_gauge
 
-from oracles import holonomy_iso, trivialize_face
+from oracles import boundary, fiber, holonomy_iso, link, transport, trivialize_face
+from polygon import PolyIso
 from surfaces import bipyramid, tet_and_octahedron
 
 
@@ -52,14 +52,14 @@ def with_octahedron_transports(surface, fiber_mode):
 class TestBuild:
     def test_full_maps_and_anchors_agree(self, octa, conn):
         anchored = {
-            edge: conn.transport(*edge).anchor for edge in OCTAHEDRON_TRANSPORTS
+            edge: transport(conn, *edge).anchor for edge in OCTAHEDRON_TRANSPORTS
         }
         assert build_connection(octa, "link", anchored).offsets == conn.offsets
 
     def test_transport_tables_reproduced(self, conn):
-        iso = conn.transport("w", "r")
+        iso = transport(conn, "w", "r")
         assert iso.mapping() == {"b": "b", "r": "y", "g": "g", "o": "w"}
-        assert conn.transport("r", "w") == iso.invert()
+        assert transport(conn, "r", "w") == iso.invert()
 
     def test_reverse_directions_checked(self, octa):
         transports = dict(OCTAHEDRON_TRANSPORTS)
@@ -70,7 +70,7 @@ class TestBuild:
 
     def test_supplying_true_inverse_is_fine(self, octa, conn):
         transports = dict(OCTAHEDRON_TRANSPORTS)
-        transports[("r", "w")] = conn.transport("r", "w").mapping()
+        transports[("r", "w")] = transport(conn, "r", "w").mapping()
         rebuilt = build_connection(octa, "link", transports)
         assert rebuilt.offsets == conn.offsets
 
@@ -96,7 +96,7 @@ class TestBuild:
 
     def test_a_str_anchor_is_not_a_label_pair(self, octa, conn):
         """A two-character str anchor was unpacked, so "bb" read as (b, b)."""
-        anchor = conn.transport("w", "r").anchor
+        anchor = transport(conn, "w", "r").anchor
         transports = dict(OCTAHEDRON_TRANSPORTS)
         transports[("w", "r")] = anchor
         assert build_connection(octa, "link", transports).offsets == conn.offsets
@@ -135,11 +135,13 @@ class TestBuild:
         assert set(conn.sizes) == {20}
 
     def test_refined_fibers_embed_links(self, octa):
-        fiber = flat_connection(octa, 8).fiber("w")
-        assert fiber.n == 8
-        link = octa.link("w")
-        for k, lab in enumerate(link.labels):
-            assert (fiber.position(lab) - fiber.position(link.labels[0])) % 8 == 2 * k
+        conn = flat_connection(octa, 8)
+        assert conn.fiber("w").n == 8
+        poly, ring = fiber(conn, "w"), link(octa, "w")
+        assert poly.n == 8
+        for k, lab in enumerate(ring.labels):
+            assert (poly.position(lab) - poly.position(ring.labels[0])) % 8 == 2 * k
+            assert (conn.position("w", lab) - conn.position("w", ring.labels[0])) % 8 == 2 * k
 
     def test_refined_size_must_divide(self, octa):
         with pytest.raises(ValidationFailed):
@@ -245,15 +247,15 @@ class TestHolonomy:
                 assert holonomy_iso(conn, face, v).rotation_steps() == conn.holonomy[f]
 
     def test_out_and_back_is_identity(self, conn):
-        round_trip = conn.transport("r", "w").compose(conn.transport("w", "r"))
+        round_trip = transport(conn, "r", "w").compose(transport(conn, "w", "r"))
         assert round_trip.rotation_steps() == 0
 
     def test_reversed_boundary_negates_holonomy(self, octa, conn):
         for f, face in enumerate(octa.faces):
             v = basepoint(face)
-            backwards = PolyIso.identity(conn.fiber(v))
+            backwards = PolyIso.identity(fiber(conn, v))
             for i, j in reversed(boundary(face, v)):
-                backwards = conn.transport(j, i).compose(backwards)
+                backwards = transport(conn, j, i).compose(backwards)
             n = conn.fiber(v).n
             assert backwards.rotation_steps() == (-conn.holonomy[f]) % n
 
@@ -289,7 +291,7 @@ class TestHolonomy:
         # disjoint union of a tetrahedron and an octahedron: valid complex,
         # mixed degrees, so link-mode fiber sizes differ
         both = tet_and_octahedron()
-        transports = {(a, b): (both.link(a).labels[0], both.link(b).labels[0])
+        transports = {(a, b): (link(both, a).labels[0], link(both, b).labels[0])
                       for a, b in both.edges}
         conn = build_connection(both, "link", transports)
         assert {conn.size(v) for v in both.vertices} == {3, 4}
@@ -342,6 +344,22 @@ class TestFlatness:
         assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
             ("MissingFace", key, "lift given for a face not on the surface") for key in octa.keys
         ] + [("MissingFace", key, "no lift supplied") for key in octa.keys]
+
+    @pytest.mark.parametrize("other", [
+        lambda: tangent_connection(icosahedron(), 10),  # 20 lifts on 8 faces
+        lambda: tangent_connection(boundary_delta3(), 6),  # 4 lifts on 8 faces
+    ], ids=["icosahedron", "tetrahedron"])
+    @pytest.mark.parametrize("read", [face_reports, total_flatness_winding])
+    def test_flatness_on_another_surface_is_refused(self, conn, other, read):
+        with pytest.raises(WindexError, match="^the flatness structure lies on another surface"):
+            read(conn, canonical_flatness(other()))
+
+    def test_flatness_on_an_equal_surface_is_read(self, conn):
+        twin = build_connection(octahedron(), "link", OCTAHEDRON_TRANSPORTS)
+        assert twin.surface is not conn.surface
+        flat = canonical_flatness(twin)
+        assert face_reports(conn, flat) == face_reports(conn, canonical_flatness(conn))
+        assert total_flatness_winding(conn, flat) == 2
 
     def test_zero_holonomy_zero_lifts(self):
         conn = flat_connection(csaszar_torus(), 6)
@@ -430,11 +448,11 @@ class TestTangentAndTrivialization:
         for f, face in enumerate(octa.faces):
             v0 = basepoint(face)
             charts = trivialize_face(conn, flat, face)
-            assert charts[v0] == PolyIso.identity(conn.fiber(v0))
+            assert charts[v0] == PolyIso.identity(fiber(conn, v0))
             edges = boundary(face, v0)
             for k, (i, j) in enumerate(edges):
                 transition = (
-                    charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
+                    charts[j].compose(transport(conn, i, j)).compose(charts[i].invert())
                 )
                 expected = 0 if k < 2 else conn.holonomy[f]
                 assert transition.rotation_steps() == expected
@@ -447,7 +465,7 @@ class TestTangentAndTrivialization:
             charts = trivialize_face(conn, flat, face)
             for i, j in boundary(face, v0):
                 transition = (
-                    charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
+                    charts[j].compose(transport(conn, i, j)).compose(charts[i].invert())
                 )
                 assert transition.rotation_steps() == 0
 
@@ -457,10 +475,10 @@ class TestTangentAndTrivialization:
         face = conn.surface.faces[7]
         v0 = basepoint(face)
         charts = trivialize_face(conn, flat, face)
-        composite = PolyIso.identity(conn.fiber(v0))
+        composite = PolyIso.identity(fiber(conn, v0))
         for i, j in boundary(face, v0):
             transition = (
-                charts[j].compose(conn.transport(i, j)).compose(charts[i].invert())
+                charts[j].compose(transport(conn, i, j)).compose(charts[i].invert())
             )
             composite = transition.compose(composite)
         n = conn.fiber(v0).n

@@ -10,9 +10,8 @@ from windex.fixtures import (
     icosahedron,
     octahedron,
 )
-from windex.polygon import Polygon
-
-from oracles import cycle_complex
+from oracles import cycle_complex, link
+from polygon import Polygon
 
 OCTA_FACES = [
     ("w", "b", "r"), ("w", "r", "g"), ("w", "g", "o"), ("w", "o", "b"),
@@ -44,18 +43,18 @@ def test_octahedron_links_match_tables():
         "o": ("w", "g", "y", "b"),
     }
     for v, cycle in expected.items():
-        assert s.link(v) == Polygon(cycle)
+        assert link(s, v) == Polygon(cycle)
 
 
 def test_link_starts_at_least_label():
-    assert octahedron().link("r").labels == ("b", "y", "g", "w")
+    assert link(octahedron(), "r").labels == ("b", "y", "g", "w")
 
 
 def test_boundary_delta3():
     s = boundary_delta3()
     assert (len(s.vertices), len(s.edges), len(s.faces)) == (4, 6, 4)
     assert euler_characteristic(s) == 2
-    assert s.link("0") == Polygon(("1", "2", "3"))
+    assert link(s, "0") == Polygon(("1", "2", "3"))
 
 
 def test_csaszar_torus():
@@ -69,7 +68,7 @@ def test_icosahedron():
     s = icosahedron()
     assert (len(s.vertices), len(s.edges), len(s.faces)) == (12, 30, 20)
     assert euler_characteristic(s) == 2
-    assert all(s.link(v).n == 5 for v in s.vertices)
+    assert all(link(s, v).n == 5 for v in s.vertices)
 
 
 def test_two_to_three_face_edge_ratio():
@@ -80,7 +79,7 @@ def test_two_to_three_face_edge_ratio():
 def test_link_arcs_come_from_faces():
     s = octahedron()
     for v in s.vertices:
-        cycle = s.link(v)
+        cycle = link(s, v)
         arcs = {
             (cycle.labels[i], cycle.label_at(i + 1))
             for i in range(cycle.n)
@@ -175,14 +174,14 @@ def test_reversed_orientation_reverses_links():
     s = octahedron()
     flipped = build_surface(s.vertices, [f.reversed().vertices for f in s.faces])
     for v in s.vertices:
-        assert flipped.link(v) == Polygon(tuple(reversed(s.link(v).labels)))
+        assert link(flipped, v) == Polygon(tuple(reversed(link(s, v).labels)))
 
 
 def test_deterministic_build():
     a = octahedron()
     b = octahedron()
     assert a == b
-    assert all(a.link(v).labels == b.link(v).labels for v in a.vertices)
+    assert all(link(a, v).labels == link(b, v).labels for v in a.vertices)
 
 
 def test_reserved_characters_rejected():

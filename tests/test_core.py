@@ -2,9 +2,9 @@
 
 Connections store transports as offsets, face holonomy as a table and
 fibers virtually (labels parsed on demand).  These tests check that
-arithmetic against the explicit ``Polygon``/``PolyIso`` constructions,
-reject every mis-spelled refinement label, and pin memory independent of
-the refinement size.
+arithmetic against the explicit ``Polygon``/``PolyIso`` constructions of
+the reference in ``polygon.py``, reject every mis-spelled refinement
+label, and pin memory independent of the refinement size.
 """
 
 import json
@@ -20,7 +20,7 @@ from windex.fixtures import boundary_delta3, icosahedron, octahedron
 from windex.sampling import random_field
 from windex.scene import SceneFile, serialize_scene
 
-from oracles import holonomy_iso
+from oracles import holonomy_iso, link
 from test_acceptance import _instances
 
 
@@ -40,9 +40,9 @@ def test_holonomy_table_matches_composed_isomorphisms():
 def test_virtual_fibers_match_subdivided_polygons(make, size):
     conn = tangent_connection(make(), size)
     for v in conn.surface.vertices:
-        link = conn.surface.link(v)
-        poly, _ = link.subdivide(size // link.n)
-        assert conn.fiber(v) == poly
+        ring = link(conn.surface, v)
+        poly, _ = ring.subdivide(size // ring.n)
+        assert conn.fiber(v) == (v, size)
         assert conn.size(v) == poly.n == size
         for p, label in enumerate(poly.labels):
             assert conn.position(v, label) == poly.position(label) == p
@@ -142,3 +142,17 @@ def test_memory_does_not_grow_with_refinement(capsys, tmp_path, argv, size):
         assert "total index 1 == total flatness winding 1: PASS" in out_l
     assert peak_l < 5 * 2**20
     assert abs(peak_l - peak_s) < 2**20
+
+
+def test_fibers_hold_no_labels():
+    """``fiber`` is a record of a fiber's size, so reading every fiber of a
+    2.4 M-point bundle allocates next to nothing."""
+    conn = flat_connection(boundary_delta3(), 600000)
+    tracemalloc.start()
+    try:
+        fibers = [conn.fiber(v) for v in conn.surface.vertices]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(f.n for f in fibers) == 2_400_000
+    assert peak < 2**20

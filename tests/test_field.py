@@ -7,12 +7,15 @@ import pytest
 
 from windex.bundle import (
     DiscreteConnection,
+    Fiber,
     GaugeTransformation,
     canonical_flatness,
     flat_connection,
+    tangent_connection,
 )
-from windex.errors import NonIntegralIndex, NotIncident, ValidationFailed
+from windex.errors import NonIntegralIndex, NotIncident, ValidationFailed, WindexError
 from windex.field import (
+    SwirlPath,
     VectorField,
     build_field,
     gauge_transform_field,
@@ -29,10 +32,9 @@ from windex.fixtures import (
     octahedron_connection,
     octahedron_spin_field,
 )
-from windex.polygon import PolyPath
 from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
-from oracles import holonomy_iso, swirl_path_explicit
+from oracles import fiber, holonomy_iso, link, reference_path, swirl_path_explicit, transport
 from surfaces import tet_and_octahedron
 
 # swirls of the spin field, per face, frozen from the boundary sums
@@ -145,13 +147,13 @@ class TestBuild:
         lambda s, c, vf: s.face_id(["w"]),
         lambda s, c, vf: s.half_edge(["w"], "b"),
         lambda s, c, vf: s.half_edge("w", ["b"]),
-        lambda s, c, vf: s.link(["w"]),
+        lambda s, c, vf: link(s, ["w"]),
         lambda s, c, vf: c.size(["w"]),
         lambda s, c, vf: c.position(["w"], "b"),
         lambda s, c, vf: c.label_at(["w"], 0),
         lambda s, c, vf: c.fiber(["w"]),
-        lambda s, c, vf: c.transport(["w"], "b"),
-        lambda s, c, vf: c.transport("w", ["b"]),
+        lambda s, c, vf: transport(c, ["w"], "b"),
+        lambda s, c, vf: transport(c, "w", ["b"]),
         lambda s, c, vf: vf.value(["w"]),
         lambda s, c, vf: vf.step(["w"], "b"),
     ], ids=["vertex_id", "face_id", "half_edge-tail", "half_edge-head", "link", "size", "position",
@@ -197,7 +199,7 @@ class TestBuild:
         # each table entry is a path from the transported value to the
         # value at the head vertex
         for (i, j), (src, dst) in OCTAHEDRON_SPIN_PATHS.items():
-            assert conn.transport(i, j)(OCTAHEDRON_SPIN_AT[i]) == src
+            assert transport(conn, i, j)(OCTAHEDRON_SPIN_AT[i]) == src
             assert OCTAHEDRON_SPIN_AT[j] == dst
 
 
@@ -208,8 +210,8 @@ class TestSwirl:
     def test_swirl_path_around_top_face(self, conn, spin):
         face = conn.surface.faces[conn.surface.face_id("g,w,r")]
         path = swirl_path(spin, face, "w")
-        assert path == PolyPath(conn.fiber("w"), "g", 3)
-        assert path.end == spin.value("w")
+        assert path == SwirlPath(Fiber("w", 4), "g", 3)
+        assert reference_path(conn, path).end == spin.value("w")
 
     def test_swirl_path_connects_holonomy_image_to_value(self, conn, spin, flat):
         for face, row in zip(conn.surface.faces, totals(spin, flat).rows):
@@ -217,7 +219,7 @@ class TestSwirl:
                 path = swirl_path(spin, face, v)
                 assert path.steps == row.swirl
                 assert path.start == holonomy_iso(conn, face, v)(spin.value(v))
-                assert path.end == spin.value(v)
+                assert reference_path(conn, path).end == spin.value(v)
 
     @pytest.mark.parametrize("surface, mode", SURFACE_MODES,
                              ids=[f"{make.__name__}-{mode}" for make, mode in SURFACE_MODES])
@@ -231,7 +233,8 @@ class TestSwirl:
         for vf in fields:
             for face in vf.conn.surface.faces:
                 for v in face.vertices:
-                    assert swirl_path(vf, face, v) == swirl_path_explicit(vf, face, v), (face.key, v)
+                    path = reference_path(vf.conn, swirl_path(vf, face, v))
+                    assert path == swirl_path_explicit(vf, face, v), (face.key, v)
 
     def test_swirl_path_needs_a_face_of_the_surface(self, conn, spin):
         face = conn.surface.faces[conn.surface.face_id("g,w,r")]
@@ -249,7 +252,7 @@ class TestSwirl:
         from windex.fixtures import csaszar_torus
 
         conn = flat_connection(csaszar_torus(), 6)
-        at = {v: conn.fiber(v).labels[0] for v in conn.surface.vertices}
+        at = {v: conn.label_at(v, 0) for v in conn.surface.vertices}
         vf = build_field(conn, at, {e: 0 for e in conn.surface.edges})
         rows = totals(vf, canonical_flatness(conn)).rows
         assert len(rows) == len(conn.surface.faces)
@@ -307,6 +310,19 @@ class TestTotals:
         assert report.total_flatness_winding == 2
         assert report.theorem_holds
 
+    @pytest.mark.parametrize("make, size", [(icosahedron, 10), (boundary_delta3, 6)])
+    def test_flatness_on_another_surface_is_refused(self, spin, make, size):
+        # the icosahedron's 20 lifts were cut to the octahedron's 8 faces and
+        # the theorem held; the tetrahedron's 4 failed as NonIntegralIndex
+        flat = canonical_flatness(tangent_connection(make(), size))
+        with pytest.raises(WindexError, match="^the flatness structure lies on another surface"):
+            totals(spin, flat)
+
+    def test_flatness_on_an_equal_surface_is_read(self, spin, flat):
+        twin = canonical_flatness(octahedron_connection())
+        assert twin.surface is not spin.conn.surface
+        assert totals(spin, twin) == totals(spin, flat)
+
     def test_total_index_field_independent(self, conn, flat):
         rng = Random(17)
         for _ in range(10):
@@ -360,8 +376,8 @@ class TestGaugeCarry:
     def test_values_rotate_with_fibers(self, conn, spin):
         gauge = GaugeTransformation({"w": 1})
         carried = gauge_transform_field(spin, gauge)
-        fiber = conn.fiber("w")
-        assert carried.value("w") == fiber.label_at(fiber.position(spin.value("w")) + 1)
+        poly = fiber(conn, "w")
+        assert carried.value("w") == poly.label_at(poly.position(spin.value("w")) + 1)
 
     @pytest.mark.parametrize("gauge, rule", [
         ({"zz": 1}, "MissingVertex"),

@@ -1,4 +1,4 @@
-"""Polygon, path, and isomorphism arithmetic."""
+"""The reference polygon, path and isomorphism arithmetic of ``polygon.py``."""
 
 from fractions import Fraction
 
@@ -6,20 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from windex.complex import OrientedFace
-from windex.errors import (
-    BadArity,
+from windex.errors import BadArity, UnknownLabel, WindexError
+
+from oracles import collapse_unit_oracle, collapse_walk_oracle, subdivide_walk_oracle
+from polygon import (
+    PRESERVING,
+    REVERSING,
     EndpointMismatch,
     NotALoop,
     NotAnEndomorphism,
     OrientationReversing,
+    Polygon,
+    PolyIso,
+    PolyPath,
     SizeMismatch,
     TooSmall,
-    UnknownLabel,
-    WindexError,
 )
-from windex.polygon import PRESERVING, REVERSING, Polygon, PolyIso, PolyPath
-
-from oracles import collapse_unit_oracle, collapse_walk_oracle, subdivide_walk_oracle
 
 BRGO = Polygon(("b", "r", "g", "o"))
 WBYG = Polygon(("w", "b", "y", "g"))

@@ -16,7 +16,7 @@ from windex.fixtures import octahedron, octahedron_connection, octahedron_spin_f
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, SceneParseError, parse_scene_text, serialize_scene
 
-from oracles import scene_to_obj
+from oracles import scene_to_obj, transport
 
 MINIMAL = {
     "surface": {
@@ -99,7 +99,7 @@ class TestScene:
             edge = tuple(entry.pop("edge"))
             entry.pop("anchor")
             entry["edge"] = list(edge)
-            entry["map"] = anchored.connection.transport(*edge).mapping()
+            entry["map"] = transport(anchored.connection, *edge).mapping()
         mapped = parse_scene_text(json.dumps(obj))
         assert mapped.connection == anchored.connection
 
@@ -498,6 +498,29 @@ def test_windex_as_processes_in_a_pipe():
         assert fixture.wait(timeout=60) == 0
     assert check.returncode == 0, check.stderr
     assert check.stdout.endswith(": PASS\n")
+
+
+PRODUCT_ONLY = """
+import sys
+import windex, windex.cli, windex.fixtures, windex.sampling
+loaded = sorted({"polygon", "windex.polygon"} & sys.modules.keys())
+assert not loaded, loaded
+removed = sorted({"Polygon", "PolyIso", "PolyPath", "Turns", "boundary"} & set(windex.__all__))
+assert not removed, removed
+sys.exit(windex.cli.main(["fixture", "octahedron"]))
+"""
+
+
+def test_the_package_never_loads_the_reference_algebra(tmp_path):
+    """With only ``src`` on the path, importing every windex module loads
+    no polygon module and exports none of its names, and the octahedron
+    fixture still prints its golden bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", PRODUCT_ONLY], capture_output=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode("utf-8", "replace")
+    golden = Path(__file__).resolve().parent / "golden" / "scenes" / "fixture-octahedron.json"
+    assert proc.stdout == golden.read_bytes()
 
 
 SCENE_ARGVS = [[command, *form] for command in ("validate", "links", "curvature", "index", "check")
