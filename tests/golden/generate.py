@@ -196,6 +196,14 @@ def rejected_texts() -> dict[str, str]:
             {"edge": ["1", "0"], "anchor": ["2", "2"]})),
         "unknown-label-anchor": _edit("tet-link", lambda s: _entry(
             _transports(s), "1", "2").update(anchor=["0", "q"])),
+        # a label of the surface that is not in the tail's link: the tail itself
+        "unknown-label-anchor-off-link": _edit("tet-link", lambda s: _entry(
+            _transports(s), "1", "2").update(anchor=["1", "0"])),
+        # refined to 6 on degree 3: the fresh point after x is x~1 only
+        "unknown-label-anchor-tilde-0": _edit("tet-r6", lambda s: _entry(
+            _transports(s), "1", "2").update(anchor=["0~0", "0"])),
+        "unknown-label-anchor-tilde-arc": _edit("tet-r6", lambda s: _entry(
+            _transports(s), "1", "2").update(anchor=["0", "0~2"])),
         "unknown-label-map-cover": _edit("octa-link-a", _map("b", "o", {"o": "b", "y": "w", "r": "g"})),
         "unknown-label-map-cyclic": _edit(
             "octa-link-a", _map("b", "o", {"o": "b", "y": "w", "r": "y", "w": "g"})
@@ -217,6 +225,8 @@ def rejected_texts() -> dict[str, str]:
         "missing-vertex": _edit("tet-link", lambda s: s["field"]["at"].pop("3")),
         "missing-vertex-not-a-vertex": _edit("octa-link-a", _unknown_vertex),
         "field-unknown-label": _edit("tet-link", lambda s: s["field"]["at"].update({"0": "9"})),
+        "field-unknown-label-leading-zero": _edit(
+            "tet-r6", lambda s: s["field"]["at"].update({"0": "2~01"})),
         "field-missing-edge": _edit("octa-link-a", lambda s: s["field"]["steps"].pop(4)),
         "antisymmetry-violation": _edit("tet-link", lambda s: s["field"]["steps"].append(
             {"edge": ["1", "0"], "steps": 4})),
