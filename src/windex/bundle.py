@@ -14,7 +14,8 @@ modes:
   connections.  Link mode is the same with N = deg(v).
 
 Fibers are virtual: a point is its position mod the fiber size n, read
-off its label on demand through the surface's link position tables.  A
+off its label on demand: a link label through the surface's ring position
+of the half-edge from v to it, ``x~j`` j after that.  A
 transport is an offset o_ij with pos_j(t(x)) = pos_i(x) + o_ij (mod n),
 stored by half-edge id.  Holonomy around a face is the composite transport
 along its boundary, a rotation of the basepoint fiber by r_F = the sum of
@@ -88,8 +89,8 @@ class DiscreteConnection:
     ``holonomy`` r_F.  No fiber label is stored: ``position`` and
     ``label_at`` convert between a label and its position, and ``fiber``
     is the record of a fiber's size.  The builders pass ``_sizes``, the
-    ``_fiber_sizes`` of ``refined`` they have already checked, in place of
-    that check."""
+    ``_fiber_sizes`` of ``refined`` they have already checked, with offsets
+    they have made in range and inverse: neither is checked again."""
 
     surface: OrientedSurface
     refined: int | None  # None means link mode
@@ -102,31 +103,18 @@ class DiscreteConnection:
 
     def __post_init__(self, _sizes) -> None:
         surface, o = self.surface, self.offsets
-        tails, twin = surface.tails, surface.twin
-        mode = LINK_MODE if self.refined is None else self.refined
-        refined, n, arcs = _sizes or _fiber_sizes(surface, mode)
-        collector = ReportCollector()
-        if len(o) != len(tails):
-            collector.add("SizeMismatch", "offsets",
-                          f"{len(o)} offsets for {len(tails)} half-edges, need one each")
-            collector.raise_if_failed("invalid connection")
-        # both fibers of an edge have one size s; only int offsets are compared
-        for h in [h for h in surface.edge_half
-                  if type(x := o[h]) is not int or type(y := o[twin[h]]) is not int
-                  or not 0 <= x < (s := n[tails[h]]) or y != -x % s]:
-            a, b = surface.vertices[tails[h]], surface.vertices[tails[twin[h]]]
-            ints = type(o[h]) is int and type(o[twin[h]]) is int
-            collector.add("NotInverse" if ints else "NotAnInteger", f"{{{a},{b}}}",
-                          f"offsets {o[h]!r} on ({a},{b}) and {o[twin[h]]!r} on ({b},{a}) are "
-                          + (f"not inverse in [0, {n[tails[h]]})" if ints else "not both integers"))
-        collector.raise_if_failed("invalid connection")
+        tails = surface.tails
+        if _sizes is None:
+            _sizes = _fiber_sizes(surface, LINK_MODE if self.refined is None else self.refined)
+            _check_offsets(surface, o, _sizes[1])
+        refined, n, arcs = _sizes
         object.__setattr__(self, "refined", refined)
-        face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
+        face_n = [n[t] for t in tails[0::3]]
         object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "face_sizes", face_n)
-        object.__setattr__(self, "holonomy", [(o[h] + o[h + 1] + o[h + 2]) % size
-                                              for h, size in zip(range(0, len(o), 3), face_n)])
+        object.__setattr__(self, "holonomy", [(x + y + z) % size for x, y, z, size
+                                              in zip(o[0::3], o[1::3], o[2::3], face_n)])
 
     def size(self, v: str) -> int:
         return self.sizes[self.surface.vertex_id(v)]
@@ -135,7 +123,7 @@ class DiscreteConnection:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the points a subdivided link gains after x."""
         i = self.surface.vertex_id(v)
-        return _position(self.surface.link_pos[i], self.arcs[i], v, label)
+        return _position(self.surface, self.arcs[i], i, label)
 
     def _label(self, v: int, position: int) -> str:
         ring = self.surface.link_labels[v]
@@ -147,6 +135,27 @@ class DiscreteConnection:
 
     def fiber(self, v: str) -> Fiber:
         return Fiber(v, self.sizes[self.surface.vertex_id(v)])
+
+
+def _check_offsets(surface: OrientedSurface, o, n) -> None:
+    """One offset per half-edge, each an int in [0, n) whose twin holds its
+    negation mod n, with ``n`` the fiber size by vertex id."""
+    tails, twin = surface.tails, surface.twin
+    collector = ReportCollector()
+    if len(o) != len(tails):
+        collector.add("SizeMismatch", "offsets",
+                      f"{len(o)} offsets for {len(tails)} half-edges, need one each")
+        collector.raise_if_failed("invalid connection")
+    # both fibers of an edge have one size s; only int offsets are compared
+    for h in [h for h in surface.edge_half
+              if type(x := o[h]) is not int or type(y := o[twin[h]]) is not int
+              or not 0 <= x < (s := n[tails[h]]) or y != -x % s]:
+        a, b = surface.vertices[tails[h]], surface.vertices[tails[twin[h]]]
+        ints = type(o[h]) is int and type(o[twin[h]]) is int
+        collector.add("NotInverse" if ints else "NotAnInteger", f"{{{a},{b}}}",
+                      f"offsets {o[h]!r} on ({a},{b}) and {o[twin[h]]!r} on ({b},{a}) are "
+                      + (f"not inverse in [0, {n[tails[h]]})" if ints else "not both integers"))
+    collector.raise_if_failed("invalid connection")
 
 
 def _refinement(surface: OrientedSurface, fiber_mode) -> int | None:
@@ -182,16 +191,19 @@ def _fiber_sizes(surface: OrientedSurface, fiber_mode) -> tuple[int | None, list
     return refined, n, [size // d for size, d in zip(n, deg)]
 
 
-def _position(table: dict[str, int], arc: int, v: str, label: str) -> int:
-    """The position of ``label`` in the fiber at ``v``, whose link labels
-    sit at ``table[label] * arc``."""
-    if label in table:
-        return table[label] * arc
-    base, _, j = label.partition("~")
+def _position(surface: OrientedSurface, arc: int, v: int, label: str) -> int:
+    """The position of ``label`` in the fiber at vertex id ``v``: a link
+    label at its ring position times ``arc``, read off the half-edge from
+    v to it, and ``x~j`` j after x."""
+    V = len(surface.vertices)
+    base, tilde, j = label.partition("~")  # no vertex label holds a "~"
+    h = surface.half.get(v * (V + 1) + surface.index.get(base, V))
+    if h is not None and not tilde:
+        return surface.ring_pos[h] * arc
     # only the spelling subdivide produces: ASCII digits, no leading 0
-    if base in table and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-        return table[base] * arc + int(j)
-    raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
+    if h is not None and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
+        return surface.ring_pos[h] * arc + int(j)
+    raise UnknownLabel(f"{label!r} is not a label of the fiber at {surface.vertices[v]!r}")
 
 
 _ABSENT = object()
@@ -212,25 +224,46 @@ def _edge_keys(surface: OrientedSurface, supplied: dict, collector):
             yield h, value
 
 
-def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, clash, modulus):
+def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, modulus,
+                  arcs=None):
     """One integer per half-edge (None where unresolved) from values
     supplied on one direction of every edge or both, as a dict keyed by
     label pair or as the scene parser resolves them, (half-edge id, value)
-    pairs, each half-edge once: ``read(h, value)`` gives the integer (None
-    once it has reported a bad value), else the value must be one (rule
-    NotAnInteger).  The reverse is its negation, mod ``modulus[v]`` of an
-    end v unless ``modulus`` is None, and values supplied both ways must
-    cancel, mod that or exactly, else the rule ``clash`` is reported."""
+    pairs, each half-edge once.  Without ``arcs`` each value must be an
+    integer (rule NotAnInteger).  With ``arcs``, the fiber arc by vertex
+    id, each is a transport spec, read into its offset where it is stored:
+    an anchor of two link labels from the ring positions, any other spec
+    by ``_read_transport``, whose fault is reported when its edge is
+    reached.  The reverse is its negation, mod ``modulus[v]`` of an end v
+    unless ``modulus`` is None, and values supplied both ways must cancel,
+    mod that or exactly, else the rule ``clash`` is reported."""
     labels, tails, heads, twin = surface.vertices, surface.tails, surface.heads, surface.twin
     given = [_ABSENT] * len(tails)
+    faults: dict[int, tuple[str, str, str]] = {}
     if isinstance(supplied, dict):
         supplied = _edge_keys(surface, supplied, collector)
-    for h, value in supplied:
-        if not (read or type(value) is int):
-            collector.add("NotAnInteger", f"({labels[tails[h]]},{labels[heads[h]]})",
-                          f"{noun} {value!r} is not an integer")
-            value = None
-        given[h] = value
+    if arcs is None:
+        for h, value in supplied:
+            if type(value) is not int:
+                collector.add("NotAnInteger", f"({labels[tails[h]]},{labels[heads[h]]})",
+                              f"{noun} {value!r} is not an integer")
+                value = None
+            given[h] = value
+    else:
+        V, get, half, ring_pos = len(labels), surface.index.get, surface.half, surface.ring_pos
+        W = V + 1
+        for h, spec in supplied:
+            t, u = tails[h], heads[h]
+            if (type(spec) in (list, tuple) and len(spec) == 2
+                    and type(a := spec[0]) is str and type(b := spec[1]) is str
+                    and (p := half.get(t * W + get(a, V))) is not None
+                    and (q := half.get(u * W + get(b, V))) is not None):
+                given[h] = (ring_pos[q] * arcs[u] - ring_pos[p] * arcs[t]) % modulus[u]
+            elif type(value := _read_transport(surface, modulus, arcs, h, spec)) is tuple:
+                faults[h] = value
+                given[h] = None
+            else:
+                given[h] = value
 
     resolved = [None] * len(tails)
     for h in surface.edge_half:
@@ -240,9 +273,12 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
             a, b = labels[tails[h]], labels[tails[t]]
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
-        d = 0 if forward is _ABSENT else read(h, forward) if read else forward
-        e = 0 if backward is _ABSENT else read(t, backward) if read else backward
+        d = 0 if forward is _ABSENT else forward
+        e = 0 if backward is _ABSENT else backward
         if d is None or e is None:
+            for g in (h, t):
+                if g in faults:
+                    collector.add(*faults[g])
             continue
         n = modulus[tails[h]] if modulus else 0
         if forward is _ABSENT:
@@ -256,53 +292,36 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, read, cla
     return resolved
 
 
-def _offset_reader(surface: OrientedSurface, n_at, arc, collector):
-    """``read`` for ``antisymmetric``: the offset on half-edge h of an anchor
-    pair or of a full label map, with fiber sizes ``n_at`` and arcs ``arc``
-    by vertex id.  Both fibers of an edge have size n."""
-    labels, tails, heads, pos = surface.vertices, surface.tails, surface.heads, surface.link_pos
-
-    def read(h: int, value) -> int | None:
-        t, u = tails[h], heads[h]
-        n = n_at[u]
-        if isinstance(value, dict):
-            i, j = labels[t], labels[u]
-            try:
-                pairs = [(_position(pos[t], arc[t], i, str(x)),
-                          _position(pos[u], arc[u], j, str(y))) for x, y in value.items()]
-            except UnknownLabel:
-                pairs = []
-            if len(pairs) != n or len({q for _, q in pairs}) != n:
-                rule, why = "UnknownLabel", "full map must cover the two fibers exactly"
-            elif len({(q - p) % n for p, q in pairs}) == 1:
-                return (pairs[0][1] - pairs[0][0]) % n
-            elif len({(q + p) % n for p, q in pairs}) == 1:
-                rule, why = "OrientationReversing", "transports must preserve orientation"
-            else:
-                rule, why = "UnknownLabel", "map does not respect the cyclic structure"
-            collector.add(rule, f"({i},{j})", why)
-            return None
+def _read_transport(surface: OrientedSurface, n_at, arc, h: int, spec):
+    """The offset on half-edge h of a transport spec, an anchor pair or a
+    full label map, with fiber sizes ``n_at`` and arcs ``arc`` by vertex
+    id; or, when it cannot be read, the (rule, element, message) to report.
+    Both fibers of an edge have size n."""
+    t, u = surface.tails[h], surface.heads[h]
+    n, where = n_at[u], f"({surface.vertices[t]},{surface.vertices[u]})"
+    if isinstance(spec, dict):
         try:
-            if type(value) is str:  # one label, not a pair of them
-                raise TypeError
-            a, b = value
-            if type(a) is not str or type(b) is not str:
-                a, b = str(a), str(b)
-        except (TypeError, ValueError):
-            collector.add("UnknownLabel", f"({labels[t]},{labels[u]})",
-                          f"cannot read transport spec {value!r}")
-            return None
-        p, q = pos[t].get(a), pos[u].get(b)
-        if p is not None and q is not None:  # two link labels, at k * arc
-            return (q * arc[u] - p * arc[t]) % n
-        i, j = labels[t], labels[u]
-        try:
-            return (_position(pos[u], arc[u], j, b) - _position(pos[t], arc[t], i, a)) % n
-        except UnknownLabel as exc:
-            collector.add("UnknownLabel", f"({i},{j})", str(exc))
-            return None
-
-    return read
+            pairs = [(_position(surface, arc[t], t, str(x)), _position(surface, arc[u], u, str(y)))
+                     for x, y in spec.items()]
+        except UnknownLabel:
+            pairs = []
+        if len(pairs) != n or len({q for _, q in pairs}) != n:
+            return "UnknownLabel", where, "full map must cover the two fibers exactly"
+        if len({(q - p) % n for p, q in pairs}) == 1:
+            return (pairs[0][1] - pairs[0][0]) % n
+        if len({(q + p) % n for p, q in pairs}) == 1:
+            return "OrientationReversing", where, "transports must preserve orientation"
+        return "UnknownLabel", where, "map does not respect the cyclic structure"
+    try:
+        if type(spec) is str:  # one label, not a pair of them
+            raise TypeError
+        a, b = spec
+    except (TypeError, ValueError):
+        return "UnknownLabel", where, f"cannot read transport spec {spec!r}"
+    try:
+        return (_position(surface, arc[u], u, str(b)) - _position(surface, arc[t], t, str(a))) % n
+    except UnknownLabel as exc:
+        return "UnknownLabel", where, str(exc)
 
 
 def build_connection(surface: OrientedSurface, fiber_mode, transports) -> DiscreteConnection:
@@ -315,8 +334,7 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     """
     sizes = refined, n, arcs = _fiber_sizes(surface, fiber_mode)
     collector = ReportCollector()
-    offsets = antisymmetric(surface, transports, collector, "transport",
-                            _offset_reader(surface, n, arcs, collector), "NotInverse", n)
+    offsets = antisymmetric(surface, transports, collector, "transport", "NotInverse", n, arcs)
     collector.raise_if_failed("invalid connection")
     return DiscreteConnection(surface, refined, offsets, _sizes=sizes)
 
@@ -482,10 +500,11 @@ def tangent_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteCon
         if size % 2 != 0:
             collector.add("SizeMismatch", v, f"fiber size {size} is odd, antipodes undefined")
     collector.raise_if_failed("no straightest transport")
-    # pos_b(a) + n/2 - pos_a(b); a link label k sits at k * arc
-    labels, pos = surface.vertices, surface.link_pos
-    offsets = [(pos[b][labels[a]] * arc[b] + n[b] // 2 - pos[a][labels[b]] * arc[a]) % n[b]
-               for a, b in zip(surface.tails, surface.heads)]
+    # pos_b(a) + n/2 - pos_a(b), read off the half-edges b -> a and a -> b;
+    # a link label k sits at k * arc
+    ring_pos, twin = surface.ring_pos, surface.twin
+    offsets = [(ring_pos[t] * arc[b] + n[b] // 2 - ring_pos[h] * arc[a]) % n[b]
+               for h, t, a, b in zip(range(len(twin)), twin, surface.tails, surface.heads)]
     return DiscreteConnection(surface, refined, offsets, _sizes=sizes)
 
 
@@ -493,4 +512,5 @@ def flat_connection(surface: OrientedSurface, fiber_mode=None) -> DiscreteConnec
     """Position-preserving transports; every holonomy is the identity."""
     if fiber_mode is None:
         fiber_mode = _default_mode(surface)
-    return DiscreteConnection(surface, fiber_mode, [0] * len(surface.tails))
+    sizes = _fiber_sizes(surface, fiber_mode)
+    return DiscreteConnection(surface, sizes[0], [0] * len(surface.tails), _sizes=sizes)

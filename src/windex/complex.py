@@ -11,10 +11,12 @@ Labels are interned once, in sorted order, so vertex id order is label
 order.  Faces are id triples from their least id, numbered in face-key
 order; face f owns the half-edges 3f, 3f + 1, 3f + 2 of its boundary, each
 with a twin running back (Botsch et al., *Polygon Mesh Processing*, 2010,
-ch. 2).  Links are position tables.  The tables downstream are lists by
-half-edge, face or vertex id; labels and keys are formatted for output and
-violations only, and ``OrientedFace``s and label-pair edges are built on
-demand, for the public API and the reference oracles.
+ch. 2).  Links are ring positions by half-edge: the place of each
+half-edge's head in the link of its tail.  The tables downstream are
+lists by half-edge, face or vertex id; labels and keys are formatted for
+output and violations only, and link label lists, ``OrientedFace``s and
+label-pair edges are built on demand, for the public API and the
+reference oracles.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ class OrientedSurface:
     Half-edge h runs from ``tails[h]`` to ``heads[h]`` and ``twin[h]`` back;
     ``half`` maps ``tail * (V + 1) + head`` to h, so the id V of a label
     not on the surface finds nothing.  ``keys`` holds the face keys.  The
-    link of v is ``link_labels[v]``, from its least label, and its position
-    table ``link_pos[v]`` maps each label to its place.  ``edge_half``
-    holds the half-edge of each edge from its lesser end, in sorted order.
-    ``positions`` is pass-through geometry for export only.  ``faces`` and
-    ``edges`` are label views for library users; windex itself reads the
-    tables.
+    link of v runs from its least neighbour, at 0: ``ring_pos[h]`` is the
+    place of ``heads[h]`` in the link of ``tails[h]``, and ``degrees[v]``
+    the size of the link of v.  ``edge_half`` holds the half-edge of each
+    edge from its lesser end, in sorted order.  ``positions`` is
+    pass-through geometry for export only.  ``faces``, ``edges`` and
+    ``link_labels`` are label views for output and library users; windex
+    itself reads the tables.
     """
 
     vertices: tuple[str, ...]
@@ -90,15 +93,19 @@ class OrientedSurface:
     twin: list[int] = field(compare=False, repr=False)
     half: dict[int, int] = field(compare=False, repr=False)
     keys: list[str] = field(compare=False, repr=False)
-    link_labels: list[list[str]] = field(compare=False, repr=False)
-    link_pos: list[dict[str, int]] = field(compare=False, repr=False)
+    ring_pos: list[int] = field(compare=False, repr=False)
+    degrees: list[int] = field(compare=False, repr=False)
     edge_half: list[int] = field(compare=False, repr=False)
     positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def degrees(self) -> list[int]:
-        """The size of each vertex link, by vertex id."""
-        return [len(ring) for ring in self.link_labels]
+    def link_labels(self) -> list[list[str]]:
+        """The link of each vertex, by vertex id, as labels from its least:
+        built from ``ring_pos`` for output only."""
+        labels, rings = self.vertices, [[""] * d for d in self.degrees]
+        for t, h, k in zip(self.tails, self.heads, self.ring_pos):
+            rings[t][k] = labels[h]
+        return rings
 
     @cached_property
     def face_index(self) -> dict[str, int]:
@@ -216,9 +223,11 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
 
     triples: list[tuple[int, int, int]] = []  # least id first, in input order
     vertex_sets: set[int] = set()
+    id_of = index.__getitem__
     for raw in faces:
         try:  # the common case: three labels spelled as declared
-            a, b, c = map(index.__getitem__, raw)
+            a, b, c = raw
+            a, b, c = id_of(a), id_of(b), id_of(c)
         except (KeyError, TypeError, ValueError):
             a = b = None
         if a is None or a == b or b == c or c == a or isinstance(raw, str):
@@ -247,32 +256,33 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
 
     collector.raise_if_failed("invalid surface")
 
-    ordered = sorted([(f"{labels[a]},{labels[b]},{labels[c]}", a, b, c) for a, b, c in triples])
-    tails = [v for _, a, b, c in ordered for v in (a, b, c)]
-    heads = [v for _, a, b, c in ordered for v in (b, c, a)]
+    keys = [f"{labels[a]},{labels[b]},{labels[c]}" for a, b, c in triples]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    tails = [v for f in order for v in triples[f]]
+    heads = tails[:]
+    heads[0::3], heads[1::3], heads[2::3] = tails[1::3], tails[2::3], tails[0::3]
     W = V + 1
     pairs = [t * W + h for t, h in zip(tails, heads)]
     half = dict(zip(pairs, range(len(pairs))))
     twin = [half.get(h * W + t, -1) for t, h in zip(tails, heads)]
-    link_labels: list[list[str]] = []
-    link_pos: list[dict[str, int]] = []
-    closed = len(half) == len(pairs) and -1 not in twin
+    ring_pos = [0] * len(pairs)
+    degrees: list[int] = []
+    least = [V] * V  # each vertex's least neighbour, where its ring starts
+    for t, h in zip(tails, heads):
+        if h < least[t]:
+            least[t] = h
+    closed = len(half) == len(pairs) and -1 not in twin and V not in least
     if closed:
-        # the half-edge from each vertex to its least neighbour starts its ring
-        first = {key // W: half[key] for key in sorted(half, reverse=True)}
-        turn = [t for f in range(0, len(twin), 3)
-                for t in (twin[f + 2], twin[f], twin[f + 1])]
-        closed = len(first) == V
-    if closed:
-        for v in range(V):
-            start = first[v]
-            ring, h = [labels[heads[start]]], turn[start]
+        turn = twin[:]
+        turn[0::3], turn[1::3], turn[2::3] = twin[2::3], twin[0::3], twin[1::3]
+        for v, u in enumerate(least):
+            start = half[v * W + u]
+            h, k = turn[start], 1
             while h != start:
-                ring.append(labels[heads[h]])
-                h = turn[h]
-            link_labels.append(ring)
-            link_pos.append(dict(zip(ring, range(len(ring)))))
-        closed = sum(map(len, link_labels)) == len(pairs)
+                ring_pos[h] = k
+                h, k = turn[h], k + 1
+            degrees.append(k)
+        closed = sum(degrees) == len(pairs)
     if not closed:
         _report_unclosed(labels, triples, collector)
         collector.raise_if_failed("invalid surface")
@@ -294,9 +304,9 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         heads=heads,
         twin=twin,
         half=half,
-        keys=[key for key, *_ in ordered],
-        link_labels=link_labels,
-        link_pos=link_pos,
+        keys=[keys[f] for f in order],
+        ring_pos=ring_pos,
+        degrees=degrees,
         edge_half=[half[key] for key in lesser],
         positions=pos,
     )

@@ -68,13 +68,18 @@ class VectorField:
 
 def _check_congruence(conn: DiscreteConnection, at, steps, collector) -> None:
     """Report every resolved step (None is unresolved) outside its forced
-    class, edge by edge in sorted order, each direction after the other."""
+    class, edge by edge in sorted order, each direction after the other.
+    Steps and offsets are antisymmetric, so a step is off its class exactly
+    when its reverse is, and only the lesser direction of an edge is
+    scanned."""
     surface = conn.surface
     tails, heads, n, o = surface.tails, surface.heads, conn.sizes, conn.offsets
-    bad = {g for g, (d, i, j, oo) in enumerate(zip(steps, tails, heads, o))
-           if d is not None and (d - at[j] + at[i] + oo) % n[j]}
+    bad = [h for h in surface.edge_half if (d := steps[h]) is not None
+           and (d - at[heads[h]] + at[tails[h]] + o[h]) % n[heads[h]]]
+    if not bad:
+        return
     labels, twin = surface.vertices, surface.twin
-    for g in [g for h in surface.edge_half for g in (h, twin[h]) if g in bad] if bad else ():
+    for g in [g for h in bad for g in (h, twin[h])]:
         i, j = tails[g], heads[g]
         want = (at[j] - at[i] - o[g]) % n[j]
         collector.add("EndpointIncongruent", f"({labels[i]},{labels[j]})",
@@ -108,9 +113,8 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
             collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
     collector.raise_if_failed("invalid vector field")
 
-    resolved = antisymmetric(
-        surface, steps, collector, "step count", None, "AntisymmetryViolation", None
-    )
+    resolved = antisymmetric(surface, steps, collector, "step count", "AntisymmetryViolation",
+                             None)
     _check_congruence(conn, positions, resolved, collector)
     collector.raise_if_failed("invalid vector field")
     return VectorField(conn, positions, resolved)

@@ -25,9 +25,9 @@ optional ``connection``, ``flatness`` and ``field`` sections::
 Unknown keys are rejected.  Structural problems raise SceneParseError;
 semantic problems surface as ValidationFailed from the builders, which
 intern the labels into the surface's integer id tables once; the parser
-resolves the edge of each transport and step entry to its half-edge once,
-and every later section is read into lists by half-edge, face or vertex
-id.
+resolves the edge of each transport and step entry to its half-edge in
+the loop that type-checks the entry, and every later section is read
+into lists by half-edge, face or vertex id.
 Serialization writes labels back from those tables, entry by entry from
 fixed templates, to the bytes json.dumps(sort_keys=True, indent=2) gives.
 It is canonical (sorted keys, least-rotation face lists, lexicographic
@@ -150,50 +150,55 @@ _TRANSPORT_KEYS = frozenset({"edge", "anchor", "map"})
 _STEP_KEYS = frozenset({"edge", "steps"})
 
 
-def _check_duplicates(edges, where: str) -> None:
-    """Raise the error for the first of ``edges``, label pairs in file
-    order, that repeats an earlier one, if any."""
+def _check_duplicates(raw, count: int, where: str) -> None:
+    """Raise the error for the first edge of the first ``count`` entries of
+    ``raw``, label pairs in file order, that repeats an earlier one, if any."""
     seen = set()
-    for k, (a, b) in enumerate(edges):
+    for k in range(count):
+        a, b = raw[k]["edge"]
         if (a, b) in seen:
             raise SceneParseError(f"{where}[{k}]: duplicate entry for edge {(a, b)}") from None
         seen.add((a, b))
 
 
-def _resolve(surface: OrientedSurface, edges, values, where: str):
+def _resolved(raw, ids, values, where: str):
     """The entries' values for a builder: (half-edge id, value) pairs when
     every edge is a directed edge of the surface, else a dict by label pair,
     so that the builder reports each stray edge.  An edge given twice is a
     SceneParseError."""
-    ids = surface.half_ids(edges)
     if len(set(ids)) < len(ids):  # a repeated edge, or two strays
-        _check_duplicates(edges, where)
+        _check_duplicates(raw, len(ids), where)
     if None in ids:
-        return dict(zip(map(tuple, edges), values))
+        return dict(zip([tuple(entry["edge"]) for entry in raw], values))
     return zip(ids, values)
 
 
 def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
-    """Each entry is checked inline; its place in the file is spelled out
-    only for the error when a check fails, unless an earlier entry repeats
-    an edge.  The edges are resolved to half-edges once, after the loop."""
+    """Each entry is checked and its edge resolved to its half-edge (None
+    when it is no directed edge) in one pass; its place in the file is
+    spelled out only for the error when a check fails, unless an earlier
+    entry repeats an edge."""
     _require_keys(obj, {"fiber_mode", "transports"}, {"fiber_mode", "transports"}, "connection")
     mode = _parse_fiber_mode(obj["fiber_mode"])
     raw = obj["transports"]
     where = "connection.transports"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    edges, specs = [], []
+    get, half, V = surface.index.get, surface.half, len(surface.vertices)
+    W = V + 1
+    ids, specs = [], []
     try:
         for k, entry in enumerate(raw):
-            if not (type(entry) is dict and entry.keys() <= _TRANSPORT_KEYS and "edge" in entry):
+            # "edge" and no key outside _TRANSPORT_KEYS, counted without a keys view
+            if not (type(entry) is dict and "edge" in entry
+                    and len(entry) == 1 + ("anchor" in entry) + ("map" in entry)):
                 raise _key_error(entry, _TRANSPORT_KEYS, {"edge"}, f"{where}[{k}]")
             pair = entry["edge"]
             if not (type(pair) is list and len(pair) == 2
-                    and type(pair[0]) is str and type(pair[1]) is str):
+                    and type(a := pair[0]) is str and type(b := pair[1]) is str):
                 raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-            edges.append(pair)
-            if ("anchor" in entry) == ("map" in entry):
+            ids.append(half.get(get(a, V) * W + get(b, V)))
+            if len(entry) != 2:
                 raise SceneParseError(f"{where}[{k}]: give exactly one of 'anchor' or 'map'")
             if "anchor" in entry:
                 spec = entry["anchor"]
@@ -206,9 +211,9 @@ def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
                     raise SceneParseError(f"{where}[{k}].map: expected an object of label pairs")
             specs.append(spec)
     except SceneParseError:
-        _check_duplicates(edges, where)
+        _check_duplicates(raw, len(ids), where)
         raise
-    return build_connection(surface, mode, _resolve(surface, edges, specs, where))
+    return build_connection(surface, mode, _resolved(raw, ids, specs, where))
 
 
 def _parse_flatness(obj, conn: DiscreteConnection) -> FlatnessStructure:
@@ -227,24 +232,28 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
     where = "field.steps"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    edges, counts = [], []
+    surface = conn.surface
+    get, half, V = surface.index.get, surface.half, len(surface.vertices)
+    W = V + 1
+    ids, counts = [], []
     try:
         for k, entry in enumerate(raw):
-            if not (type(entry) is dict and entry.keys() == _STEP_KEYS):
+            if not (type(entry) is dict and len(entry) == 2
+                    and "edge" in entry and "steps" in entry):
                 raise _key_error(entry, _STEP_KEYS, _STEP_KEYS, f"{where}[{k}]")
             pair = entry["edge"]
             if not (type(pair) is list and len(pair) == 2
-                    and type(pair[0]) is str and type(pair[1]) is str):
+                    and type(a := pair[0]) is str and type(b := pair[1]) is str):
                 raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-            edges.append(pair)
+            ids.append(half.get(get(a, V) * W + get(b, V)))
             count = entry["steps"]
             if type(count) is not int:
                 raise SceneParseError(f"{where}[{k}].steps: expected an integer")
             counts.append(count)
     except SceneParseError:
-        _check_duplicates(edges, where)
+        _check_duplicates(raw, len(ids), where)
         raise
-    return build_field(conn, at, _resolve(conn.surface, edges, counts, where))
+    return build_field(conn, at, _resolved(raw, ids, counts, where))
 
 
 def parse_scene_text(text: str) -> SceneFile:

@@ -3,9 +3,10 @@ library's closed-form arithmetic.
 
 windex computes every fiber quantity as an integer mod the fiber size.
 The paper's own construction, with label objects, lives here and in
-``polygon.py``: ``link`` builds the link polygon of a vertex, ``fiber``
-the link subdivided by its arc, ``transport`` the anchored ``PolyIso``
-of a directed edge and ``boundary`` the directed edges of a face.  The
+``polygon.py``: ``link`` chains the link polygon of a vertex from its
+faces, ``fiber`` is the link subdivided by its arc, ``transport`` the
+anchored ``PolyIso`` of a directed edge and ``boundary`` the directed
+edges of a face.  The
 bundle and field oracles compose those transports around a face, where
 the library adds integer offsets.  The path oracles expand paths into
 explicit label walks (one entry per unit step) and recount steps by
@@ -30,8 +31,18 @@ from polygon import Polygon, PolyIso, PolyPath
 
 def link(surface: OrientedSurface, v: str) -> Polygon:
     """The link of ``v``: its neighbours in the cyclic order the faces
-    around it induce (conventions rule 2)."""
-    return Polygon(tuple(surface.link_labels[surface.vertex_id(v)]))
+    around it induce (conventions rule 2), chained arc by arc from the
+    faces through ``v``, not read from the surface's ring positions."""
+    surface.vertex_id(v)
+    arcs = {}
+    for face in surface.faces:
+        if v in face:
+            _, y, z = face.corner_order(v)
+            arcs[y] = z
+    ring = [min(arcs)]
+    while len(ring) < len(arcs):
+        ring.append(arcs[ring[-1]])
+    return Polygon(tuple(ring))
 
 
 def fiber(conn: DiscreteConnection, v: str) -> Polygon:

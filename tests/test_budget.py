@@ -11,6 +11,7 @@ import pstats
 from random import Random
 
 from windex import bundle, cli
+from windex.complex import OrientedSurface
 from windex.field import swirl_path
 from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
@@ -58,7 +59,7 @@ def code_key(function) -> tuple[str, int, str]:
 def test_check_calls_per_face(tmp_path):
     small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
-    assert large.total_calls / faces <= 60, f"{large.total_calls} calls on {faces} faces"
+    assert large.total_calls / faces <= 53, f"{large.total_calls} calls on {faces} faces"
     assert large.total_calls / small.total_calls <= 4.2, (
         f"{small.total_calls} calls at 16x16, {large.total_calls} at 32x32"
     )
@@ -70,13 +71,23 @@ def test_check_calls_per_face(tmp_path):
     # field label is read once
     assert calls.get(("complex.py", "__post_init__"), 0) == 0
     assert calls.get(("polygon.py", "__post_init__"), 0) == 0
-    assert calls[("bundle.py", "position")] == 32 * 32
+    assert calls[("bundle.py", "_position")] == 32 * 32
 
 
 def test_validate_calls_per_face(tmp_path):
     calls = profile_cli("validate", 32, tmp_path).total_calls
     faces = 2 * 32 * 32
-    assert calls / faces <= 53, f"{calls} calls on {faces} faces"
+    assert calls / faces <= 47, f"{calls} calls on {faces} faces"
+
+
+def test_reading_builds_no_link_labels(tmp_path):
+    """Links are read as ring positions by half-edge: ``validate``,
+    ``check`` and ``index --json`` never build the label view, which
+    ``links`` prints."""
+    link_labels = code_key(OrientedSurface.link_labels.func)
+    for argv in (["validate"], ["check"], ["index", "--json"]):
+        assert link_labels not in profile_cli(argv[0], 32, tmp_path, *argv[1:]).stats, argv
+    assert link_labels in profile_cli("links", 4, tmp_path).stats
 
 
 def test_a_second_call_builds_no_parser(tmp_path):
@@ -100,20 +111,28 @@ def test_swirl_path_builds_no_transport():
 
 def test_builders_check_the_fiber_mode_once():
     """A builder checks its fiber mode in ``_fiber_sizes`` and hands the
-    constructor the checked sizes; ``gauge_transform`` keeps its
-    connection's sizes and checks none."""
+    constructor the checked sizes and the offsets it has made, which are
+    not scanned again; ``gauge_transform`` keeps its connection's sizes and
+    checks none.  Only a direct constructor call checks its offsets."""
     conn = grid_scene(8).connection
     calls = {}
     for name, build in [
         ("build_connection", lambda: bundle.build_connection(
             conn.surface, "link", {(a, b): (b, a) for a, b in conn.surface.edges})),
         ("tangent_connection", lambda: bundle.tangent_connection(conn.surface, "link")),
+        ("flat_connection", lambda: bundle.flat_connection(conn.surface, "link")),
         ("gauge_transform", lambda: bundle.gauge_transform(conn, {})),
+        ("DiscreteConnection", lambda: bundle.DiscreteConnection(
+            conn.surface, None, list(conn.offsets))),
     ]:
         profile = cProfile.Profile()
         profile.runcall(build)
-        calls[name] = pstats.Stats(profile).stats.get(code_key(bundle._refinement), (0, 0))[1]
-    assert calls == {"build_connection": 1, "tangent_connection": 1, "gauge_transform": 0}
+        stats = pstats.Stats(profile).stats
+        calls[name] = tuple(stats.get(code_key(check), (0, 0))[1]
+                            for check in (bundle._refinement, bundle._check_offsets))
+    assert calls == {"build_connection": (1, 0), "tangent_connection": (1, 0),
+                     "flat_connection": (1, 0), "gauge_transform": (0, 0),
+                     "DiscreteConnection": (1, 1)}
 
 
 def test_serialize_and_basepoint_build_no_face(tmp_path):

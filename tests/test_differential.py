@@ -28,7 +28,7 @@ from windex.field import swirl_path
 from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
-from oracles import holonomy_iso, reference_path, swirl_path_explicit
+from oracles import holonomy_iso, link, reference_path, swirl_path_explicit
 from surfaces import bipyramid, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -87,6 +87,20 @@ def test_constructor_derives_holonomy_from_offsets(name, mode):
         rebuilt = DiscreteConnection(surface, source.refined, list(source.offsets))
         assert rebuilt.holonomy == [holonomy_iso(rebuilt, face).rotation_steps()
                                     for face in surface.faces]
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_ring_positions_match_the_oracle_links(name):
+    """``ring_pos``, ``degrees`` and the lazy ``link_labels`` view agree with
+    the link the faces induce at every vertex."""
+    surface = build_surface(*SURFACES[name])
+    assert "link_labels" not in vars(surface)
+    rings = {v: link(surface, v).labels for v in surface.vertices}
+    assert surface.degrees == [len(rings[v]) for v in surface.vertices]
+    assert surface.link_labels == [list(rings[v]) for v in surface.vertices]
+    labels = surface.vertices
+    for h, (t, u) in enumerate(zip(surface.tails, surface.heads)):
+        assert rings[labels[t]][surface.ring_pos[h]] == labels[u], (labels[t], labels[u])
 
 
 def _scene(name, mode, seed):
