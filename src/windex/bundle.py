@@ -109,12 +109,12 @@ class DiscreteConnection:
             _check_offsets(surface, o, _sizes[1])
         refined, n, arcs = _sizes
         object.__setattr__(self, "refined", refined)
-        face_n = [n[t] for t in tails[0::3]]
+        face_n = [n[tails[h]] for h in range(0, len(tails), 3)]
         object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "face_sizes", face_n)
-        object.__setattr__(self, "holonomy", [(x + y + z) % size for x, y, z, size
-                                              in zip(o[0::3], o[1::3], o[2::3], face_n)])
+        object.__setattr__(self, "holonomy", [(o[h] + o[h + 1] + o[h + 2]) % size
+                                              for h, size in zip(range(0, len(o), 3), face_n)])
 
     def size(self, v: str) -> int:
         return self.sizes[self.surface.vertex_id(v)]

@@ -6,14 +6,13 @@ The paper's own construction, with label objects, lives here and in
 ``polygon.py``: ``link`` chains the link polygon of a vertex from its
 faces, ``fiber`` is the link subdivided by its arc, ``transport`` the
 anchored ``PolyIso`` of a directed edge and ``boundary`` the directed
-edges of a face.  The
-bundle and field oracles compose those transports around a face, where
-the library adds integer offsets.  The path oracles expand paths into
-explicit label walks (one entry per unit step) and recount steps by
-looking at adjacency only, so they share no code with the crossing-count
-formulas they are used to check.  ``scene_to_obj`` builds the object a
-scene file encodes, for comparing ``serialize_scene`` with the stdlib
-encoder.
+edges of a face.  The bundle and field oracles compose those transports
+around a face, where the library adds integer offsets.  The path oracles
+expand paths into explicit label walks (one entry per unit step) and
+recount steps by looking at adjacency only, so they share no code with
+the crossing-count formulas they are used to check.  ``scene_to_obj``
+builds the object a scene file encodes, for comparing ``serialize_scene``
+with the stdlib encoder.
 """
 
 from __future__ import annotations
