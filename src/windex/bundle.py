@@ -40,7 +40,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complex import OrientedFace, OrientedSurface
+from .complex import NO_EDGES, OrientedFace, OrientedSurface
 from .errors import NonIntegralTotal, NotIncident, ReportCollector, UnknownLabel, WindexError
 
 LINK_MODE = "link"
@@ -123,6 +123,8 @@ class DiscreteConnection:
         """Link label k of v sits at k * arc and ``x~j`` at x's position + j,
         arc = size / degree: the points a subdivided link gains after x."""
         i = self.surface.vertex_id(v)
+        if type(label) is not str:
+            raise UnknownLabel(f"{label!r} is not a label of the fiber at {v!r}")
         return _position(self.surface, self.arcs[i], i, label)
 
     def _label(self, v: int, position: int) -> str:
@@ -131,7 +133,10 @@ class DiscreteConnection:
         return ring[k] if j == 0 else f"{ring[k]}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
-        return self._label(self.surface.vertex_id(v), position)
+        i = self.surface.vertex_id(v)
+        if type(position) is not int:
+            raise UnknownLabel(f"{position!r} is not a position in the fiber at {v!r}")
+        return self._label(i, position)
 
     def fiber(self, v: str) -> Fiber:
         return Fiber(v, self.sizes[self.surface.vertex_id(v)])
@@ -194,10 +199,9 @@ def _fiber_sizes(surface: OrientedSurface, fiber_mode) -> tuple[int | None, list
 def _position(surface: OrientedSurface, arc: int, v: int, label: str) -> int:
     """The position of ``label`` in the fiber at vertex id ``v``: a link
     label at its ring position times ``arc``, read off the half-edge from
-    v to it, and ``x~j`` j after x."""
-    V = len(surface.vertices)
+    v to it in the row of v in ``surface.out``, and ``x~j`` j after x."""
     base, tilde, j = label.partition("~")  # no vertex label holds a "~"
-    h = surface.half.get(v * (V + 1) + surface.index.get(base, V))
+    h = surface.out[surface.vertices[v]].get(base)
     if h is not None and not tilde:
         return surface.ring_pos[h] * arc
     # only the spelling subdivide produces: ASCII digits, no leading 0
@@ -213,12 +217,10 @@ def _edge_keys(surface: OrientedSurface, supplied: dict, collector):
     """(half-edge id, value) for each key of ``supplied`` that is a directed
     edge ``(i, j)``; each other key is reported when it is reached, as
     BadEdge if it is not a pair and MissingEdge if it is no edge."""
-    ids = iter(surface.half_ids([key for key in supplied
-                                 if isinstance(key, tuple) and len(key) == 2]))
     for key, value in supplied.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             collector.add("BadEdge", repr(key), "an edge is a pair of vertex labels")
-        elif (h := next(ids)) is None:
+        elif (h := surface.out.get(key[0], NO_EDGES).get(key[1])) is None:
             collector.add("MissingEdge", f"({key[0]},{key[1]})", "not an edge of the surface")
         else:
             yield h, value
@@ -232,11 +234,12 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, mo
     pairs, each half-edge once.  Without ``arcs`` each value must be an
     integer (rule NotAnInteger).  With ``arcs``, the fiber arc by vertex
     id, each is a transport spec, read into its offset where it is stored:
-    an anchor of two link labels from the ring positions, any other spec
-    by ``_read_transport``, whose fault is reported when its edge is
-    reached.  The reverse is its negation, mod ``modulus[v]`` of an end v
-    unless ``modulus`` is None, and values supplied both ways must cancel,
-    mod that or exactly, else the rule ``clash`` is reported."""
+    an anchor of two link labels from the ring positions of the half-edges
+    to them in ``surface.out``, any other spec by ``_read_transport``,
+    whose fault is reported when its edge is reached.  The reverse is its
+    negation, mod ``modulus[v]`` of an end v unless ``modulus`` is None,
+    and values supplied both ways must cancel, mod that or exactly, else
+    the rule ``clash`` is reported."""
     labels, tails, heads, twin = surface.vertices, surface.tails, surface.heads, surface.twin
     given = [_ABSENT] * len(tails)
     faults: dict[int, tuple[str, str, str]] = {}
@@ -250,14 +253,13 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, mo
                 value = None
             given[h] = value
     else:
-        V, get, half, ring_pos = len(labels), surface.index.get, surface.half, surface.ring_pos
-        W = V + 1
+        out, ring_pos = surface.out, surface.ring_pos
         for h, spec in supplied:
             t, u = tails[h], heads[h]
             if (type(spec) in (list, tuple) and len(spec) == 2
                     and type(a := spec[0]) is str and type(b := spec[1]) is str
-                    and (p := half.get(t * W + get(a, V))) is not None
-                    and (q := half.get(u * W + get(b, V))) is not None):
+                    and (p := out[labels[t]].get(a)) is not None
+                    and (q := out[labels[u]].get(b)) is not None):
                 given[h] = (ring_pos[q] * arcs[u] - ring_pos[p] * arcs[t]) % modulus[u]
             elif type(value := _read_transport(surface, modulus, arcs, h, spec)) is tuple:
                 faults[h] = value

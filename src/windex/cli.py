@@ -204,24 +204,19 @@ def _cmd_check(scene: SceneFile, args) -> int:
     return EXIT_OK if report.theorem_holds else EXIT_ASSERTION
 
 
+# each fixture's connection and the field on it, if any, in --help order
+_FIXTURES = {
+    "octahedron": (octahedron_connection, octahedron_spin_field),
+    "icosahedron": (lambda: tangent_connection(icosahedron(), 10), None),
+    "tetrahedron": (lambda: tangent_connection(boundary_delta3(), 6), None),
+    "torus": (lambda: flat_connection(csaszar_torus(), 6), None),
+}
+
+
 def _cmd_fixture(args) -> int:
-    name = args.name
-    if name == "octahedron":
-        conn = octahedron_connection()
-        field = octahedron_spin_field(conn)
-        scene = SceneFile(conn.surface, conn, None, field)
-    elif name == "icosahedron":
-        conn = tangent_connection(icosahedron(), 10)
-        scene = SceneFile(conn.surface, conn)
-    elif name == "tetrahedron":
-        conn = tangent_connection(boundary_delta3(), 6)
-        scene = SceneFile(conn.surface, conn)
-    elif name == "torus":
-        conn = flat_connection(csaszar_torus(), 6)
-        scene = SceneFile(conn.surface, conn)
-    else:  # argparse choices make this unreachable
-        return _fail(EXIT_PARSE, f"unknown fixture {name!r}")
-    _emit(serialize_scene(scene))
+    connection, field = _FIXTURES[args.name]
+    conn = connection()
+    _emit(serialize_scene(SceneFile(conn.surface, conn, None, field and field(conn))))
     return EXIT_OK
 
 
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     scene_command("check", "verify total index == total flatness winding", flatness=True)
 
     fixture = sub.add_parser("fixture", help="emit a ready-made scene")
-    fixture.add_argument("name", choices=["octahedron", "icosahedron", "tetrahedron", "torus"])
+    fixture.add_argument("name", choices=list(_FIXTURES))
 
     export = sub.add_parser("export", help="write geometry (needs positions)")
     export.add_argument("scene", nargs="?", default="-", help="scene file ('-' = stdin)")

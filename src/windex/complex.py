@@ -12,22 +12,27 @@ order.  Faces are id triples from their least id, numbered in face-key
 order; face f owns the half-edges 3f, 3f + 1, 3f + 2 of its boundary, each
 with a twin running back (Botsch et al., *Polygon Mesh Processing*, 2010,
 ch. 2).  Links are ring positions by half-edge: the place of each
-half-edge's head in the link of its tail.  The tables downstream are
-lists by half-edge, face or vertex id; labels and keys are formatted for
-output and violations only, and link label lists, ``OrientedFace``s and
-label-pair edges are built on demand, for the public API and the
-reference oracles.
+half-edge's head in the link of its tail.  The one label-pair lookup is
+``out``, the half-edges leaving each vertex by the label of their head.
+The tables downstream are lists by half-edge, face or vertex id; labels
+and keys are formatted for output and violations only, and link label
+lists, ``OrientedFace``s and label-pair edges are built on demand, for
+the public API and the reference oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import BadArity, NotIncident, ReportCollector
 
 # characters reserved by face keys, refinement labels and the CLI
 _FORBIDDEN = frozenset(',~= \t\n')
+
+# the row of ``OrientedSurface.out`` for a tail that is not a vertex
+NO_EDGES: MappingProxyType = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,11 @@ class OrientedSurface:
 
     ``vertices`` holds the labels by id and ``index`` the ids by label.
     Half-edge h runs from ``tails[h]`` to ``heads[h]`` and ``twin[h]`` back;
-    ``half`` maps ``tail * (V + 1) + head`` to h, so the id V of a label
-    not on the surface finds nothing.  ``keys`` holds the face keys.  The
-    link of v runs from its least neighbour, at 0: ``ring_pos[h]`` is the
-    place of ``heads[h]`` in the link of ``tails[h]``, and ``degrees[v]``
-    the size of the link of v.  ``edge_half`` holds the half-edge of each
+    ``out[a][b]`` is the half-edge from the vertex labeled ``a`` to the one
+    labeled ``b``, and ``out.get(a, NO_EDGES).get(b)`` None where there is
+    none.  ``keys`` holds the face keys.  The link of v runs from its least
+    neighbour, at 0: ``ring_pos[h]`` is the place of ``heads[h]`` in the
+    link of ``tails[h]``, and ``degrees[v]`` the size of the link of v.  ``edge_half`` holds the half-edge of each
     edge from its lesser end, in sorted order.  ``positions`` is
     pass-through geometry for export only.  ``faces``, ``edges`` and
     ``link_labels`` are label views for output and library users; windex
@@ -91,7 +96,7 @@ class OrientedSurface:
     index: dict[str, int] = field(compare=False, repr=False)
     heads: list[int] = field(compare=False, repr=False)
     twin: list[int] = field(compare=False, repr=False)
-    half: dict[int, int] = field(compare=False, repr=False)
+    out: dict[str, dict[str, int]] = field(compare=False, repr=False)
     keys: list[str] = field(compare=False, repr=False)
     ring_pos: list[int] = field(compare=False, repr=False)
     degrees: list[int] = field(compare=False, repr=False)
@@ -135,22 +140,12 @@ class OrientedSurface:
         except (KeyError, TypeError):
             raise NotIncident(f"no face with key {key!r}") from None
 
-    def half_ids(self, pairs) -> list[int | None]:
-        """The half-edge of each label pair ``(i, j)``, or None where it is
-        not a directed edge."""
-        get, half, V = self.index.get, self.half, len(self.vertices)
-        W = V + 1
-        return [half.get(get(i, V) * W + get(j, V)) for i, j in pairs]
-
     def half_edge(self, i: str, j: str) -> int:
         """The half-edge from vertex ``i`` to vertex ``j``."""
         try:
-            (h,) = self.half_ids([(i, j)])
-        except TypeError:  # an unhashable label
-            h = None
-        if h is None:
-            raise NotIncident(f"({i},{j}) is not a directed edge of the surface")
-        return h
+            return self.out[i][j]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise NotIncident(f"({i},{j}) is not a directed edge of the surface") from None
 
 
 def euler_characteristic(surface: OrientedSurface) -> int:
@@ -201,14 +196,23 @@ def _report_unclosed(labels, triples, collector: ReportCollector) -> None:
         collector.add("NonPolygonLink", labels[v], why)
 
 
+def _next_corners(corners: list) -> list:
+    """A list by half-edge read at the next half-edge of each one's face:
+    the heads, from the tails."""
+    heads = corners[:]
+    heads[0::3], heads[1::3], heads[2::3] = corners[1::3], corners[2::3], corners[0::3]
+    return heads
+
+
 def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     """Validate and assemble a surface; raises ValidationFailed listing
     every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
     NonPolygonLink, ...).  The faces close up consistently oriented exactly
-    when their half-edge keys are distinct and each has its reverse, and
-    every link is one cycle exactly when turning around each vertex
-    (h -> twin of the half-edge before h) visits all its half-edges; else
-    the report reads the same id triples, in input order."""
+    when no two half-edges join the same ordered pair of vertices and each
+    has its reverse, and every link is one cycle exactly when turning
+    around each vertex (h -> twin of the half-edge before h) visits all its
+    half-edges; else the report reads the same id triples, in input
+    order."""
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]
@@ -259,30 +263,29 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     keys = [f"{labels[a]},{labels[b]},{labels[c]}" for a, b, c in triples]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     tails = [v for f in order for v in triples[f]]
-    heads = tails[:]
-    heads[0::3], heads[1::3], heads[2::3] = tails[1::3], tails[2::3], tails[0::3]
-    W = V + 1
-    pairs = [t * W + h for t, h in zip(tails, heads)]
-    half = dict(zip(pairs, range(len(pairs))))
-    twin = [half.get(h * W + t, -1) for t, h in zip(tails, heads)]
-    ring_pos = [0] * len(pairs)
-    degrees: list[int] = []
+    heads = _next_corners(tails)
+    tail_labels = list(map(labels.__getitem__, tails))
+    H = len(tails)
+    rows: list[dict[str, int]] = [{} for _ in labels]  # out, by tail id
     least = [V] * V  # each vertex's least neighbour, where its ring starts
-    for t, h in zip(tails, heads):
-        if h < least[t]:
-            least[t] = h
-    closed = len(half) == len(pairs) and -1 not in twin and V not in least
+    for t, b, u, h in zip(tails, _next_corners(tail_labels), heads, range(H)):
+        rows[t][b] = h
+        if u < least[t]:
+            least[t] = u
+    twin = [rows[u].get(a, -1) for u, a in zip(heads, tail_labels)]
+    ring_pos = [0] * H
+    degrees: list[int] = []
+    closed = sum(map(len, rows)) == H and -1 not in twin and V not in least
     if closed:
-        turn = twin[:]
-        turn[0::3], turn[1::3], turn[2::3] = twin[2::3], twin[0::3], twin[1::3]
+        turn = _next_corners(_next_corners(twin))  # the twin of the half-edge before h
         for v, u in enumerate(least):
-            start = half[v * W + u]
+            start = rows[v][labels[u]]
             h, k = turn[start], 1
             while h != start:
                 ring_pos[h] = k
                 h, k = turn[h], k + 1
             degrees.append(k)
-        closed = sum(degrees) == len(pairs)
+        closed = sum(degrees) == H
     if not closed:
         _report_unclosed(labels, triples, collector)
         collector.raise_if_failed("invalid surface")
@@ -296,17 +299,19 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
                 collector.add("BadLabel", v, "position given for undeclared vertex")
         collector.raise_if_failed("invalid surface")
 
-    lesser = sorted([key for key, t, h in zip(pairs, tails, heads) if t < h])
+    lesser = [h for h, t, u in zip(range(H), tails, heads) if t < u]
+    lesser.sort(key=heads.__getitem__)
+    lesser.sort(key=tails.__getitem__)  # stable: by tail, then by head
     return OrientedSurface(
         vertices=labels,
         tails=tuple(tails),
         index=index,
         heads=heads,
         twin=twin,
-        half=half,
+        out=dict(zip(labels, rows)),
         keys=[keys[f] for f in order],
         ring_pos=ring_pos,
         degrees=degrees,
-        edge_half=[half[key] for key in lesser],
+        edge_half=lesser,
         positions=pos,
     )

@@ -51,7 +51,7 @@ from .bundle import (
     attach_flatness,
     build_connection,
 )
-from .complex import OrientedSurface, build_surface
+from .complex import NO_EDGES, OrientedSurface, build_surface
 from .errors import WindexError
 from .field import VectorField, build_field
 
@@ -184,8 +184,7 @@ def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
     where = "connection.transports"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    get, half, V = surface.index.get, surface.half, len(surface.vertices)
-    W = V + 1
+    out = surface.out
     ids, specs = [], []
     try:
         for k, entry in enumerate(raw):
@@ -197,7 +196,7 @@ def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
             if not (type(pair) is list and len(pair) == 2
                     and type(a := pair[0]) is str and type(b := pair[1]) is str):
                 raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-            ids.append(half.get(get(a, V) * W + get(b, V)))
+            ids.append(out.get(a, NO_EDGES).get(b))
             if len(entry) != 2:
                 raise SceneParseError(f"{where}[{k}]: give exactly one of 'anchor' or 'map'")
             if "anchor" in entry:
@@ -232,9 +231,7 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
     where = "field.steps"
     if type(raw) is not list:
         raise SceneParseError(f"{where}: expected a list")
-    surface = conn.surface
-    get, half, V = surface.index.get, surface.half, len(surface.vertices)
-    W = V + 1
+    out = conn.surface.out
     ids, counts = [], []
     try:
         for k, entry in enumerate(raw):
@@ -245,7 +242,7 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
             if not (type(pair) is list and len(pair) == 2
                     and type(a := pair[0]) is str and type(b := pair[1]) is str):
                 raise SceneParseError(f"{where}[{k}].edge: expected a pair of vertex labels")
-            ids.append(half.get(get(a, V) * W + get(b, V)))
+            ids.append(out.get(a, NO_EDGES).get(b))
             count = entry["steps"]
             if type(count) is not int:
                 raise SceneParseError(f"{where}[{k}].steps: expected an integer")

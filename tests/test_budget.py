@@ -59,7 +59,7 @@ def code_key(function) -> tuple[str, int, str]:
 def test_check_calls_per_face(tmp_path):
     small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
-    assert large.total_calls / faces <= 53, f"{large.total_calls} calls on {faces} faces"
+    assert large.total_calls / faces <= 46, f"{large.total_calls} calls on {faces} faces"
     assert large.total_calls / small.total_calls <= 4.2, (
         f"{small.total_calls} calls at 16x16, {large.total_calls} at 32x32"
     )
@@ -77,7 +77,7 @@ def test_check_calls_per_face(tmp_path):
 def test_validate_calls_per_face(tmp_path):
     calls = profile_cli("validate", 32, tmp_path).total_calls
     faces = 2 * 32 * 32
-    assert calls / faces <= 47, f"{calls} calls on {faces} faces"
+    assert calls / faces <= 40, f"{calls} calls on {faces} faces"
 
 
 def test_reading_builds_no_link_labels(tmp_path):

@@ -20,7 +20,7 @@ from windex.bundle import (
     total_flatness_winding,
     GaugeTransformation,
 )
-from windex.errors import NotIncident, ValidationFailed, WindexError
+from windex.errors import NotIncident, UnknownLabel, ValidationFailed, WindexError
 from windex.fixtures import (
     OCTAHEDRON_TRANSPORTS,
     boundary_delta3,
@@ -231,6 +231,23 @@ class TestBuild:
         conn = random_connection(icosahedron(), 5, Random(11))
         assert set(conn.sizes) == {5}
         assert net_holonomy(conn) == 0
+
+    @pytest.mark.parametrize("read, value, what", [
+        ("position", 5, "a label of"),
+        ("position", None, "a label of"),
+        ("position", ["b"], "a label of"),
+        ("position", b"b", "a label of"),
+        ("label_at", "1", "a position in"),
+        ("label_at", 1.0, "a position in"),
+        ("label_at", None, "a position in"),
+        ("label_at", True, "a position in"),
+    ])
+    def test_a_fiber_point_of_the_wrong_type_is_unknown(self, conn, read, value, what):
+        # a label is a str and a position an int (not True): anything else
+        # is refused by name, never read as a nearby value
+        with pytest.raises(UnknownLabel) as excinfo:
+            getattr(conn, read)("w", value)
+        assert str(excinfo.value) == f"{value!r} is not {what} the fiber at 'w'"
 
 
 class TestHolonomy:

@@ -91,16 +91,20 @@ def test_constructor_derives_holonomy_from_offsets(name, mode):
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_ring_positions_match_the_oracle_links(name):
-    """``ring_pos``, ``degrees`` and the lazy ``link_labels`` view agree with
-    the link the faces induce at every vertex."""
+    """``ring_pos``, ``degrees``, the adjacency map ``out`` and the lazy
+    ``link_labels`` view agree with the link the faces induce at every
+    vertex."""
     surface = build_surface(*SURFACES[name])
     assert "link_labels" not in vars(surface)
     rings = {v: link(surface, v).labels for v in surface.vertices}
     assert surface.degrees == [len(rings[v]) for v in surface.vertices]
     assert surface.link_labels == [list(rings[v]) for v in surface.vertices]
-    labels = surface.vertices
+    labels, out = surface.vertices, surface.out
+    assert list(out) == list(labels)
+    assert [len(out[v]) for v in labels] == surface.degrees
     for h, (t, u) in enumerate(zip(surface.tails, surface.heads)):
         assert rings[labels[t]][surface.ring_pos[h]] == labels[u], (labels[t], labels[u])
+        assert out[labels[t]][labels[u]] == h, (labels[t], labels[u])
 
 
 def _scene(name, mode, seed):
