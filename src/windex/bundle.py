@@ -275,21 +275,21 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, mo
             a, b = labels[tails[h]], labels[tails[t]]
             collector.add("MissingEdge", f"{{{a},{b}}}", f"no {noun} supplied")
             continue
-        d = 0 if forward is _ABSENT else forward
-        e = 0 if backward is _ABSENT else backward
-        if d is None or e is None:
+        if forward is None or backward is None:
             for g in (h, t):
                 if g in faults:
                     collector.add(*faults[g])
             continue
         n = modulus[tails[h]] if modulus else 0
         if forward is _ABSENT:
-            d = -e
-        elif backward is not _ABSENT and ((d + e) % n if n else d + e):
-            a, b = labels[tails[h]], labels[tails[t]]
-            collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {d} and "
-                          f"({b},{a}) gives {e}, which do not cancel")
-            continue
+            d = -backward
+        else:
+            d = forward
+            if backward is not _ABSENT and ((d + backward) % n if n else d + backward):
+                a, b = labels[tails[h]], labels[tails[t]]
+                collector.add(clash, f"{{{a},{b}}}", f"({a},{b}) gives {d} and "
+                              f"({b},{a}) gives {backward}, which do not cancel")
+                continue
         resolved[h], resolved[t] = (d % n, -d % n) if n else (d, -d)
     return resolved
 

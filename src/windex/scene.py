@@ -37,6 +37,7 @@ serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -254,26 +255,42 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
 
 
 def parse_scene_text(text: str) -> SceneFile:
+    """The scene in ``text``, read with the cyclic garbage collector paused.
+
+    ``json.loads`` builds one container per JSON list and object, tens of
+    thousands on a large scene, and their allocations set off collections
+    that free nothing: the reader makes no reference cycles.  On every exit,
+    a scene or any error, the collector is switched back on only if it was
+    on at the start, so a caller's disabled collector stays disabled.  Its
+    state is process-wide: a thread that switches it during a read may find
+    it switched back on afterwards.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
-        raise SceneParseError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise SceneParseError("not valid JSON: nested too deeply") from None
-    _require_keys(obj, {"surface", "connection", "flatness", "field"}, {"surface"}, "scene")
-    surface = _parse_surface(obj["surface"])
-    connection = flatness = field = None
-    if "connection" in obj:
-        connection = _parse_connection(obj["connection"], surface)
-    if "flatness" in obj:
-        if connection is None:
-            raise SceneParseError("flatness: needs a connection section")
-        flatness = _parse_flatness(obj["flatness"], connection)
-    if "field" in obj:
-        if connection is None:
-            raise SceneParseError("field: needs a connection section")
-        field = _parse_field(obj["field"], connection)
-    return SceneFile(surface, connection, flatness, field)
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
+            raise SceneParseError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SceneParseError("not valid JSON: nested too deeply") from None
+        _require_keys(obj, {"surface", "connection", "flatness", "field"}, {"surface"}, "scene")
+        surface = _parse_surface(obj["surface"])
+        connection = flatness = field = None
+        if "connection" in obj:
+            connection = _parse_connection(obj["connection"], surface)
+        if "flatness" in obj:
+            if connection is None:
+                raise SceneParseError("flatness: needs a connection section")
+            flatness = _parse_flatness(obj["flatness"], connection)
+        if "field" in obj:
+            if connection is None:
+                raise SceneParseError("field: needs a connection section")
+            field = _parse_field(obj["field"], connection)
+        return SceneFile(surface, connection, flatness, field)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_scene(path: str) -> SceneFile:

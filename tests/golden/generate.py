@@ -3,7 +3,7 @@
 
 Writes the input scenes that ``scene_texts`` returns to
 ``tests/golden/scenes/`` (the four bundled fixtures plus seeded random
-instances from ``windex.sampling``, in link and refined modes) and, for
+instances from ``tests/sampling.py``, in link and refined modes) and, for
 every scene, the stdout and exit code of each
 scene subcommand with and without ``--json`` to ``tests/golden/outputs.json``.
 
@@ -31,11 +31,11 @@ from random import Random
 
 from windex import cli
 from windex.fixtures import boundary_delta3, csaszar_torus, icosahedron, octahedron
-from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, serialize_scene
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/, for surfaces.py
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/
+from sampling import random_connection, random_field, random_lifts  # noqa: E402
 from surfaces import bipyramid, tet_and_octahedron  # noqa: E402
 
 HERE = Path(__file__).resolve().parent

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from random import Random
 
-from .bundle import (
+from windex.bundle import (
     DiscreteConnection,
     FlatnessStructure,
     attach_flatness,
     build_connection,
     flat_connection,
 )
-from .complex import OrientedSurface
-from .field import VectorField, build_field
+from windex.complex import OrientedSurface
+from windex.field import VectorField, build_field
 
 MAX_TURNS = 2  # random lifts and field steps leave the forced class by at most this many turns
 

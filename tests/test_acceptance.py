@@ -28,10 +28,10 @@ from windex.fixtures import (
     octahedron_connection,
     octahedron_spin_field,
 )
-from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
 from oracles import collapse_unit_oracle, collapse_walk_oracle, subdivide_walk_oracle
 from polygon import Polygon, PolyIso, PolyPath
+from sampling import random_connection, random_field, random_gauge, random_lifts
 
 RANDOM_SUITES = [
     ("octahedron link mode", octahedron(), "link"),

@@ -13,10 +13,10 @@ from random import Random
 from windex import bundle, cli
 from windex.complex import OrientedSurface
 from windex.field import swirl_path
-from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
 import polygon
+from sampling import random_connection, random_field, random_lifts
 from surfaces import torus_grid
 
 

@@ -28,10 +28,10 @@ from windex.fixtures import (
     icosahedron,
     octahedron,
 )
-from windex.sampling import random_connection, random_gauge
 
 from oracles import boundary, fiber, holonomy_iso, link, transport, trivialize_face
 from polygon import PolyIso
+from sampling import random_connection, random_gauge
 from surfaces import bipyramid, tet_and_octahedron
 
 

@@ -17,10 +17,10 @@ from windex import cli
 from windex.bundle import flat_connection, tangent_connection
 from windex.errors import UnknownLabel
 from windex.fixtures import boundary_delta3, icosahedron, octahedron
-from windex.sampling import random_field
 from windex.scene import SceneFile, serialize_scene
 
 from oracles import holonomy_iso, link
+from sampling import random_field
 from test_acceptance import _instances
 
 

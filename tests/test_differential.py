@@ -25,10 +25,10 @@ from windex.bundle import DiscreteConnection, gauge_transform, tangent_connectio
 from windex.complex import build_surface
 from windex.errors import ValidationFailed
 from windex.field import swirl_path
-from windex.sampling import random_connection, random_gauge
 from windex.scene import parse_scene_text, serialize_scene
 
 from oracles import holonomy_iso, link, reference_path, swirl_path_explicit
+from sampling import random_connection, random_gauge
 from surfaces import bipyramid, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

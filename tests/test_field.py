@@ -32,9 +32,9 @@ from windex.fixtures import (
     octahedron_connection,
     octahedron_spin_field,
 )
-from windex.sampling import random_connection, random_field, random_gauge, random_lifts
 
 from oracles import fiber, holonomy_iso, link, reference_path, swirl_path_explicit, transport
+from sampling import random_connection, random_field, random_gauge, random_lifts
 from surfaces import tet_and_octahedron
 
 # swirls of the spin field, per face, frozen from the boundary sums

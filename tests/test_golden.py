@@ -20,7 +20,7 @@ OUTPUTS = json.loads((GOLDEN / "outputs.json").read_text(encoding="utf-8"))
 
 def test_scenes_regenerate_byte_for_byte():
     """The seeded samplers still draw the committed input scenes, so a
-    change in how windex.sampling consumes its rng shows up here."""
+    change in how tests/sampling.py consumes its rng shows up here."""
     spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)

@@ -1,5 +1,6 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
+import gc
 import json
 import os
 import re
@@ -8,15 +9,17 @@ import sys
 import time
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
-from windex import cli
+from windex import cli, scene as scene_module
+from windex.errors import ValidationFailed, WindexError
 from windex.fixtures import octahedron, octahedron_connection, octahedron_spin_field
-from windex.sampling import random_connection, random_field, random_lifts
 from windex.scene import SceneFile, SceneParseError, parse_scene_text, serialize_scene
 
 from oracles import scene_to_obj, transport
+from sampling import random_connection, random_field, random_lifts
 
 MINIMAL = {
     "surface": {
@@ -502,7 +505,7 @@ def test_windex_as_processes_in_a_pipe():
 
 PRODUCT_ONLY = """
 import sys
-import windex, windex.cli, windex.fixtures, windex.sampling
+import windex, windex.cli, windex.fixtures
 loaded = sorted({"polygon", "windex.polygon"} & sys.modules.keys())
 assert not loaded, loaded
 removed = sorted({"Polygon", "PolyIso", "PolyPath", "Turns", "boundary"} & set(windex.__all__))
@@ -542,3 +545,70 @@ def test_a_lone_surrogate_label_through_a_strict_utf8_stdout(capsys, tmp_path, a
     out = proc.stdout.decode("utf-8")
     if argv[0] in ("links", "curvature", "index"):
         assert "\\ud800" in out
+
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+READ_TEXTS = {
+    **{f"scenes/{p.stem}": p for p in sorted(GOLDEN.glob("scenes/*.json"))},
+    **{f"rejected/{p.stem}": p for p in sorted(GOLDEN.glob("rejected/*.json"))},
+    "not-json": '{"surface": ',
+    "deep-nesting": "[" * 200000 + "]" * 200000,
+    "long-integer": '{"surface": ' + "1" * 5000 + "}",
+    "bom": "\ufeff" + json.dumps(MINIMAL),
+    "empty": "",
+}
+# what parse_scene_text raises on each, or None
+PAUSE_CASES = {"scenes/ico-link-a": None, "not-json": SceneParseError,
+               "deep-nesting": SceneParseError, "long-integer": SceneParseError,
+               "rejected/antisymmetry-violation": ValidationFailed}
+
+
+def _read_text(name: str) -> str:
+    text = READ_TEXTS[name]
+    return text.read_text(encoding="utf-8") if isinstance(text, Path) else text
+
+
+@pytest.fixture
+def restore_collector():
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("name", PAUSE_CASES)
+def test_the_reader_pauses_the_collector_and_restores_it(
+        restore_collector, monkeypatch, collecting, name):
+    """The collector is off while the JSON is decoded, and after a read, a
+    scene or an error, it is on exactly when it was on before."""
+    text, error = _read_text(name), PAUSE_CASES[name]
+    during = []
+
+    def loads(text):
+        during.append(gc.isenabled())
+        return json.loads(text)
+
+    monkeypatch.setattr(scene_module, "json", SimpleNamespace(loads=loads))
+    (gc.enable if collecting else gc.disable)()
+    if error is None:
+        assert isinstance(parse_scene_text(text), SceneFile)
+    else:
+        with pytest.raises(error):
+            parse_scene_text(text)
+    assert (during, gc.isenabled()) == ([False], collecting)
+
+
+@pytest.mark.parametrize("name", READ_TEXTS)
+def test_a_read_leaves_no_cyclic_garbage(restore_collector, name):
+    """What makes the reader's pause free: reading a scene, or failing to,
+    leaves nothing for the collector to find, so the collections that its
+    allocations would set off free nothing."""
+    text = _read_text(name)
+    gc.disable()
+    gc.collect()
+    try:
+        parse_scene_text(text)
+    except WindexError:
+        pass
+    assert gc.collect() == 0
