@@ -11,7 +11,6 @@ stdin) and print human-readable tables, or machine-readable JSON with
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -42,10 +41,11 @@ from .fixtures import (
     octahedron_spin_field,
 )
 from .scene import (
+    JsonText,
     SceneFile,
     SceneParseError,
-    fill_nulls,
     json_block,
+    json_text,
     parse_scene,
     serialize_scene,
 )
@@ -89,14 +89,14 @@ def _need(scene: SceneFile, what: str):
     return value
 
 
-# json.dumps's text of each field type of a report row, a str once quoted
+# the json encoder's text of each field type of a report row, a str once quoted
 _JSON_FORMAT = {str: "%s", int: "%s", Fraction: '"%s"'}
 
 
 def _json_rows(rows) -> str:
     """Named tuples of one type (each field of one type throughout) as the
-    list ``json.dumps(..., sort_keys=True, indent=2)`` writes one level
-    down, from one template with the fields in sorted order; strs are
+    list the json encoder writes with ``sort_keys=True, indent=2`` one
+    level down, from one template with the fields in sorted order; strs are
     quoted by the stdlib encoder's own function."""
     if not rows:
         return "[]"
@@ -115,8 +115,10 @@ def _report(args, payload: dict, lines, rows=None) -> None:
     the per-face ``rows`` in its "faces": None slot, as JSON under --json,
     else the text ``lines``."""
     if args.json:
-        text = json.dumps({"conventions": SIGN_CONVENTIONS, **payload}, sort_keys=True, indent=2)
-        _emit(text if rows is None else fill_nulls(text, [('\n  "faces"', _json_rows(rows))]))
+        report = {"conventions": SIGN_CONVENTIONS, **payload}
+        if rows is not None:
+            report["faces"] = JsonText(_json_rows(rows))
+        _emit(json_text(report))
     else:
         # a label stdout cannot encode (a lone surrogate) prints as its
         # escape, the spelling the JSON forms use

@@ -29,7 +29,8 @@ resolves the edge of each transport and step entry to its half-edge in
 the loop that type-checks the entry, and every later section is read
 into lists by half-edge, face or vertex id.
 Serialization writes labels back from those tables, entry by entry from
-fixed templates, to the bytes json.dumps(sort_keys=True, indent=2) gives.
+fixed templates, to the bytes Python's json encoder writes with
+sort_keys=True and indent=2, without calling it.
 It is canonical (sorted keys, least-rotation face lists, lexicographic
 edge directions, anchors at the fiber's first label), so parse ->
 serialize -> parse is the identity.
@@ -51,6 +52,7 @@ from .bundle import (
     FlatnessStructure,
     attach_flatness,
     build_connection,
+    check_flatness_surface,
 )
 from .complex import NO_EDGES, OrientedSurface, build_surface
 from .errors import WindexError
@@ -310,8 +312,8 @@ def parse_scene(path: str) -> SceneFile:
 
 
 def json_block(brackets: str, indent: str, template: str, values) -> str:
-    """The list or object (``brackets`` "[]" or "{}") that
-    ``json.dumps(..., sort_keys=True, indent=2)`` writes with its closing
+    """The list or object (``brackets`` "[]" or "{}") that the json
+    encoder writes with ``sort_keys=True, indent=2`` and its closing
     bracket at ``indent``: one entry per value, formatted by ``template``,
     which carries the entries' own indent and, for an object, their keys in
     sorted order."""
@@ -319,18 +321,35 @@ def json_block(brackets: str, indent: str, template: str, values) -> str:
     return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def fill_nulls(head: str, slots) -> str:
-    """``head``, the text json.dumps(sort_keys=True, indent=2) writes for an
-    object with None at some keys, with the text of each (key line, text)
-    of ``slots``, in their order in ``head``, in place of that key's null.
-    A key line is the newline, indent and quoted key before ': null'; a
-    string never holds a raw newline, so only the slot can match it."""
-    parts = []
-    for line, text in slots:
-        before, _, head = head.partition(line + ": null")
-        parts += before, line, ": ", text
-    parts.append(head)
-    return "".join(parts)
+class JsonText(str):
+    """Text that is already JSON at the depth where it goes: ``json_text``
+    writes it as it is."""
+
+
+def json_text(value, indent: str = "") -> str:
+    """``value`` as the json encoder writes it with ``sort_keys=True,
+    indent=2`` and its closing bracket at ``indent``, for the types windex
+    writes: None, bool, int, str, lists and objects with str keys, and a
+    JsonText as it is.  Types are matched exactly, so a bool is never an
+    int; any other type, a float or a Fraction, is a TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is JsonText:
+        return value
+    if kind is int:
+        return str(value)
+    inner = indent + "  "
+    if kind is dict:
+        return json_block("{}", indent, inner + "%s: %s", [
+            (encode_basestring_ascii(k), json_text(value[k], inner)) for k in sorted(value)])
+    if kind is list:
+        return json_block("[]", indent, inner + "%s", [json_text(v, inner) for v in value])
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"json_text cannot write a {kind.__name__}")
 
 
 # one entry of each table of a scene file, at its depth in the file
@@ -342,46 +361,56 @@ _STEP = ("      {\n        \"edge\": [\n          %s,\n          %s\n        ],\
 
 
 def serialize_scene(scene: SceneFile) -> str:
-    """The scene as ``json.dumps(..., sort_keys=True, indent=2)`` writes it,
-    plus a newline.  Only a head goes through json.dumps: the sections,
-    the fiber mode and the positions, with None for every table.  Each
-    table is written from its entry template, labels quoted by the
-    encoder's own function; vertex labels and face keys are already in
-    sorted order, so the ``at`` and ``flatness`` objects need no sort."""
-    surface = scene.surface
+    """The scene as the json encoder writes it with ``sort_keys=True,
+    indent=2``, plus a newline, written by ``json_text`` without the
+    encoder.  Each table is written from its entry template, labels quoted
+    by the encoder's own function, and goes into the document as a
+    JsonText; vertex labels and face keys are already in sorted order, so
+    the ``at`` and ``flatness`` objects need no sort.  A scene whose
+    sections disagree is a WindexError: its connection and flatness must
+    lie on its surface and its field on its connection, the same object or
+    an equal one, and a flatness or field needs a connection, as in a file."""
+    surface, conn, field = scene.surface, scene.connection, scene.field
+    if conn is None and (scene.flatness is not None or field is not None):
+        raise WindexError("a flatness or field section needs a connection")
+    if conn is not None and conn.surface is not surface and conn.surface != surface:
+        raise WindexError("the connection lies on another surface than the scene")
+    if scene.flatness is not None:
+        check_flatness_surface(conn, scene.flatness)
+    if field is not None and field.conn is not conn and field.conn != conn:
+        raise WindexError("the field lies on another connection than the scene's")
     labels, tails, heads, edges = surface.vertices, surface.tails, surface.heads, surface.edge_half
     quote = encode_basestring_ascii
     quoted = list(map(quote, labels))
-    head: dict = {"surface": {"faces": None, "vertices": None}}
+    doc: dict = {"surface": {
+        "faces": JsonText(json_block("[]", "    ", _FACE, [
+            (quoted[tails[h]], quoted[tails[h + 1]], quoted[tails[h + 2]])
+            for h in range(0, len(tails), 3)])),
+        "vertices": JsonText(json_block("[]", "    ", "      %s", quoted)),
+    }}
     if surface.positions is not None:
-        head["surface"]["positions"] = {
+        doc["surface"]["positions"] = {
             v: [str(Fraction(c)) for c in coords]
             for v, coords in sorted(surface.positions.items())
         }
-    slots = []  # in the order json.dumps writes their keys
-    conn = scene.connection
     if conn is not None:
-        mode = "link" if conn.refined is None else {"refined": conn.refined}
-        head["connection"] = {"fiber_mode": mode, "transports": None}
         label, offsets = conn._label, conn.offsets
         first = [quote(label(v, 0)) for v in range(len(labels))]
-        slots.append(('\n    "transports"', json_block("[]", "    ", _TRANSPORT, [
-            (first[tails[h]], quote(label(heads[h], offsets[h])), quoted[tails[h]], quoted[heads[h]])
-            for h in edges])))
-    field = scene.field
+        doc["connection"] = {
+            "fiber_mode": "link" if conn.refined is None else {"refined": conn.refined},
+            "transports": JsonText(json_block("[]", "    ", _TRANSPORT, [
+                (first[tails[h]], quote(label(heads[h], offsets[h])),
+                 quoted[tails[h]], quoted[heads[h]]) for h in edges])),
+        }
     if field is not None:
-        head["field"] = {"at": None, "steps": None}
         label, steps = field.conn._label, field.steps
-        slots.append(('\n    "at"', json_block("{}", "    ", "      %s: %s", [
-            (quoted[i], quote(label(i, x))) for i, x in enumerate(field.at)])))
-        slots.append(('\n    "steps"', json_block("[]", "    ", _STEP, [
-            (quoted[tails[h]], quoted[heads[h]], steps[h]) for h in edges])))
+        doc["field"] = {
+            "at": JsonText(json_block("{}", "    ", "      %s: %s", [
+                (quoted[i], quote(label(i, x))) for i, x in enumerate(field.at)])),
+            "steps": JsonText(json_block("[]", "    ", _STEP, [
+                (quoted[tails[h]], quoted[heads[h]], steps[h]) for h in edges])),
+        }
     if scene.flatness is not None:
-        head["flatness"] = None
-        slots.append(('\n  "flatness"', json_block(
-            "{}", "  ", "    %s: %d", zip(map(quote, surface.keys), scene.flatness.lifts))))
-    slots.append(('\n    "faces"', json_block("[]", "    ", _FACE, [
-        (quoted[tails[h]], quoted[tails[h + 1]], quoted[tails[h + 2]])
-        for h in range(0, len(tails), 3)])))
-    slots.append(('\n    "vertices"', json_block("[]", "    ", "      %s", quoted)))
-    return fill_nulls(json.dumps(head, sort_keys=True, indent=2), slots) + "\n"
+        doc["flatness"] = JsonText(json_block(
+            "{}", "  ", "    %s: %d", zip(map(quote, surface.keys), scene.flatness.lifts)))
+    return json_text(doc) + "\n"

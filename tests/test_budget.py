@@ -135,18 +135,23 @@ def test_builders_check_the_fiber_mode_once():
                      "DiscreteConnection": (1, 1)}
 
 
+def encoder_frames(stats: pstats.Stats) -> list:
+    """The functions of the stdlib's pure-Python json encoder that ran."""
+    return [key for key in stats.stats if key[0].replace("\\", "/").endswith("json/encoder.py")]
+
+
 def test_serialize_and_basepoint_build_no_face(tmp_path):
     """Faces are written and basepoints checked from the id tables, and a
-    scene's tables are written from templates: only its head goes through
-    one json.dumps, and no list through the pure-Python encoder."""
+    scene or a --json report is written directly: no json.dumps call, and
+    no frame of the pure-Python encoder."""
     scene = parse_scene_text(serialize_scene(grid_scene(8)))
     profile = cProfile.Profile()
     profile.runcall(serialize_scene, scene)
-    calls = calls_by_name(pstats.Stats(profile))
-    assert calls.get(("complex.py", "__post_init__"), 0) == 0
-    assert calls[("__init__.py", "dumps")] == 1
-    assert calls.get(("encoder.py", "_iterencode_list"), 0) == 0
     key = scene.surface.keys[5]
     override = f"{key}={key.rpartition(',')[2]}"
-    stats = profile_cli("index", 8, tmp_path, "--json", "--basepoint", override)
-    assert calls_by_name(stats).get(("complex.py", "__post_init__"), 0) == 0
+    for stats in (pstats.Stats(profile),
+                  profile_cli("index", 8, tmp_path, "--json", "--basepoint", override)):
+        calls = calls_by_name(stats)
+        assert calls.get(("complex.py", "__post_init__"), 0) == 0
+        assert calls.get(("__init__.py", "dumps"), 0) == 0
+        assert encoder_frames(stats) == []

@@ -1,22 +1,35 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windex import cli, scene as scene_module
+from windex.bundle import canonical_flatness, tangent_connection
 from windex.errors import ValidationFailed, WindexError
-from windex.fixtures import octahedron, octahedron_connection, octahedron_spin_field
-from windex.scene import SceneFile, SceneParseError, parse_scene_text, serialize_scene
+from windex.field import gauge_transform_field
+from windex.fixtures import icosahedron, octahedron, octahedron_connection, octahedron_spin_field
+from windex.scene import (
+    JsonText,
+    SceneFile,
+    SceneParseError,
+    json_text,
+    parse_scene_text,
+    serialize_scene,
+)
 
 from oracles import scene_to_obj, transport
 from sampling import random_connection, random_field, random_lifts
@@ -481,6 +494,88 @@ def test_serialize_scene_is_the_encoders_text(name):
         assert "\\ud800" in text and '"-1/2"' in text and '"1/100"' in text
 
 
+# text the writers must escape: quotes, backslashes, control and non-ASCII
+# characters, lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\/\n\x00é\ud800\udfff'))
+_LEAVES = st.none() | st.booleans() | st.integers(-2**80, 2**80) | _TEXT
+_MARK = JsonText('{"written": [1, 2]}')
+_PLACEHOLDER = "\udead placeholder"
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=24)
+
+
+def _placed(value):
+    """``value`` with every JsonText replaced by a placeholder string."""
+    if type(value) is JsonText:
+        return _PLACEHOLDER
+    if type(value) is list:
+        return list(map(_placed, value))
+    if type(value) is dict:
+        return {k: _placed(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(_json_values(_LEAVES))
+def test_json_text_is_the_encoders_text(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_json_values(_LEAVES | st.just(_MARK)))
+def test_json_text_writes_json_text_as_it_is(value):
+    """A JsonText at any depth is written verbatim in its place."""
+    want = json.dumps(_placed(value), sort_keys=True, indent=2)
+    assert json_text(value) == want.replace(json.dumps(_PLACEHOLDER), _MARK)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 3), [0, 0.5], {"a": {"b": Fraction(2)}}],
+                         ids=["float", "fraction", "float-in-list", "fraction-in-object"])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+# scenes whose sections disagree, each as (surface, connection, flatness, field)
+DISAGREEING_SCENES = {
+    "connection-on-another-surface": lambda conn, field: (
+        icosahedron(), conn, None, None),
+    "flatness-on-another-surface": lambda conn, field: (
+        conn.surface, conn, canonical_flatness(tangent_connection(icosahedron(), 10)), None),
+    "field-on-another-connection": lambda conn, field: (
+        conn.surface, conn, None,
+        gauge_transform_field(field, {conn.surface.vertices[0]: 1})),
+    "flatness-without-connection": lambda conn, field: (
+        conn.surface, None, canonical_flatness(conn), None),
+    "field-without-connection": lambda conn, field: (
+        conn.surface, None, None, field),
+}
+
+
+@pytest.mark.parametrize("name", DISAGREEING_SCENES)
+def test_serialize_scene_refuses_sections_that_disagree(name):
+    """Such a scene has no file: ``serialize_scene`` raises WindexError
+    instead of an IndexError or a file the reader rejects."""
+    conn = octahedron_connection()
+    scene = SceneFile(*DISAGREEING_SCENES[name](conn, octahedron_spin_field(conn)))
+    with pytest.raises(WindexError):
+        serialize_scene(scene)
+
+
+def test_serialize_scene_takes_equal_sections():
+    """Sections on an equal surface and connection, not the same objects,
+    are written as if they were the same."""
+    conn = octahedron_connection()
+    field, flatness = octahedron_spin_field(conn), canonical_flatness(conn)
+    again = octahedron_connection()
+    assert again is not conn and again.surface is not conn.surface and again == conn
+    text = serialize_scene(SceneFile(conn.surface, conn, flatness, field))
+    assert serialize_scene(SceneFile(octahedron(), again, flatness, field)) == text
+
+
 WINDEX = [sys.executable, "-m", "windex.cli"]
 
 
@@ -612,3 +707,21 @@ def test_a_read_leaves_no_cyclic_garbage(restore_collector, name):
     except WindexError:
         pass
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "scenes").glob("*.json")), ids=lambda p: p.stem)
+def test_a_write_leaves_no_cyclic_garbage(restore_collector, path):
+    """Writing a scene or a --json report builds no reference cycle, so
+    nothing is left for the collector: counted after ``serialize_scene``
+    and after each --json subcommand on the scene, an error exit too."""
+    scene = parse_scene_text(path.read_text(encoding="utf-8"))
+    cli.build_parser()
+    gc.disable()
+    gc.collect()
+    serialize_scene(scene)
+    found = {"serialize_scene": gc.collect()}
+    for command in ("validate", "links", "curvature", "index", "check"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([command, "--json", str(path)])
+        found[command] = gc.collect()
+    assert found == dict.fromkeys(found, 0)
