@@ -25,8 +25,10 @@ is an integer representative f_F = r_F + k * n of that rotation, i.e. a
 choice of homotopy class of paths from the identity to the holonomy,
 stored by face id.  The total flatness winding is the sum of f_F / n_F
 over all faces, the exact integer the index theorem compares against;
-like every total of per-face turns it is summed as integers per fiber size
-(``sum_turns``), so components with different fiber sizes add up exactly.
+like every total of per-face turns it is summed by ``sum_turns`` from two
+columns by face id, the fiber sizes and the numerators: the numerators are
+added per fiber size and brought over the lcm of the sizes, one exact
+fraction, so components with different fiber sizes add up exactly.
 Each per-face quantity is read from its table or its ``FaceReport`` row;
 the rows' labels and keys are read from the surface's tables.
 
@@ -38,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import eq
 from typing import NamedTuple
 
 from .complex import NO_EDGES, OrientedFace, OrientedSurface
@@ -341,21 +345,24 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
     return DiscreteConnection(surface, refined, offsets, _sizes=sizes)
 
 
-def sum_turns(terms) -> Turns:
-    """The exact sum of m / n over ``(n, m)`` pairs, one pair per face with
-    n its fiber size: the integers are summed per fiber size and each sum
-    is divided once."""
-    by_size: dict[int, int] = {}
-    for n, m in terms:
-        by_size[n] = by_size.get(n, 0) + m
-    return sum((Fraction(m, n) for n, m in by_size.items()), Fraction(0))
+def sum_turns(sizes, numerators) -> Turns:
+    """The exact sum of m / n over two columns by face id, ``sizes`` (each
+    face's fiber size n) and ``numerators`` (its m): the numerators of each
+    size are added in C, picked out by ``compress``, scaled to the lcm L of
+    the sizes and divided once, as ``Fraction(sum of m * (L / n), L)``."""
+    distinct = set(sizes)
+    lcm = math.lcm(*distinct)
+    if len(distinct) == 1:  # one fiber size: every numerator is already over L
+        return Fraction(sum(numerators), lcm)
+    return Fraction(sum([sum(compress(numerators, map(eq, sizes, repeat(n)))) * (lcm // n)
+                         for n in distinct]), lcm)
 
 
 def net_holonomy(conn: DiscreteConnection) -> Turns:
     """Sum of face curvatures, reduced mod 1.  Zero for every valid
     connection: each directed edge appears in exactly one face boundary, so
     the per-edge rotation offsets cancel in pairs."""
-    return sum_turns(zip(conn.face_sizes, conn.holonomy)) % 1
+    return sum_turns(conn.face_sizes, conn.holonomy) % 1
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,7 @@ def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure
     """Sum of lift turns f_F / n_F over all faces; integral whenever the net
     holonomy vanishes mod 1, which validation guarantees."""
     check_flatness_surface(conn, flatness)
-    total = sum_turns(zip(conn.face_sizes, flatness.lifts))
+    total = sum_turns(conn.face_sizes, flatness.lifts)
     if total.denominator != 1:
         raise NonIntegralTotal(f"total flatness {total} is not an integer")
     return int(total)

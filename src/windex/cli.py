@@ -2,8 +2,8 @@
 
 Subcommands operate on scene files (path argument, '-' or omitted reads
 stdin) and print human-readable tables, or machine-readable JSON with
-``--json``.  Exit codes: 0 success, 1 parse error, 2 validation error,
-3 theorem or assertion failure.
+``--json``.  Exit codes: 0 success, 1 parse error, unreadable scene or
+unwritable output, 2 validation error, 3 theorem or assertion failure.
 
     windex fixture octahedron | windex check
 """
@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import SIGN_CONVENTIONS
 from .bundle import (
+    FaceReport,
     canonical_flatness,
     face_reports,
     flat_connection,
@@ -32,7 +33,7 @@ from .errors import (
     NotIncident,
     WindexError,
 )
-from .field import totals
+from .field import IndexRow, totals
 from .fixtures import (
     boundary_delta3,
     csaszar_torus,
@@ -57,6 +58,8 @@ EXIT_ASSERTION = 3
 
 
 def _emit(text: str) -> None:
+    if sys.stdout is None:  # the process was started with stdout closed
+        raise OSError("standard output is closed")
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -93,37 +96,36 @@ def _need(scene: SceneFile, what: str):
 _JSON_FORMAT = {str: "%s", int: "%s", Fraction: '"%s"'}
 
 
-def _json_rows(rows) -> str:
-    """Named tuples of one type (each field of one type throughout) as the
-    list the json encoder writes with ``sort_keys=True, indent=2`` one
-    level down, from one template with the fields in sorted order; strs are
-    quoted by the stdlib encoder's own function."""
-    if not rows:
+def _json_rows(names, columns) -> str:
+    """Per-face rows, given as ``columns`` (one per field of ``names``,
+    each of one type throughout), as the list the json encoder writes with
+    ``sort_keys=True, indent=2`` one level down, from one template with the
+    fields in sorted order; strs are quoted by the stdlib encoder's own
+    function.  No columns, or empty ones, are no rows."""
+    if not columns or not columns[0]:
         return "[]"
-    first, names = rows[0], rows[0]._fields
     order = sorted(range(len(names)), key=names.__getitem__)
-    columns = list(zip(*rows))
     template = "    {\n" + ",\n".join(
-        f'      "{names[i]}": {_JSON_FORMAT[type(first[i])]}' for i in order) + "\n    }"
-    values = zip(*[map(encode_basestring_ascii, columns[i]) if type(first[i]) is str
+        f'      "{names[i]}": {_JSON_FORMAT[type(columns[i][0])]}' for i in order) + "\n    }"
+    values = zip(*[map(encode_basestring_ascii, columns[i]) if type(columns[i][0]) is str
                    else columns[i] for i in order])
     return json_block("[]", "  ", template, values)
 
 
-def _report(args, payload: dict, lines, rows=None) -> None:
+def _report(args, payload: dict, lines, faces=None) -> None:
     """Print a report stamped with the sign conventions: ``payload``, with
-    the per-face ``rows`` in its "faces": None slot, as JSON under --json,
-    else the text ``lines``."""
+    the per-face rows ``faces``, (field names, columns), in its "faces":
+    None slot, as JSON under --json, else the text ``lines``."""
     if args.json:
         report = {"conventions": SIGN_CONVENTIONS, **payload}
-        if rows is not None:
-            report["faces"] = JsonText(_json_rows(rows))
+        if faces is not None:
+            report["faces"] = JsonText(_json_rows(*faces))
         _emit(json_text(report))
     else:
+        _emit(f"sign conventions {SIGN_CONVENTIONS}")
         # a label stdout cannot encode (a lone surrogate) prints as its
         # escape, the spelling the JSON forms use
         encoding = sys.stdout.encoding or "utf-8"
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
         for line in lines:
             _emit(line.encode(encoding, "backslashreplace").decode(encoding))
 
@@ -159,7 +161,7 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
         (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
          f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}" for r in rows),
         [f"net holonomy: {net}", f"total flatness winding: {total}"],
-    ), rows)
+    ), (FaceReport._fields, list(zip(*rows))))
     return EXIT_OK
 
 
@@ -182,13 +184,13 @@ def _cmd_index(scene: SceneFile, args) -> int:
     }
     _report(args, payload, chain(
         [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'swirl':<7}index"],
-        (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
-         f"{r.lift:<6}{r.swirl:<7}{r.index}" for r in report.rows),
+        (f"{face:<12}{base:<6}{n:<4}{hol:<5}{lift:<6}{swirl:<7}{index}"
+         for face, base, n, hol, lift, swirl, index in zip(*report.columns)),
         [f"total swirl: {report.total_swirl}",
          f"total index: {report.total_index}",
          f"total flatness winding: {report.total_flatness_winding}",
          f"theorem holds: {report.theorem_holds}"],
-    ), report.rows)
+    ), (IndexRow._fields, report.columns))
     return EXIT_OK
 
 
@@ -294,25 +296,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_output() -> None:
+    """Point stdout's file descriptor at the null device, so that the text
+    still buffered for a stream that failed is dropped at exit instead of
+    failing again there.  A stdout that is missing or is no file (an
+    in-process capture) is left as it is."""
+    import os  # imported on this error path only
+
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fixture":
-            return _cmd_fixture(args)
-        scene = parse_scene(args.scene)
-        handler = {
-            "validate": _cmd_validate,
-            "links": _cmd_links,
-            "curvature": _cmd_curvature,
-            "index": _cmd_index,
-            "check": _cmd_check,
-            "export": _cmd_export,
-        }[args.command]
-        return handler(scene, args)
+            code = _cmd_fixture(args)
+        else:
+            try:
+                scene = parse_scene(args.scene)
+            except OSError as exc:
+                return _fail(EXIT_PARSE, f"cannot read scene: {exc}")
+            handler = {
+                "validate": _cmd_validate,
+                "links": _cmd_links,
+                "curvature": _cmd_curvature,
+                "index": _cmd_index,
+                "check": _cmd_check,
+                "export": _cmd_export,
+            }[args.command]
+            code = handler(scene, args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a write that would fail at exit fails here
+        return code
+    except OSError as exc:  # after the read, the only I/O is the output
+        _discard_output()
+        return _fail(EXIT_PARSE, f"cannot write output: {exc}")
     except SceneParseError as exc:
         return _fail(EXIT_PARSE, f"parse error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read scene: {exc}")
     except (NonIntegralTotal, NonIntegralIndex) as exc:
         return _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
     except WindexError as exc:

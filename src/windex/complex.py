@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import BadArity, NotIncident, ReportCollector
@@ -216,12 +217,14 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]
-    if len(set(verts)) != len(verts):
+    unique = set(verts)
+    if len(unique) != len(verts):
         collector.add("DuplicateVertex", verts, "vertex labels must be unique")
-    for v in verts:
-        if not v or not _FORBIDDEN.isdisjoint(v):
-            collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
-    labels = tuple(sorted(set(verts)))
+    if "" in unique or not _FORBIDDEN.isdisjoint("".join(verts)):
+        for v in verts:
+            if not v or not _FORBIDDEN.isdisjoint(v):
+                collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
+    labels = tuple(sorted(unique))
     V = len(labels)
     index = dict(zip(labels, range(V)))
 
@@ -262,7 +265,7 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
 
     keys = [f"{labels[a]},{labels[b]},{labels[c]}" for a, b, c in triples]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    tails = [v for f in order for v in triples[f]]
+    tails = list(chain.from_iterable(map(triples.__getitem__, order)))
     heads = _next_corners(tails)
     tail_labels = list(map(labels.__getitem__, tails))
     H = len(tails)

@@ -17,17 +17,20 @@ count of the fully transported boundary concatenation, a path from the
 holonomy image of X_v back to X_v (conventions rule 10); ``swirl_path``
 reads that path off the tables, as a start label and a step count, and
 ``totals`` just adds integers.  The index of a face is (lift + swirl) /
-fiber size, an exact integer division.  Both are read from the
-``IndexRow`` of the face, and the totals add the per-face indices, and
-the swirls and lifts as turns s_F / n_F and f_F / n_F, summed per fiber
+fiber size, an exact integer division.  ``totals`` works on columns by
+face id, one list per ``IndexRow`` field, the swirls and indices each
+worked out in C-level passes, and adds the per-face indices, and the
+swirls and lifts as turns s_F / n_F and f_F / n_F, summed per fiber
 size, so components with different fiber sizes are reported together.
-Report rows are named tuples whose labels and face keys are read from
-the surface's tables.
+The report's rows, named tuples of one face each, are built from the
+columns only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, floordiv, mod
 from typing import NamedTuple
 
 from .bundle import (
@@ -102,11 +105,17 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
         if v not in surface.index:
             collector.add("MissingVertex", v, "fiber point given for a vertex not on the surface")
     positions: list[int] = []
-    for v in surface.vertices:
+    out, ring_pos = surface.out, surface.ring_pos
+    for v, arc in zip(surface.vertices, conn.arcs):
         if v not in at:
             collector.add("MissingVertex", v, "no fiber point supplied")
             continue
         label = str(at[v])
+        # a link label is read off the half-edge to it, as position() reads
+        # it; an x~j label, or one of no point, goes to position()
+        if (h := out[v].get(label)) is not None:
+            positions.append(ring_pos[h] * arc)
+            continue
         try:
             positions.append(conn.position(v, label))
         except UnknownLabel:
@@ -141,15 +150,6 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
                      steps[3 * f] + steps[3 * f + 1] + steps[3 * f + 2])
 
 
-def _whole_turns(key: str, total: int, n: int) -> int:
-    turns, rest = divmod(total, n)
-    if rest:
-        raise NonIntegralIndex(
-            f"face {key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
-        )
-    return turns
-
-
 class IndexRow(NamedTuple):
     face: str
     basepoint: str
@@ -163,12 +163,19 @@ class IndexRow(NamedTuple):
 @dataclass(frozen=True)
 class IndexReport:
     """Everything the index theorem talks about, for one (connection,
-    flatness, field) triple."""
+    flatness, field) triple.  ``columns`` holds the ``IndexRow`` fields in
+    order, each a list by face id; the face keys, sizes, holonomy and lifts
+    are the connection's and flatness's own tables, shared, not copied.
+    ``rows`` builds one ``IndexRow`` per face from them on its first read."""
 
-    rows: tuple[IndexRow, ...]
+    columns: tuple[list, ...] = field(repr=False)
     total_swirl: Turns
     total_index: int
     total_flatness_winding: int
+
+    @cached_property
+    def rows(self) -> tuple[IndexRow, ...]:
+        return tuple(map(IndexRow, *self.columns))
 
     @property
     def theorem_holds(self) -> bool:
@@ -180,21 +187,29 @@ def totals(
     flatness: FlatnessStructure,
     basepoints: dict[str, str] | None = None,
 ) -> IndexReport:
-    """Per-face rows plus the three totals.  For valid inputs the total
-    swirl sum s_F / n_F is exactly 0 (each directed edge lies in exactly one
-    boundary, and reverse steps cancel in fibers of one size), which forces
-    total index = total flatness winding."""
-    conn, steps = vf.conn, vf.steps
+    """The per-face columns plus the three totals.  Swirls, lift + swirl
+    and indices are each one ``map`` over the columns; a face whose lift +
+    swirl is not a whole number of fiber turns raises NonIntegralIndex,
+    naming the first such face.  For valid inputs the total swirl sum
+    s_F / n_F is exactly 0 (each directed edge lies in exactly one
+    boundary, and reverse steps cancel in fibers of one size), which
+    forces total index = total flatness winding."""
+    conn, steps, lifts = vf.conn, vf.steps, flatness.lifts
     check_flatness_surface(conn, flatness)
-    sizes, bases = conn.face_sizes, face_basepoints(conn.surface, basepoints)
-    swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
-    rows = [IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))
-            for key, v, n, r, lift, s in zip(conn.surface.keys, bases, sizes,
-                                             conn.holonomy, flatness.lifts, swirls)]
+    keys, sizes = conn.surface.keys, conn.face_sizes
+    bases = face_basepoints(conn.surface, basepoints)
+    swirls = list(map(add, map(add, steps[0::3], steps[1::3]), steps[2::3]))
+    turns = list(map(add, lifts, swirls))
+    if any(map(mod, turns, sizes)):
+        key, total, n = next((k, t, n) for k, t, n in zip(keys, turns, sizes) if t % n)
+        raise NonIntegralIndex(
+            f"face {key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
+        )
+    indices = list(map(floordiv, turns, sizes))
     return IndexReport(
-        rows=tuple(rows),
-        total_swirl=sum_turns(zip(sizes, swirls)),
-        total_index=sum([r.index for r in rows]),
+        columns=(keys, bases, sizes, conn.holonomy, lifts, swirls, indices),
+        total_swirl=sum_turns(sizes, swirls),
+        total_index=sum(indices),
         total_flatness_winding=total_flatness_winding(conn, flatness),
     )
 

@@ -299,6 +299,8 @@ def parse_scene(path: str) -> SceneFile:
     """Read a scene from a file path, or from stdin when path is '-'."""
     try:
         if path == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise OSError("standard input is closed")
             text = sys.stdin.read()
             # stdin may decode with surrogateescape, which turns every byte
             # that is not UTF-8 into a lone surrogate instead of failing

@@ -10,19 +10,27 @@ edges of a face.  The bundle and field oracles compose those transports
 around a face, where the library adds integer offsets.  The path oracles
 expand paths into explicit label walks (one entry per unit step) and
 recount steps by looking at adjacency only, so they share no code with
-the crossing-count formulas they are used to check.  ``scene_to_obj``
-builds the object a scene file encodes, for comparing ``serialize_scene``
-with the stdlib encoder.
+the crossing-count formulas they are used to check.  ``totals_by_rows``
+builds the index report row by row, with one ``Fraction`` per fiber size
+(``sum_by_size``), for comparing the column-wise ``totals`` and
+``sum_turns``.  ``scene_to_obj`` builds the object a scene file encodes,
+for comparing ``serialize_scene`` with the stdlib encoder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from windex.bundle import DiscreteConnection, FlatnessStructure, basepoint
+from windex.bundle import (
+    DiscreteConnection,
+    FlatnessStructure,
+    basepoint,
+    check_flatness_surface,
+    face_basepoints,
+)
 from windex.complex import OrientedFace, OrientedSurface
-from windex.errors import BadArity
-from windex.field import SwirlPath, VectorField
+from windex.errors import BadArity, NonIntegralIndex, NonIntegralTotal
+from windex.field import IndexRow, SwirlPath, VectorField
 from windex.scene import SceneFile
 
 from polygon import Polygon, PolyIso, PolyPath
@@ -113,6 +121,43 @@ def swirl_path_explicit(vf: VectorField, face: OrientedFace, base: str | None = 
     for piece in pieces[1:]:
         total = total.concat(piece)
     return total
+
+
+def sum_by_size(terms) -> Fraction:
+    """The exact sum of m / n over ``(n, m)`` pairs: the integers summed per
+    fiber size, one ``Fraction`` per size, and those added."""
+    by_size: dict[int, int] = {}
+    for n, m in terms:
+        by_size[n] = by_size.get(n, 0) + m
+    return sum((Fraction(m, n) for n, m in by_size.items()), Fraction(0))
+
+
+def _whole_turns(key: str, total: int, n: int) -> int:
+    turns, rest = divmod(total, n)
+    if rest:
+        raise NonIntegralIndex(
+            f"face {key}: lift + swirl = {total} is not a whole number of turns of {n} steps"
+        )
+    return turns
+
+
+def totals_by_rows(vf: VectorField, flatness: FlatnessStructure,
+                   basepoints: dict[str, str] | None = None):
+    """The index report built one ``IndexRow`` per face, the first face in
+    order that is no whole number of turns raising NonIntegralIndex: (rows,
+    total swirl, total index, total flatness winding).  The row-by-row
+    form of ``field.totals``."""
+    conn, steps = vf.conn, vf.steps
+    check_flatness_surface(conn, flatness)
+    sizes, bases = conn.face_sizes, face_basepoints(conn.surface, basepoints)
+    swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
+    rows = tuple(IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))
+                 for key, v, n, r, lift, s in zip(conn.surface.keys, bases, sizes,
+                                                  conn.holonomy, flatness.lifts, swirls))
+    winding = sum_by_size(zip(sizes, flatness.lifts))
+    if winding.denominator != 1:
+        raise NonIntegralTotal(f"total flatness {winding} is not an integer")
+    return rows, sum_by_size(zip(sizes, swirls)), sum(r.index for r in rows), int(winding)
 
 
 def trivialize_face(

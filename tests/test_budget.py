@@ -12,7 +12,8 @@ from random import Random
 
 from windex import bundle, cli
 from windex.complex import OrientedSurface
-from windex.field import swirl_path
+from windex.bundle import canonical_flatness
+from windex.field import IndexReport, IndexRow, swirl_path, totals
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
 import polygon
@@ -59,7 +60,7 @@ def code_key(function) -> tuple[str, int, str]:
 def test_check_calls_per_face(tmp_path):
     small, large = profile_cli("check", 16, tmp_path), profile_cli("check", 32, tmp_path)
     faces = 2 * 32 * 32
-    assert large.total_calls / faces <= 46, f"{large.total_calls} calls on {faces} faces"
+    assert large.total_calls / faces <= 38, f"{large.total_calls} calls on {faces} faces"
     assert large.total_calls / small.total_calls <= 4.2, (
         f"{small.total_calls} calls at 16x16, {large.total_calls} at 32x32"
     )
@@ -68,16 +69,34 @@ def test_check_calls_per_face(tmp_path):
     hashes = sum(nc for (_, name), nc in calls.items() if name == "__hash__")
     assert hashes == 0, f"{hashes} __hash__ calls"
     # the path runs on id tables: no face or link object is built, and each
-    # field label is read once
+    # field label is read once, a link label inline off its half-edge:
+    # _position reads only x~j labels, of which a link-mode field has none
     assert calls.get(("complex.py", "__post_init__"), 0) == 0
     assert calls.get(("polygon.py", "__post_init__"), 0) == 0
-    assert calls[("bundle.py", "_position")] == 32 * 32
+    assert calls.get(("bundle.py", "_position"), 0) == 0
 
 
 def test_validate_calls_per_face(tmp_path):
     calls = profile_cli("validate", 32, tmp_path).total_calls
     faces = 2 * 32 * 32
-    assert calls / faces <= 40, f"{calls} calls on {faces} faces"
+    assert calls / faces <= 38, f"{calls} calls on {faces} faces"
+
+
+def test_the_verdict_builds_no_index_row(tmp_path):
+    """``check`` and ``index --json`` read the report's columns: its rows
+    are never read, so no ``IndexRow`` is built.  Reading them builds one
+    per face."""
+    rows, new_row = code_key(IndexReport.rows.func), code_key(IndexRow.__new__)
+    for argv in (["check"], ["index", "--json"]):
+        stats = profile_cli(argv[0], 32, tmp_path, *argv[1:]).stats
+        assert rows not in stats, argv
+        # every named tuple's __new__ has this key: none is built at all
+        assert new_row not in stats, argv
+    vf = grid_scene(4).field
+    profile = cProfile.Profile()
+    profile.runcall(lambda: totals(vf, canonical_flatness(vf.conn)).rows)
+    stats = pstats.Stats(profile).stats
+    assert stats[rows][1] == 1 and stats[new_row][1] == 2 * 4 * 4
 
 
 def test_reading_builds_no_link_labels(tmp_path):

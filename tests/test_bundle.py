@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from windex.bundle import (
     DiscreteConnection,
@@ -16,6 +17,7 @@ from windex.bundle import (
     flat_connection,
     gauge_transform,
     net_holonomy,
+    sum_turns,
     tangent_connection,
     total_flatness_winding,
     GaugeTransformation,
@@ -29,7 +31,7 @@ from windex.fixtures import (
     octahedron,
 )
 
-from oracles import boundary, fiber, holonomy_iso, link, transport, trivialize_face
+from oracles import boundary, fiber, holonomy_iso, link, sum_by_size, transport, trivialize_face
 from polygon import PolyIso
 from sampling import random_connection, random_gauge
 from surfaces import bipyramid, tet_and_octahedron
@@ -500,3 +502,18 @@ class TestTangentAndTrivialization:
             composite = transition.compose(composite)
         n = conn.fiber(v0).n
         assert composite.rotation_steps() == flat.lifts[7] % n
+
+
+# (fiber size, numerator) pairs over one to five sizes, numerators of either sign
+TURN_TERMS = st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True).flatmap(
+    lambda sizes: st.lists(st.tuples(st.sampled_from(sizes), st.integers(-10**12, 10**12)),
+                           max_size=40))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(TURN_TERMS)
+@example([])
+@example([(3, -1), (4, -1), (6, 5)])
+def test_sum_turns_is_the_per_size_fraction_sum(terms):
+    sizes, numerators = [n for n, _ in terms], [m for _, m in terms]
+    assert sum_turns(sizes, numerators) == sum_by_size(terms)

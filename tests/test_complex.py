@@ -184,9 +184,13 @@ def test_deterministic_build():
     assert all(link(a, v).labels == link(b, v).labels for v in a.vertices)
 
 
-def test_reserved_characters_rejected():
-    report = rejection(["a,b", "c", "d"], [("a,b", "c", "d")])
-    assert any(v.rule == "BadLabel" for v in report.violations)
+@pytest.mark.parametrize("bad", [["a,b"], [""], ["a~1"], ["a=b"], ["a b"], ["a\tb"], ["a\nb"],
+                                 ["x=", "", "y~"]])
+def test_reserved_characters_rejected(bad):
+    """An empty label, or one holding a reserved character, is reported
+    once each, in input order."""
+    report = rejection([*bad, "c", "d", "e"], [(bad[0], "c", "d"), ("c", "d", "e")])
+    assert [v.element for v in report.violations if v.rule == "BadLabel"] == bad
 
 
 def test_position_for_undeclared_vertex_rejected():

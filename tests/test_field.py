@@ -1,12 +1,13 @@
 """Vector fields: validation, swirl, index, totals, gauge carrying."""
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from windex import bundle
 from windex.bundle import (
-    DiscreteConnection,
     Fiber,
     GaugeTransformation,
     canonical_flatness,
@@ -33,9 +34,17 @@ from windex.fixtures import (
     octahedron_spin_field,
 )
 
-from oracles import fiber, holonomy_iso, link, reference_path, swirl_path_explicit, transport
+from oracles import (
+    fiber,
+    holonomy_iso,
+    link,
+    reference_path,
+    swirl_path_explicit,
+    totals_by_rows,
+    transport,
+)
 from sampling import random_connection, random_field, random_gauge, random_lifts
-from surfaces import tet_and_octahedron
+from surfaces import bipyramid, tet_and_octahedron, torus_grid
 
 # swirls of the spin field, per face, frozen from the boundary sums
 EXPECTED_SWIRLS = {
@@ -181,19 +190,38 @@ class TestBuild:
         ]
 
     def test_each_label_parsed_once(self, monkeypatch):
-        torus = flat_connection(csaszar_torus(), 6)
+        """A link label is read once, off the half-edge to it in its
+        vertex's row of ``surface.out``; an ``x~j`` label misses there and
+        is read once more by ``_position`` (its link label x), which sees no
+        other label."""
+        looked_up = []
+
+        class Row(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        plain = csaszar_torus()
+        surface = dataclasses.replace(plain, out={v: Row(row) for v, row in plain.out.items()})
+        torus = flat_connection(surface, 12)  # arcs of 2: link and x~1 labels
         vf = random_field(torus, Random(5))
-        labels = {v: vf.value(v) for v in torus.surface.vertices}
+        labels = {v: vf.value(v) for v in surface.vertices}
+        tilde = sorted(v for v, label in labels.items() if "~" in label)
+        assert 0 < len(tilde) < len(labels)
         parsed = []
-        position = DiscreteConnection.position
+        position = bundle._position
 
-        def counted(self, v, label):
-            parsed.append(v)
-            return position(self, v, label)
+        def counted(surface, arc, v, label):
+            parsed.append(surface.vertices[v])
+            return position(surface, arc, v, label)
 
-        monkeypatch.setattr(DiscreteConnection, "position", counted)
-        assert build_field(torus, labels, both_ways(vf)) == vf
-        assert sorted(parsed) == sorted(torus.surface.vertices)
+        monkeypatch.setattr(bundle, "_position", counted)
+        looked_up.clear()
+        # steps by half-edge id, so that no edge key is looked up in a row
+        assert build_field(torus, labels, list(enumerate(vf.steps))) == vf
+        assert sorted(parsed) == tilde
+        assert sorted(looked_up) == sorted(
+            [*labels.values(), *(labels[v].partition("~")[0] for v in tilde)])
 
     def test_tables_name_the_forced_endpoints(self, conn):
         # each table entry is a path from the transported value to the
@@ -361,6 +389,39 @@ class TestTotals:
             assert {r.face: r.size for r in report.rows} == expected
             assert report.total_swirl == 0
             assert report.theorem_holds
+
+
+# every sampling surface: the fixtures as above, the bipyramid, a torus
+# grid, and the tetrahedron beside the octahedron in link mode, with fibers
+# of sizes 3 and 4
+ROW_CASES = [*SURFACE_MODES, (bipyramid, 20), (lambda: torus_grid(4), "link"),
+             (tet_and_octahedron, "link")]
+
+
+@pytest.mark.parametrize("make, mode", ROW_CASES)
+def test_columns_match_the_rows_reference(make, mode):
+    """``totals`` on columns gives the rows and totals the row-by-row
+    reference gives, with and without a basepoint override; a field whose
+    faces are no whole number of turns fails naming the same first face."""
+    surface = make()
+    rng = Random(31)
+    for _ in range(5):
+        conn = random_connection(surface, mode, rng)
+        vf, flat = random_field(conn, rng), random_lifts(conn, rng)
+        face = rng.choice(surface.faces)
+        for basepoints in (None, {face.key: rng.choice(face.vertices)}):
+            report = totals(vf, flat, basepoints)
+            assert (report.rows, report.total_swirl, report.total_index,
+                    report.total_flatness_winding) == totals_by_rows(vf, flat, basepoints)
+        broken = list(vf.steps)
+        for h in rng.sample(range(len(broken)), 2):  # +1 or +2 on a face: no whole turn
+            broken[h] += 1
+        bad = VectorField(conn, list(vf.at), broken)
+        with pytest.raises(NonIntegralIndex) as want:
+            totals_by_rows(bad, flat)
+        with pytest.raises(NonIntegralIndex) as got:
+            totals(bad, flat)
+        assert str(got.value) == str(want.value)
 
 
 class TestGaugeCarry:

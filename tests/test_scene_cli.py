@@ -1,6 +1,7 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -596,6 +597,60 @@ def test_windex_as_processes_in_a_pipe():
         assert fixture.wait(timeout=60) == 0
     assert check.returncode == 0, check.stderr
     assert check.stdout.endswith(": PASS\n")
+
+
+POSIX = pytest.mark.skipif(os.name != "posix", reason="closes standard streams the POSIX way")
+GOLDEN_SCENE = str(Path(__file__).resolve().parent / "golden" / "scenes" / "ico-link-a.json")
+
+
+def _stdio_env(buffered: bool) -> dict:
+    """The process environment, with Python's stdout block-buffered or not:
+    a buffered write to a closed pipe fails at the flush, not the write."""
+    env = _process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@POSIX
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["validate", GOLDEN_SCENE], ["index", "--json", GOLDEN_SCENE],
+                                  ["check", "--json", GOLDEN_SCENE], ["fixture", "octahedron"]],
+                         ids=["validate", "index --json", "check --json", "fixture octahedron"])
+def test_a_stdout_pipe_closed_before_the_write_is_an_output_failure(argv, buffered):
+    """A stdout pipe whose read end is closed before windex starts fails its
+    first write: exit 1, reported as an output failure, and nothing more is
+    written to the pipe, so nothing fails again at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(WINDEX + argv, stdout=write, stderr=subprocess.PIPE,
+                              env=_stdio_env(buffered), timeout=60)
+    finally:
+        os.close(write)
+    want = f"cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, want)
+
+
+def _with_closed(stream: str, argv) -> subprocess.CompletedProcess:
+    """windex started with its stdin ("<") or stdout (">") closed."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {stream}&-', "sh", *WINDEX, *argv],
+                          stderr=subprocess.PIPE, env=_process_env(), timeout=60)
+
+
+@POSIX
+def test_a_closed_stdin_is_a_read_failure():
+    proc = _with_closed("<", ["validate", "-"])
+    assert (proc.returncode, proc.stderr) == (1, b"cannot read scene: standard input is closed\n")
+
+
+@POSIX
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_is_an_output_failure(form):
+    proc = _with_closed(">", ["validate", *form, GOLDEN_SCENE])
+    want = b"cannot write output: standard output is closed\n"
+    assert (proc.returncode, proc.stderr) == (1, want)
 
 
 PRODUCT_ONLY = """
