@@ -26,9 +26,9 @@ choice of homotopy class of paths from the identity to the holonomy,
 stored by face id.  The total flatness winding is the sum of f_F / n_F
 over all faces, the exact integer the index theorem compares against;
 like every total of per-face turns it is summed by ``sum_turns`` from two
-columns by face id, the fiber sizes and the numerators: the numerators are
-added per fiber size and brought over the lcm of the sizes, one exact
-fraction, so components with different fiber sizes add up exactly.
+columns by face id, the fiber sizes and the numerators: each numerator is
+brought over the lcm of the sizes and the sum is one exact fraction, so
+components with different fiber sizes add up exactly.
 Each per-face quantity is read from its table or its ``FaceReport`` row;
 the rows' labels and keys are read from the surface's tables.
 
@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import eq
+from operator import mul
 from typing import NamedTuple
 
 from .complex import NO_EDGES, OrientedFace, OrientedSurface
@@ -214,6 +213,30 @@ def _position(surface: OrientedSurface, arc: int, v: int, label: str) -> int:
     raise UnknownLabel(f"{label!r} is not a label of the fiber at {surface.vertices[v]!r}")
 
 
+def read_positions(conn: DiscreteConnection, at, collector) -> list[int]:
+    """The position by vertex id of the label ``at`` gives each vertex, each
+    label read once: a link label off the half-edge to it in the row of its
+    vertex in ``surface.out``, as ``_position`` reads it, and an ``x~j``
+    label, or one of no point, by ``_position``.  A vertex without a label
+    is reported as MissingVertex, a label of no point as UnknownLabel."""
+    surface = conn.surface
+    out, ring_pos = surface.out, surface.ring_pos
+    positions: list[int] = []
+    for i, (v, arc) in enumerate(zip(surface.vertices, conn.arcs)):
+        if v not in at:
+            collector.add("MissingVertex", v, "no fiber point supplied")
+            continue
+        label = str(at[v])
+        if (h := out[v].get(label)) is not None:
+            positions.append(ring_pos[h] * arc)
+            continue
+        try:
+            positions.append(_position(surface, arc, i, label))
+        except UnknownLabel:
+            collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
+    return positions
+
+
 _ABSENT = object()
 
 
@@ -347,15 +370,11 @@ def build_connection(surface: OrientedSurface, fiber_mode, transports) -> Discre
 
 def sum_turns(sizes, numerators) -> Turns:
     """The exact sum of m / n over two columns by face id, ``sizes`` (each
-    face's fiber size n) and ``numerators`` (its m): the numerators of each
-    size are added in C, picked out by ``compress``, scaled to the lcm L of
-    the sizes and divided once, as ``Fraction(sum of m * (L / n), L)``."""
-    distinct = set(sizes)
-    lcm = math.lcm(*distinct)
-    if len(distinct) == 1:  # one fiber size: every numerator is already over L
-        return Fraction(sum(numerators), lcm)
-    return Fraction(sum([sum(compress(numerators, map(eq, sizes, repeat(n)))) * (lcm // n)
-                         for n in distinct]), lcm)
+    face's fiber size n) and ``numerators`` (its m): each numerator is
+    scaled to the lcm L of the sizes and the sum divided once, as
+    ``Fraction(sum of m * (L / n), L)``."""
+    lcm = math.lcm(*set(sizes))
+    return Fraction(sum(map(mul, numerators, map(lcm.__floordiv__, sizes))), lcm)
 
 
 def net_holonomy(conn: DiscreteConnection) -> Turns:

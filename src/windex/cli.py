@@ -161,7 +161,7 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
         (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
          f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}" for r in rows),
         [f"net holonomy: {net}", f"total flatness winding: {total}"],
-    ), (FaceReport._fields, list(zip(*rows))))
+    ), (FaceReport._fields, list(zip(*rows))) if args.json else None)
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 
 from .errors import BadArity, NotIncident, ReportCollector
@@ -217,14 +216,12 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
     collector = ReportCollector()
 
     verts = [str(v) for v in vertices]
-    unique = set(verts)
-    if len(unique) != len(verts):
+    if len(set(verts)) != len(verts):
         collector.add("DuplicateVertex", verts, "vertex labels must be unique")
-    if "" in unique or not _FORBIDDEN.isdisjoint("".join(verts)):
-        for v in verts:
-            if not v or not _FORBIDDEN.isdisjoint(v):
-                collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
-    labels = tuple(sorted(unique))
+    for v in verts:
+        if not v or not _FORBIDDEN.isdisjoint(v):
+            collector.add("BadLabel", v, "labels must be nonempty and avoid ',~= ' characters")
+    labels = tuple(sorted(set(verts)))
     V = len(labels)
     index = dict(zip(labels, range(V)))
 
@@ -265,7 +262,7 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
 
     keys = [f"{labels[a]},{labels[b]},{labels[c]}" for a, b, c in triples]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    tails = list(chain.from_iterable(map(triples.__getitem__, order)))
+    tails = [v for f in order for v in triples[f]]
     heads = _next_corners(tails)
     tail_labels = list(map(labels.__getitem__, tails))
     H = len(tails)

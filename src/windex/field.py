@@ -44,11 +44,12 @@ from .bundle import (
     check_flatness_surface,
     face_basepoints,
     gauge_transform,
+    read_positions,
     sum_turns,
     total_flatness_winding,
 )
 from .complex import OrientedFace
-from .errors import NonIntegralIndex, ReportCollector, UnknownLabel
+from .errors import NonIntegralIndex, ReportCollector
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,7 @@ def build_field(conn: DiscreteConnection, at, steps) -> VectorField:
     for v in at:
         if v not in surface.index:
             collector.add("MissingVertex", v, "fiber point given for a vertex not on the surface")
-    positions: list[int] = []
-    out, ring_pos = surface.out, surface.ring_pos
-    for v, arc in zip(surface.vertices, conn.arcs):
-        if v not in at:
-            collector.add("MissingVertex", v, "no fiber point supplied")
-            continue
-        label = str(at[v])
-        # a link label is read off the half-edge to it, as position() reads
-        # it; an x~j label, or one of no point, goes to position()
-        if (h := out[v].get(label)) is not None:
-            positions.append(ring_pos[h] * arc)
-            continue
-        try:
-            positions.append(conn.position(v, label))
-        except UnknownLabel:
-            collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
+    positions = read_positions(conn, at, collector)
     collector.raise_if_failed("invalid vector field")
 
     resolved = antisymmetric(surface, steps, collector, "step count", "AntisymmetryViolation",
@@ -166,9 +152,11 @@ class IndexReport:
     flatness, field) triple.  ``columns`` holds the ``IndexRow`` fields in
     order, each a list by face id; the face keys, sizes, holonomy and lifts
     are the connection's and flatness's own tables, shared, not copied.
-    ``rows`` builds one ``IndexRow`` per face from them on its first read."""
+    ``rows`` builds one ``IndexRow`` per face from them on its first read.
+    Reports compare by columns and totals and hash by the totals alone, as
+    lists do not hash."""
 
-    columns: tuple[list, ...] = field(repr=False)
+    columns: tuple[list, ...] = field(hash=False)
     total_swirl: Turns
     total_index: int
     total_flatness_winding: int

@@ -424,6 +424,15 @@ def test_columns_match_the_rows_reference(make, mode):
         assert str(got.value) == str(want.value)
 
 
+def test_reports_compare_hash_and_show_their_faces(spin, flat):
+    """Two reports of one field are equal and hash alike, though their
+    columns are lists; the repr shows the per-face columns."""
+    report, again = totals(spin, flat), totals(spin, flat)
+    assert report == again and hash(report) == hash(again)
+    assert report != totals(spin, flat, {"g,w,r": "w"})
+    assert all(key in repr(report) for key in EXPECTED_SWIRLS)
+
+
 class TestGaugeCarry:
     def test_swirl_and_index_gauge_invariant(self, conn, spin, flat):
         rng = Random(29)
