@@ -3,11 +3,9 @@ vector-field indices, and the winding identity that ties them together."""
 
 from .bundle import (
     DiscreteConnection,
-    FaceReport,
     FlatnessStructure,
     GaugeTransformation,
     attach_flatness,
-    basepoint,
     build_connection,
     canonical_flatness,
     face_reports,
@@ -37,7 +35,6 @@ SIGN_CONVENTIONS = "v1"  # see docs/conventions.md
 
 __all__ = [
     "DiscreteConnection",
-    "FaceReport",
     "FlatnessStructure",
     "GaugeTransformation",
     "IndexReport",
@@ -49,7 +46,6 @@ __all__ = [
     "VectorField",
     "WindexError",
     "attach_flatness",
-    "basepoint",
     "build_connection",
     "build_field",
     "build_surface",

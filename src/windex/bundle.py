@@ -29,8 +29,8 @@ like every total of per-face turns it is summed by ``sum_turns`` from two
 columns by face id, the fiber sizes and the numerators: each numerator is
 brought over the lcm of the sizes and the sum is one exact fraction, so
 components with different fiber sizes add up exactly.
-Each per-face quantity is read from its table or its ``FaceReport`` row;
-the rows' labels and keys are read from the surface's tables.
+Each per-face quantity is read from its table; a per-face report is
+columns by face id, led by the five of ``face_columns``.
 
 Sign conventions are listed in docs/conventions.md (version 1).
 """
@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .complex import NO_EDGES, OrientedFace, OrientedSurface
+from .complex import NO_EDGES, OrientedSurface
 from .errors import NonIntegralTotal, NotIncident, ReportCollector, UnknownLabel, WindexError
 
 LINK_MODE = "link"
@@ -58,12 +58,6 @@ class Fiber(NamedTuple):
 
     vertex: str
     n: int
-
-
-def basepoint(face: OrientedFace, override: str | None = None) -> str:
-    """Default basepoint is the least vertex label, which the face stores
-    first; any override must lie on the face."""
-    return face.vertices[0] if override is None else face.corner_order(override)[0]
 
 
 def default_refinement(surface: OrientedSurface, even: bool = False) -> int:
@@ -443,44 +437,48 @@ def total_flatness_winding(conn: DiscreteConnection, flatness: FlatnessStructure
     return int(total)
 
 
-def face_basepoints(surface: OrientedSurface, overrides) -> list[str]:
-    """The basepoint of every face: its least vertex, unless ``overrides``
-    maps its key to another of its vertices.  NotIncident names the first
-    key, in the order given, of no face, else the first face in order whose
-    override is off it."""
-    labels, tails = surface.vertices, surface.tails
-    bases = [labels[tails[h]] for h in range(0, len(tails), 3)]
-    if overrides:
-        chosen = [(surface.face_id(k), v) for k, v in overrides.items()]
-        for f, v in sorted(chosen):
-            if v not in [labels[t] for t in tails[3 * f:3 * f + 3]]:
-                raise NotIncident(f"{v!r} is not a vertex of face {surface.keys[f]}")
-            bases[f] = v
-    return bases
+def face_basepoint(surface: OrientedSurface, f: int, override: str | None = None) -> int:
+    """The vertex id of face f's basepoint: its least vertex, where its
+    first half-edge starts, or ``override``, which must lie on the face."""
+    if override is None:
+        return surface.tails[3 * f]
+    for v in surface.tails[3 * f:3 * f + 3]:
+        if surface.vertices[v] == override:
+            return v
+    raise NotIncident(f"{override!r} is not a vertex of face {surface.keys[f]}")
 
 
-class FaceReport(NamedTuple):
-    """Per-face quantities at a stated basepoint."""
+def face_columns(conn: DiscreteConnection, flatness: FlatnessStructure, basepoints=None):
+    """The five columns by face id that every per-face report leads with:
+    face keys, basepoints, fiber sizes, holonomy and lifts, all but the
+    basepoints the tables themselves, shared.  Each basepoint is
+    ``face_basepoint``'s, with the override ``basepoints`` maps its key
+    to: NotIncident names the first key, in the order given, of no face,
+    else the first face in order whose override is off it."""
+    check_flatness_surface(conn, flatness)
+    surface, labels = conn.surface, conn.surface.vertices
+    bases = list(map(labels.__getitem__, surface.tails[0::3]))
+    if basepoints:
+        for f, v in sorted([(surface.face_id(k), v) for k, v in basepoints.items()]):
+            bases[f] = labels[face_basepoint(surface, f, v)]
+    return surface.keys, bases, conn.face_sizes, conn.holonomy, flatness.lifts
 
-    face: str
-    basepoint: str
-    size: int
-    holonomy_steps: int
-    lift: int
-    curvature: Turns
-    lift_turns: Turns
+
+def turns_text(m: int, n: int) -> str:
+    """``str(Fraction(m, n))`` for a fiber size n > 0, from one gcd."""
+    g = math.gcd(m, n)
+    return str(m // g) if g == n else f"{m // g}/{n // g}"
 
 
 def face_reports(
     conn: DiscreteConnection,
     flatness: FlatnessStructure,
     basepoints: dict[str, str] | None = None,
-) -> list[FaceReport]:
-    check_flatness_surface(conn, flatness)
-    bases = face_basepoints(conn.surface, basepoints)
-    return [FaceReport(key, v, n, r, f, Fraction(r, n), Fraction(f, n))
-            for key, v, n, r, f in zip(conn.surface.keys, bases, conn.face_sizes,
-                                       conn.holonomy, flatness.lifts)]
+) -> tuple[list, ...]:
+    """``face_columns``, then the curvature r_F / n_F and the lift turns
+    f_F / n_F as ``turns_text``."""
+    columns = _, _, sizes, holonomy, lifts = face_columns(conn, flatness, basepoints)
+    return (*columns, list(map(turns_text, holonomy, sizes)), list(map(turns_text, lifts, sizes)))
 
 
 # A gauge transformation rotates each vertex fiber: vertex label -> int

@@ -19,7 +19,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import SIGN_CONVENTIONS
 from .bundle import (
-    FaceReport,
     canonical_flatness,
     face_reports,
     flat_connection,
@@ -64,7 +63,8 @@ def _emit(text: str) -> None:
 
 
 def _fail(code: int, message: str) -> int:
-    sys.stderr.write(message if message.endswith("\n") else message + "\n")
+    if sys.stderr is not None:  # None: the process was started with stderr closed
+        sys.stderr.write(message if message.endswith("\n") else message + "\n")
     return code
 
 
@@ -92,24 +92,32 @@ def _need(scene: SceneFile, what: str):
     return value
 
 
-# the json encoder's text of each field type of a report row, a str once quoted
-_JSON_FORMAT = {str: "%s", int: "%s", Fraction: '"%s"'}
-
-
 def _json_rows(names, columns) -> str:
     """Per-face rows, given as ``columns`` (one per field of ``names``,
     each of one type throughout), as the list the json encoder writes with
     ``sort_keys=True, indent=2`` one level down, from one template with the
-    fields in sorted order; strs are quoted by the stdlib encoder's own
-    function.  No columns, or empty ones, are no rows."""
-    if not columns or not columns[0]:
+    fields in sorted order: a str column quoted by the stdlib encoder's
+    own function, any other written by ``%s``.  Empty columns are no rows."""
+    if not columns[0]:
         return "[]"
     order = sorted(range(len(names)), key=names.__getitem__)
-    template = "    {\n" + ",\n".join(
-        f'      "{names[i]}": {_JSON_FORMAT[type(columns[i][0])]}' for i in order) + "\n    }"
+    template = "    {\n" + ",\n".join(f'      "{names[i]}": %s' for i in order) + "\n    }"
     values = zip(*[map(encode_basestring_ascii, columns[i]) if type(columns[i][0]) is str
                    else columns[i] for i in order])
     return json_block("[]", "  ", template, values)
+
+
+# the five leading fields of every per-face report, then curvature's own
+_CURVATURE_FIELDS = (*IndexRow._fields[:5], "curvature", "lift_turns")
+
+
+def _text_rows(heads, width: int, columns):
+    """The header, the five shared names then ``heads``, and a line per
+    face of ``columns``, the five shared padded to 12, 6, 4, 5 and 6
+    characters and the sixth to ``width``."""
+    template = f"{{:<12}}{{:<6}}{{:<4}}{{:<5}}{{:<6}}{{:<{width}}}{{}}"
+    header = template.format("face", "base", "n", "hol", "lift", *heads)
+    return chain([header], map(template.format, *columns))
 
 
 def _report(args, payload: dict, lines, faces=None) -> None:
@@ -152,16 +160,14 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
     conn = _need(scene, "connection")
     flatness = _resolve_flatness(conn, scene, args)
     overrides = _parse_basepoints(args.basepoint)
-    rows = face_reports(conn, flatness, overrides)
+    columns = face_reports(conn, flatness, overrides)
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
     payload = {"faces": None, "net_holonomy": str(net), "total_flatness_winding": total}
     _report(args, payload, chain(
-        [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'curvature':<11}lift turns"],
-        (f"{r.face:<12}{r.basepoint:<6}{r.size:<4}{r.holonomy_steps:<5}"
-         f"{r.lift:<6}{str(r.curvature):<11}{r.lift_turns}" for r in rows),
+        _text_rows(("curvature", "lift turns"), 11, columns),
         [f"net holonomy: {net}", f"total flatness winding: {total}"],
-    ), (FaceReport._fields, list(zip(*rows))) if args.json else None)
+    ), (_CURVATURE_FIELDS, columns))
     return EXIT_OK
 
 
@@ -183,9 +189,7 @@ def _cmd_index(scene: SceneFile, args) -> int:
         "theorem_holds": report.theorem_holds,
     }
     _report(args, payload, chain(
-        [f"{'face':<12}{'base':<6}{'n':<4}{'hol':<5}{'lift':<6}{'swirl':<7}index"],
-        (f"{face:<12}{base:<6}{n:<4}{hol:<5}{lift:<6}{swirl:<7}{index}"
-         for face, base, n, hol, lift, swirl, index in zip(*report.columns)),
+        _text_rows(("swirl", "index"), 7, report.columns),
         [f"total swirl: {report.total_swirl}",
          f"total index: {report.total_index}",
          f"total flatness winding: {report.total_flatness_winding}",

@@ -40,9 +40,8 @@ from .bundle import (
     GaugeTransformation,
     Turns,
     antisymmetric,
-    basepoint,
-    check_flatness_surface,
-    face_basepoints,
+    face_basepoint,
+    face_columns,
     gauge_transform,
     read_positions,
     sum_turns,
@@ -127,13 +126,15 @@ def swirl_path(vf: VectorField, face: OrientedFace, base: str | None = None) -> 
     """The boundary decomposition in the basepoint fiber: the path of s_F
     steps from the holonomy image of X_v back to X_v (conventions rule 10).
     The face must be one of the surface's (NotIncident otherwise); its
-    holonomy rotation is the same at every corner."""
+    holonomy rotation is the same at every corner.  The basepoint is
+    ``face_basepoint``'s."""
     conn, steps = vf.conn, vf.steps
-    f = conn.surface.face_id(face.key)
-    v0 = basepoint(face, base)
-    i = conn.surface.index[v0]
-    return SwirlPath(Fiber(v0, conn.sizes[i]), conn._label(i, vf.at[i] + conn.holonomy[f]),
-                     steps[3 * f] + steps[3 * f + 1] + steps[3 * f + 2])
+    surface = conn.surface
+    f = surface.face_id(face.key)
+    i, h = face_basepoint(surface, f, base), 3 * f
+    return SwirlPath(Fiber(surface.vertices[i], conn.sizes[i]),
+                     conn._label(i, vf.at[i] + conn.holonomy[f]),
+                     steps[h] + steps[h + 1] + steps[h + 2])
 
 
 class IndexRow(NamedTuple):
@@ -175,17 +176,15 @@ def totals(
     flatness: FlatnessStructure,
     basepoints: dict[str, str] | None = None,
 ) -> IndexReport:
-    """The per-face columns plus the three totals.  Swirls, lift + swirl
-    and indices are each one ``map`` over the columns; a face whose lift +
-    swirl is not a whole number of fiber turns raises NonIntegralIndex,
-    naming the first such face.  For valid inputs the total swirl sum
-    s_F / n_F is exactly 0 (each directed edge lies in exactly one
-    boundary, and reverse steps cancel in fibers of one size), which
-    forces total index = total flatness winding."""
-    conn, steps, lifts = vf.conn, vf.steps, flatness.lifts
-    check_flatness_surface(conn, flatness)
-    keys, sizes = conn.surface.keys, conn.face_sizes
-    bases = face_basepoints(conn.surface, basepoints)
+    """``face_columns``, the swirls and the indices, and the three totals.
+    Swirls, lift + swirl and indices are each one ``map`` over the columns;
+    a face whose lift + swirl is not a whole number of fiber turns raises
+    NonIntegralIndex, naming the first such face.  For valid inputs the
+    total swirl sum s_F / n_F is exactly 0 (each directed edge lies in
+    exactly one boundary, and reverse steps cancel in fibers of one size),
+    which forces total index = total flatness winding."""
+    columns = keys, _, sizes, _, lifts = face_columns(vf.conn, flatness, basepoints)
+    steps = vf.steps
     swirls = list(map(add, map(add, steps[0::3], steps[1::3]), steps[2::3]))
     turns = list(map(add, lifts, swirls))
     if any(map(mod, turns, sizes)):
@@ -195,10 +194,10 @@ def totals(
         )
     indices = list(map(floordiv, turns, sizes))
     return IndexReport(
-        columns=(keys, bases, sizes, conn.holonomy, lifts, swirls, indices),
+        columns=(*columns, swirls, indices),
         total_swirl=sum_turns(sizes, swirls),
         total_index=sum(indices),
-        total_flatness_winding=total_flatness_winding(conn, flatness),
+        total_flatness_winding=total_flatness_winding(vf.conn, flatness),
     )
 
 

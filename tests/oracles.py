@@ -13,21 +13,19 @@ recount steps by looking at adjacency only, so they share no code with
 the crossing-count formulas they are used to check.  ``totals_by_rows``
 builds the index report row by row, with one ``Fraction`` per fiber size
 (``sum_by_size``), for comparing the column-wise ``totals`` and
-``sum_turns``.  ``scene_to_obj`` builds the object a scene file encodes,
-for comparing ``serialize_scene`` with the stdlib encoder.
+``sum_turns``, and ``face_reports_by_rows`` the curvature report, with
+``Fraction`` turns, for the column-wise ``face_reports``; both read each
+face's basepoint off its ``OrientedFace`` (``basepoint``).
+``scene_to_obj`` builds the object a scene file encodes, for comparing
+``serialize_scene`` with the stdlib encoder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from windex.bundle import (
-    DiscreteConnection,
-    FlatnessStructure,
-    basepoint,
-    check_flatness_surface,
-    face_basepoints,
-)
+from windex.bundle import DiscreteConnection, FlatnessStructure, check_flatness_surface
 from windex.complex import OrientedFace, OrientedSurface
 from windex.errors import BadArity, NonIntegralIndex, NonIntegralTotal
 from windex.field import IndexRow, SwirlPath, VectorField
@@ -71,6 +69,23 @@ def transport(conn: DiscreteConnection, i: str, j: str) -> PolyIso:
 def reference_path(conn: DiscreteConnection, path: SwirlPath) -> PolyPath:
     """The ``PolyPath`` a ``SwirlPath`` records, on the reference fiber."""
     return PolyPath(fiber(conn, path.fiber.vertex), path.start, path.steps)
+
+
+def basepoint(face: OrientedFace, base: str | None = None) -> str:
+    """The face's basepoint: its least vertex (conventions rule 3), which
+    the face stores first, unless ``base`` names another of its vertices;
+    one off the face is NotIncident, from ``corner_order``."""
+    return face.vertices[0] if base is None else face.corner_order(base)[0]
+
+
+def basepoints_by_face(surface: OrientedSurface, overrides=None) -> list[str]:
+    """The basepoint of every face by face id, read off its
+    ``OrientedFace``, with the override its key has in ``overrides``, if
+    any; every key is looked up first (NotIncident)."""
+    overrides = overrides or {}
+    for key in overrides:
+        surface.face_id(key)
+    return [basepoint(face, overrides.get(face.key)) for face in surface.faces]
 
 
 def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
@@ -149,7 +164,7 @@ def totals_by_rows(vf: VectorField, flatness: FlatnessStructure,
     form of ``field.totals``."""
     conn, steps = vf.conn, vf.steps
     check_flatness_surface(conn, flatness)
-    sizes, bases = conn.face_sizes, face_basepoints(conn.surface, basepoints)
+    sizes, bases = conn.face_sizes, basepoints_by_face(conn.surface, basepoints)
     swirls = [steps[h] + steps[h + 1] + steps[h + 2] for h in range(0, len(steps), 3)]
     rows = tuple(IndexRow(key, v, n, r, lift, s, _whole_turns(key, lift + s, n))
                  for key, v, n, r, lift, s in zip(conn.surface.keys, bases, sizes,
@@ -158,6 +173,30 @@ def totals_by_rows(vf: VectorField, flatness: FlatnessStructure,
     if winding.denominator != 1:
         raise NonIntegralTotal(f"total flatness {winding} is not an integer")
     return rows, sum_by_size(zip(sizes, swirls)), sum(r.index for r in rows), int(winding)
+
+
+class FaceRow(NamedTuple):
+    """One face of the curvature report, its turns as ``Fraction``s."""
+
+    face: str
+    basepoint: str
+    size: int
+    holonomy_steps: int
+    lift: int
+    curvature: Fraction
+    lift_turns: Fraction
+
+
+def face_reports_by_rows(conn: DiscreteConnection, flatness: FlatnessStructure,
+                         basepoints: dict[str, str] | None = None) -> list[FaceRow]:
+    """The curvature report built one ``FaceRow`` per face, the curvature
+    r_F / n_F and the lift turns f_F / n_F each a ``Fraction``.  The
+    row-by-row form of ``bundle.face_reports``."""
+    check_flatness_surface(conn, flatness)
+    surface = conn.surface
+    return [FaceRow(face.key, v, n, r, f, Fraction(r, n), Fraction(f, n))
+            for face, v, n, r, f in zip(surface.faces, basepoints_by_face(surface, basepoints),
+                                        conn.face_sizes, conn.holonomy, flatness.lifts)]
 
 
 def trivialize_face(

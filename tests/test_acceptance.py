@@ -54,11 +54,13 @@ def _instances(seed):
 
 def test_criterion_1_octahedron_curvature():
     conn = octahedron_connection()
-    for face, row in zip(conn.surface.faces, face_reports(conn, canonical_flatness(conn))):
-        assert row.face == face.key
-        assert row.holonomy_steps == 1
+    keys, _, _, holonomy, _, curvature, _ = face_reports(conn, canonical_flatness(conn))
+    for face, key, steps, turns in zip(conn.surface.faces, keys, holonomy, curvature,
+                                       strict=True):
+        assert key == face.key
+        assert steps == 1
         assert conn.fiber(min(face.vertices)).n == 4
-        assert row.curvature == Fraction(1, 4)
+        assert Fraction(turns) == Fraction(1, 4)
     assert net_holonomy(conn) == 0
     assert total_flatness_winding(conn, canonical_flatness(conn)) == 2
     print("criterion 1: PASS - octahedron curvature 1/4 per face, net 0, total winding 2")
@@ -121,8 +123,10 @@ def test_criterion_5_gauge_invariance():
     flat = canonical_flatness(conn)
 
     def per_face(conn, field):
-        return {c.face: (c.holonomy_steps, c.curvature, i.index)
-                for c, i in zip(face_reports(conn, flat), totals(field, flat).rows)}
+        keys, _, _, holonomy, _, curvature, _ = face_reports(conn, flat)
+        return {key: (steps, Fraction(turns), i.index)
+                for key, steps, turns, i in zip(keys, holonomy, curvature,
+                                                totals(field, flat).rows, strict=True)}
 
     baseline = per_face(conn, spin)
     assert len(baseline) == len(conn.surface.faces)

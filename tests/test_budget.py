@@ -1,13 +1,14 @@
-"""Call budget of ``windex validate``, ``windex check`` and ``swirl_path``:
-Python function calls per face on sampled torus grids, counted with
-cProfile, so a slower algorithm shows up as a count rather than as timing
-noise."""
+"""Call budget of ``windex validate``, ``check`` and ``curvature`` and of
+``swirl_path``: Python function calls per face on sampled torus grids,
+counted with cProfile, so a slower algorithm shows up as a count rather
+than as timing noise."""
 
 import argparse
 import contextlib
 import cProfile
 import io
 import pstats
+from fractions import Fraction
 from random import Random
 
 from windex import bundle, cli
@@ -98,6 +99,18 @@ def test_the_verdict_builds_no_index_row(tmp_path):
     profile.runcall(lambda: totals(vf, canonical_flatness(vf.conn)).rows)
     stats = pstats.Stats(profile).stats
     assert stats[rows][1] == 1 and stats[new_row][1] == 2 * 4 * 4
+
+
+def test_curvature_builds_no_row_and_no_fraction_per_face(tmp_path):
+    """``curvature`` and ``curvature --json`` write their turns from the
+    columns: no named tuple is built, so no row of any report, and the
+    ``Fraction``s made for the two totals are as many on a 4x4 grid as on
+    a 32x32 one."""
+    new_row, new_fraction = code_key(IndexRow.__new__), code_key(Fraction.__new__)
+    for flags in ([], ["--json"]):
+        small, large = (profile_cli("curvature", m, tmp_path, *flags).stats for m in (4, 32))
+        assert new_row not in small and new_row not in large, flags
+        assert small[new_fraction][1] == large[new_fraction][1], flags
 
 
 def test_reading_builds_no_link_labels(tmp_path):

@@ -1,6 +1,7 @@
 """Connections, holonomy, flatness, gauge transformations, trivialization."""
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from windex.bundle import (
     DiscreteConnection,
     attach_flatness,
-    basepoint,
     build_connection,
     canonical_flatness,
     default_refinement,
@@ -20,18 +20,32 @@ from windex.bundle import (
     sum_turns,
     tangent_connection,
     total_flatness_winding,
+    turns_text,
     GaugeTransformation,
 )
 from windex.errors import NotIncident, UnknownLabel, ValidationFailed, WindexError
+from windex.field import swirl_path
 from windex.fixtures import (
     OCTAHEDRON_TRANSPORTS,
     boundary_delta3,
     csaszar_torus,
     icosahedron,
     octahedron,
+    octahedron_spin_field,
 )
+from windex.scene import parse_scene_text
 
-from oracles import boundary, fiber, holonomy_iso, link, sum_by_size, transport, trivialize_face
+from oracles import (
+    basepoint,
+    boundary,
+    face_reports_by_rows,
+    fiber,
+    holonomy_iso,
+    link,
+    sum_by_size,
+    transport,
+    trivialize_face,
+)
 from polygon import PolyIso
 from sampling import random_connection, random_gauge
 from surfaces import bipyramid, tet_and_octahedron
@@ -254,11 +268,11 @@ class TestBuild:
 
 class TestHolonomy:
     def test_quarter_turn_everywhere(self, octa, conn):
-        rows = face_reports(conn, canonical_flatness(conn))
-        assert [r.face for r in rows] == [f.key for f in octa.faces]
-        for row in rows:
-            assert row.holonomy_steps == 1
-            assert row.curvature == Fraction(1, 4)
+        keys, _, _, holonomy, _, curvature, _ = face_reports(conn, canonical_flatness(conn))
+        assert keys == [f.key for f in octa.faces]
+        for steps, turns in zip(holonomy, curvature):
+            assert steps == 1
+            assert Fraction(turns) == Fraction(1, 4)
 
     def test_basepoint_independent(self, octa, conn):
         for f, face in enumerate(octa.faces):
@@ -281,13 +295,36 @@ class TestHolonomy:
     def test_net_holonomy_zero(self, conn):
         assert net_holonomy(conn) == 0
 
-    def test_boundary_and_basepoint(self, octa):
+    def test_boundary_and_basepoint(self, octa, conn):
         face = octa.faces[octa.face_id("g,w,r")]
-        assert basepoint(face) == "g"
+        spin = octahedron_spin_field(conn)
+        assert swirl_path(spin, face).fiber.vertex == "g"
         assert boundary(face, "w") == [("w", "r"), ("r", "g"), ("g", "w")]
         assert boundary(face, "r") == [("r", "g"), ("g", "w"), ("w", "r")]
-        with pytest.raises(NotIncident):
-            basepoint(face, "y")
+        with pytest.raises(NotIncident, match="^'y' is not a vertex of face g,w,r$"):
+            swirl_path(spin, face, "y")
+
+    def test_basepoint_rule(self, octa, conn):
+        """``swirl_path`` and ``face_reports`` read one basepoint rule off
+        the face tables: the least vertex, or an override on the face, and
+        NotIncident for one off it, as the face's own ``corner_order``."""
+        spin, flat = octahedron_spin_field(conn), canonical_flatness(conn)
+        assert face_reports(conn, flat)[1] == [min(face.vertices) for face in octa.faces]
+        for face in octa.faces:
+            assert swirl_path(spin, face).fiber.vertex == basepoint(face) == min(face.vertices)
+            for v in octa.vertices:
+                if v in face:
+                    assert swirl_path(spin, face, v).fiber.vertex == v
+                    bases = face_reports(conn, flat, {face.key: v})[1]
+                    assert bases[octa.face_id(face.key)] == v
+                else:
+                    with pytest.raises(NotIncident) as want:
+                        basepoint(face, v)
+                    for read in (lambda: swirl_path(spin, face, v),
+                                 lambda: face_reports(conn, flat, {face.key: v})):
+                        with pytest.raises(NotIncident) as got:
+                            read()
+                        assert str(got.value) == str(want.value)
 
     def test_holonomy_offsets_cancel_mod_size(self):
         # the step-level form of vanishing net holonomy, on > 100 random
@@ -387,14 +424,21 @@ class TestFlatness:
         assert total_flatness_winding(conn, flat) == 0
 
     def test_face_reports(self, octa, conn):
-        rows = face_reports(conn, canonical_flatness(conn), {"b,r,w": "w"})
-        by_face = {r.face: r for r in rows}
-        assert by_face["b,r,w"].basepoint == "w"
-        assert by_face["b,o,y"].basepoint == "b"
+        keys, bases, *_, curvature, lift_turns = face_reports(
+            conn, canonical_flatness(conn), {"b,r,w": "w"})
+        by_face = dict(zip(keys, bases))
+        assert by_face["b,r,w"] == "w"
+        assert by_face["b,o,y"] == "b"
         assert all(
-            r.curvature == Fraction(1, 4) and r.lift_turns == Fraction(1, 4)
-            for r in rows
+            Fraction(c) == Fraction(1, 4) and Fraction(t) == Fraction(1, 4)
+            for c, t in zip(curvature, lift_turns)
         )
+
+    def test_face_reports_share_the_tables(self, conn):
+        flat = canonical_flatness(conn)
+        keys, _, sizes, holonomy, lifts, _, _ = face_reports(conn, flat)
+        assert keys is conn.surface.keys and sizes is conn.face_sizes
+        assert holonomy is conn.holonomy and lifts is flat.lifts
 
     @pytest.mark.parametrize("overrides, message", [
         ({"no,such,face": "w"}, "no face with key 'no,such,face'"),
@@ -517,3 +561,35 @@ TURN_TERMS = st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True).f
 def test_sum_turns_is_the_per_size_fraction_sum(terms):
     sizes, numerators = [n for n, _ in terms], [m for _, m in terms]
     assert sum_turns(sizes, numerators) == sum_by_size(terms)
+
+
+GOLDEN_SCENES = sorted((Path(__file__).resolve().parent / "golden" / "scenes").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_SCENES, ids=lambda path: path.stem)
+def test_face_reports_match_the_rows_reference(path):
+    """On every golden scene, the four fixtures among them, the columns of
+    ``face_reports`` are the rows of the ``Fraction`` reference, with the
+    scene's lifts and the canonical ones, with and without a basepoint
+    override."""
+    scene = parse_scene_text(path.read_text(encoding="utf-8"))
+    conn = scene.connection
+    face = conn.surface.faces[-1]
+    for flat in filter(None, (scene.flatness, canonical_flatness(conn))):
+        for basepoints in (None, {face.key: face.vertices[2]}):
+            want = [(*row[:5], str(row.curvature), str(row.lift_turns))
+                    for row in face_reports_by_rows(conn, flat, basepoints)]
+            assert list(zip(*face_reports(conn, flat, basepoints))) == want
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 10**6), st.integers(-10**30, 10**30),
+       st.one_of(st.just(0), st.integers(-10**6, 10**6)))
+@example(4, 0, 0)  # zero
+@example(4, -3, 0)  # a negative multiple of n
+@example(4, 0, -1)  # a negative numerator
+@example(6, 0, 4)  # reduced, 2/3
+@example(7, 10**40, 1)  # a large numerator
+def test_turns_text_is_the_fraction_text(n, k, rest):
+    m = k * n + rest
+    assert turns_text(m, n) == str(Fraction(m, n))

@@ -3,13 +3,13 @@
 ``perfbench/scenes.py`` works out links, fiber labels, transport offsets
 and every expected report from the scene JSON alone and never imports
 windex, so a sign or orientation bug would need two independent mistakes
-to pass here.  Seeded scenes on seven surfaces, in link mode where the
-degrees allow it and refined to twice the lcm of the degrees, go through
-``index --json``, ``curvature --json``, ``check`` and a parse/serialize
-round trip (the differential test), and their swirl paths are checked
-against the decomposition transport by transport at every basepoint;
-each ``scenes.CORRUPTIONS`` kind applied to them must be rejected under
-its named rule (the mutation test).
+to pass here.  Seeded scenes on eight surfaces, of genus 0 to 2, in
+link mode where the degrees allow it and refined to twice the lcm of the
+degrees, go through ``index --json``, ``curvature --json``, ``check`` and
+a parse/serialize round trip (the differential test), and their swirl
+paths are checked against the decomposition transport by transport at
+every basepoint; each ``scenes.CORRUPTIONS`` kind applied to them must be
+rejected under its named rule (the mutation test).
 """
 
 import json
@@ -22,14 +22,14 @@ import pytest
 
 from windex import cli
 from windex.bundle import DiscreteConnection, gauge_transform, tangent_connection
-from windex.complex import build_surface
+from windex.complex import build_surface, euler_characteristic
 from windex.errors import ValidationFailed
 from windex.field import swirl_path
 from windex.scene import parse_scene_text, serialize_scene
 
 from oracles import holonomy_iso, link, reference_path, swirl_path_explicit
 from sampling import random_connection, random_gauge
-from surfaces import bipyramid, tet_and_octahedron
+from surfaces import bipyramid, genus2, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import scenes  # noqa: E402
@@ -49,6 +49,7 @@ SURFACES = {
     "grid5": scenes.torus_grid(5),
     "bipyramid": _labels(bipyramid()),
     "tet+octahedron": _labels(tet_and_octahedron()),
+    "genus2": _labels(genus2()),
 }
 
 
@@ -119,10 +120,17 @@ def _run(capsys, argv, path):
     return out
 
 
+def test_two_tori_summed_have_genus_2():
+    surface = genus2()
+    assert (len(surface.vertices), len(surface.edge_half), len(surface.keys)) == (14, 48, 32)
+    assert euler_characteristic(surface) == -2
+    assert sorted(set(surface.degrees)) == [6, 8]
+
+
 def test_every_surface_has_a_link_and_a_refined_case():
-    assert len(CASES) == 65
+    assert len(CASES) == 70
     assert {name for name, (verts, faces) in SURFACES.items()
-            if "link" not in _modes(verts, faces)} == {"bipyramid"}
+            if "link" not in _modes(verts, faces)} == {"bipyramid", "genus2"}
 
 
 @pytest.mark.parametrize("name, mode, seed", CASES)

@@ -634,7 +634,8 @@ def test_a_stdout_pipe_closed_before_the_write_is_an_output_failure(argv, buffer
 
 
 def _with_closed(stream: str, argv) -> subprocess.CompletedProcess:
-    """windex started with its stdin ("<") or stdout (">") closed."""
+    """windex started with its stdin ("<"), stdout (">") or stderr ("2>")
+    closed."""
     return subprocess.run(["sh", "-c", f'exec "$@" {stream}&-', "sh", *WINDEX, *argv],
                           stderr=subprocess.PIPE, env=_process_env(), timeout=60)
 
@@ -651,6 +652,37 @@ def test_a_closed_stdout_is_an_output_failure(form):
     proc = _with_closed(">", ["validate", *form, GOLDEN_SCENE])
     want = b"cannot write output: standard output is closed\n"
     assert (proc.returncode, proc.stderr) == (1, want)
+
+
+# a scene the builders reject, exit 2, and one that is no JSON, exit 1
+FAILING_SCENES = [
+    pytest.param((Path(GOLDEN_SCENE).parents[1] / "rejected" / "boundary-edge.json")
+                 .read_text(encoding="utf-8"), 2, id="rejected"),
+    pytest.param('{"surface": ', 1, id="unparsable"),
+]
+
+
+@POSIX
+@pytest.mark.parametrize("text, code", FAILING_SCENES)
+def test_a_closed_stderr_keeps_the_documented_exit_code(tmp_path, text, code):
+    """With stderr closed the message is dropped, and the exit code is
+    still the documented one."""
+    path = tmp_path / "scene.json"
+    path.write_text(text, encoding="utf-8")
+    proc = _with_closed("2>", ["validate", str(path)])
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+@pytest.mark.parametrize("text, code", FAILING_SCENES)
+def test_a_missing_stderr_is_no_exception(monkeypatch, capsys, tmp_path, text, code):
+    """``main`` returns the documented code when ``sys.stderr`` is None, as
+    Python leaves it when the process starts with stderr closed: no
+    exception escapes, so no traceback is due."""
+    path = tmp_path / "scene.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", None)
+    assert cli.main(["validate", str(path)]) == code
+    assert capsys.readouterr().out == ""
 
 
 PRODUCT_ONLY = """
