@@ -36,7 +36,7 @@ from windex.scene import SceneFile, serialize_scene
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/
 from sampling import random_connection, random_field, random_lifts  # noqa: E402
-from surfaces import bipyramid, tet_and_octahedron  # noqa: E402
+from surfaces import bipyramid, genus2, genus3, tet_and_octahedron  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 SCENES = HERE / "scenes"
@@ -69,6 +69,8 @@ SAMPLED = [
     ("bipyramid-r20", bipyramid, 20, "lifts+field"),
     ("bipyramid-r40", bipyramid, 40, "field"),
     ("mixed-link", tet_and_octahedron, "link", "lifts+field"),
+    ("genus2-r24", genus2, 24, "lifts+field"),
+    ("genus3-r120", genus3, 120, "lifts+field"),
 ]
 
 

@@ -75,3 +75,11 @@ def genus2():
     """Two Csaszar tori joined by ``connected_sum``: V = 14, E = 48,
     F = 32, Euler characteristic -2, vertex degrees 6 and 8."""
     return connected_sum(csaszar_torus(), csaszar_torus())
+
+
+def genus3():
+    """A Csaszar torus joined to ``genus2()``: V = 21, E = 75, F = 50,
+    Euler characteristic -4, vertex degrees 6, 8 and 10.  The torus comes
+    first because ``connected_sum`` primes its second summand's labels,
+    which in ``genus2()`` are primed already."""
+    return connected_sum(csaszar_torus(), genus2())

@@ -3,7 +3,7 @@
 ``perfbench/scenes.py`` works out links, fiber labels, transport offsets
 and every expected report from the scene JSON alone and never imports
 windex, so a sign or orientation bug would need two independent mistakes
-to pass here.  Seeded scenes on eight surfaces, of genus 0 to 2, in
+to pass here.  Seeded scenes on nine surfaces, of genus 0 to 3, in
 link mode where the degrees allow it and refined to twice the lcm of the
 degrees, go through ``index --json``, ``curvature --json``, ``check`` and
 a parse/serialize round trip (the differential test), and their swirl
@@ -29,7 +29,7 @@ from windex.scene import parse_scene_text, serialize_scene
 
 from oracles import holonomy_iso, link, reference_path, swirl_path_explicit
 from sampling import random_connection, random_gauge
-from surfaces import bipyramid, genus2, tet_and_octahedron
+from surfaces import bipyramid, genus2, genus3, tet_and_octahedron
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import scenes  # noqa: E402
@@ -50,6 +50,7 @@ SURFACES = {
     "bipyramid": _labels(bipyramid()),
     "tet+octahedron": _labels(tet_and_octahedron()),
     "genus2": _labels(genus2()),
+    "genus3": _labels(genus3()),
 }
 
 
@@ -127,10 +128,17 @@ def test_two_tori_summed_have_genus_2():
     assert sorted(set(surface.degrees)) == [6, 8]
 
 
+def test_a_torus_summed_with_genus_2_has_genus_3():
+    surface = genus3()
+    assert (len(surface.vertices), len(surface.edge_half), len(surface.keys)) == (21, 75, 50)
+    assert euler_characteristic(surface) == -4
+    assert sorted(set(surface.degrees)) == [6, 8, 10]
+
+
 def test_every_surface_has_a_link_and_a_refined_case():
-    assert len(CASES) == 70
+    assert len(CASES) == 75
     assert {name for name, (verts, faces) in SURFACES.items()
-            if "link" not in _modes(verts, faces)} == {"bipyramid", "genus2"}
+            if "link" not in _modes(verts, faces)} == {"bipyramid", "genus2", "genus3"}
 
 
 @pytest.mark.parametrize("name, mode, seed", CASES)
