@@ -16,7 +16,6 @@ from .bundle import (
     total_flatness_winding,
 )
 from .complex import (
-    OrientedFace,
     OrientedSurface,
     build_surface,
     euler_characteristic,
@@ -38,7 +37,6 @@ __all__ = [
     "FlatnessStructure",
     "GaugeTransformation",
     "IndexReport",
-    "OrientedFace",
     "OrientedSurface",
     "SIGN_CONVENTIONS",
     "ValidationFailed",

@@ -15,8 +15,9 @@ ch. 2).  Links are ring positions by half-edge: the place of each
 half-edge's head in the link of its tail.  The one label-pair lookup is
 ``out``, the half-edges leaving each vertex by the label of their head.
 The tables downstream are lists by half-edge, face or vertex id; labels
-and keys are formatted for output and violations only, and link label
-lists, ``OrientedFace``s and label-pair edges are built on demand, for
+and keys are formatted for output and violations only.  Link label lists,
+label-pair edges and ``OrientedFace`` records (a face's labels from its
+least vertex, read off ``tails``, and its key) are built on demand, for
 the public API and the reference oracles.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import BadArity, NotIncident, ReportCollector
+from .errors import NotIncident, ReportCollector
 
 # characters reserved by face keys, refinement labels and the CLI
 _FORBIDDEN = frozenset(',~= \t\n')
@@ -35,43 +36,15 @@ _FORBIDDEN = frozenset(',~= \t\n')
 NO_EDGES: MappingProxyType = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedFace:
-    """Three distinct vertices with a cyclic order.
-
-    Stored rotated so the least vertex comes first; faces that differ by a
-    cyclic permutation compare equal.  ``key``, the canonical comma-joined
-    form, is made once here.
-    """
+    """A face of a surface as labels from its least vertex, in its cyclic
+    order, and its key: the record ``OrientedSurface.faces`` holds.
+    ``build_surface`` has checked the face, so this record checks nothing;
+    it is not a tuple, so ``in`` and unpacking do not read its fields."""
 
     vertices: tuple[str, str, str]
-    key: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        if len(verts) != 3 or len(set(verts)) != 3:
-            raise BadArity(f"a face needs 3 distinct vertices, got {verts}")
-        least = verts.index(min(verts))
-        verts = verts[least:] + verts[:least]
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "key", ",".join(verts))
-
-    def __contains__(self, v: str) -> bool:
-        return v in self.vertices
-
-    def corner_order(self, v: str) -> tuple[str, str, str]:
-        """The cyclic order rotated to start at ``v``."""
-        if v not in self.vertices:
-            raise NotIncident(f"{v!r} is not a vertex of face {self.key}")
-        i = self.vertices.index(v)
-        return self.vertices[i:] + self.vertices[:i]
-
-    def reversed(self) -> "OrientedFace":
-        a, b, c = self.vertices
-        return OrientedFace((a, c, b))
-
-    def __str__(self) -> str:
-        return self.key
+    key: str
 
 
 @dataclass(frozen=True)
@@ -119,9 +92,8 @@ class OrientedSurface:
 
     @cached_property
     def faces(self) -> tuple[OrientedFace, ...]:
-        labels, tails = self.vertices, self.tails
-        return tuple([OrientedFace((labels[tails[h]], labels[tails[h + 1]], labels[tails[h + 2]]))
-                      for h in range(0, len(tails), 3)])
+        corners = map(self.vertices.__getitem__, self.tails)  # zipped with itself: 3 per face
+        return tuple(map(OrientedFace, zip(corners, corners, corners), self.keys))
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:

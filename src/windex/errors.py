@@ -31,10 +31,6 @@ class NotIncident(WindexError):
     pass
 
 
-class BadArity(WindexError):
-    pass
-
-
 # -- connections, flatness, fields ------------------------------------------------
 
 class NonIntegralTotal(WindexError):

@@ -43,6 +43,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -93,6 +94,13 @@ def _only(kind: type, values) -> bool:
     return set(map(type, values)) <= {kind}
 
 
+@lru_cache(maxsize=1)
+def _coordinate_bound(limit: int) -> int:
+    """10**limit, made once per value of the int_max_str_digits limit,
+    which can change at run time."""
+    return 10**limit
+
+
 def _coordinate(value, where: str) -> Fraction:
     try:
         if isinstance(value, bool):
@@ -109,7 +117,7 @@ def _coordinate(value, where: str) -> Fraction:
             if exponent and abs(int(exponent)) > limit + len(value):
                 raise ValueError
             frac = Fraction(value)
-            if max(abs(frac.numerator), frac.denominator) < 10**limit:
+            if max(abs(frac.numerator), frac.denominator) < _coordinate_bound(limit):
                 return frac
     except (ValueError, ZeroDivisionError):
         pass

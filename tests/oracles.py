@@ -15,7 +15,8 @@ builds the index report row by row, with one ``Fraction`` per fiber size
 (``sum_by_size``), for comparing the column-wise ``totals`` and
 ``sum_turns``, and ``face_reports_by_rows`` the curvature report, with
 ``Fraction`` turns, for the column-wise ``face_reports``; both read each
-face's basepoint off its ``OrientedFace`` (``basepoint``).
+face's basepoint off its ``OrientedFace`` record (``basepoint``), whose
+cyclic order ``corner_order`` rotates.
 ``scene_to_obj`` builds the object a scene file encodes, for comparing
 ``serialize_scene`` with the stdlib encoder.
 """
@@ -27,11 +28,11 @@ from typing import NamedTuple
 
 from windex.bundle import DiscreteConnection, FlatnessStructure, check_flatness_surface
 from windex.complex import OrientedFace, OrientedSurface
-from windex.errors import BadArity, NonIntegralIndex, NonIntegralTotal
+from windex.errors import NonIntegralIndex, NonIntegralTotal, NotIncident
 from windex.field import IndexRow, SwirlPath, VectorField
 from windex.scene import SceneFile
 
-from polygon import Polygon, PolyIso, PolyPath
+from polygon import BadArity, Polygon, PolyIso, PolyPath
 
 
 def link(surface: OrientedSurface, v: str) -> Polygon:
@@ -41,8 +42,8 @@ def link(surface: OrientedSurface, v: str) -> Polygon:
     surface.vertex_id(v)
     arcs = {}
     for face in surface.faces:
-        if v in face:
-            _, y, z = face.corner_order(v)
+        if v in face.vertices:
+            _, y, z = corner_order(face, v)
             arcs[y] = z
     ring = [min(arcs)]
     while len(ring) < len(arcs):
@@ -71,11 +72,21 @@ def reference_path(conn: DiscreteConnection, path: SwirlPath) -> PolyPath:
     return PolyPath(fiber(conn, path.fiber.vertex), path.start, path.steps)
 
 
+def corner_order(face: OrientedFace, v: str) -> tuple[str, str, str]:
+    """The face's cyclic order rotated to start at ``v``; NotIncident for
+    a vertex off the face."""
+    verts = face.vertices
+    if v not in verts:
+        raise NotIncident(f"{v!r} is not a vertex of face {face.key}")
+    i = verts.index(v)
+    return verts[i:] + verts[:i]
+
+
 def basepoint(face: OrientedFace, base: str | None = None) -> str:
     """The face's basepoint: its least vertex (conventions rule 3), which
     the face stores first, unless ``base`` names another of its vertices;
     one off the face is NotIncident, from ``corner_order``."""
-    return face.vertices[0] if base is None else face.corner_order(base)[0]
+    return face.vertices[0] if base is None else corner_order(face, base)[0]
 
 
 def basepoints_by_face(surface: OrientedSurface, overrides=None) -> list[str]:
@@ -90,7 +101,7 @@ def basepoints_by_face(surface: OrientedSurface, overrides=None) -> list[str]:
 
 def boundary(face: OrientedFace, start: str) -> list[tuple[str, str]]:
     """The face's three directed edges, in cyclic order from ``start``."""
-    a, b, c = face.corner_order(start)
+    a, b, c = corner_order(face, start)
     return [(a, b), (b, c), (c, a)]
 
 

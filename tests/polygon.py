@@ -16,10 +16,10 @@ Sign conventions (see docs/conventions.md, version 1):
   minimal-|steps| representative is meant, with a tie at n/2 broken
   toward positive.
 
-Failures are ``WindexError``s, like windex's own: ``BadArity`` and
-``UnknownLabel`` from windex, and the six classes below, which only this
-algebra raises.  An ``orientation`` that is neither "preserving" nor
-"reversing" is a plain ValueError, a caller's misuse rather than bad data.
+Failures are ``WindexError``s, like windex's own: ``UnknownLabel`` from
+windex, and the seven classes below, which only this algebra raises.  An
+``orientation`` that is neither "preserving" nor "reversing" is a plain
+ValueError, a caller's misuse rather than bad data.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from fractions import Fraction
 from typing import Callable
 
 from windex.bundle import Turns
-from windex.errors import BadArity, UnknownLabel, WindexError
+from windex.errors import UnknownLabel, WindexError
+
+
+class BadArity(WindexError):
+    pass
 
 
 class EndpointMismatch(WindexError):

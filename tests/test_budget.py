@@ -69,11 +69,9 @@ def test_check_calls_per_face(tmp_path):
     # faces key no table on this path, so no Python-level __hash__ runs
     hashes = sum(nc for (_, name), nc in calls.items() if name == "__hash__")
     assert hashes == 0, f"{hashes} __hash__ calls"
-    # the path runs on id tables: no face or link object is built, and each
-    # field label is read once, a link label by read_positions off its
-    # half-edge: _position reads only x~j labels, which a link-mode field
-    # has none of
-    assert calls.get(("complex.py", "__post_init__"), 0) == 0
+    # the path runs on id tables: no link object is built, and each field
+    # label is read once, a link label by read_positions off its half-edge:
+    # _position reads only x~j labels, which a link-mode field has none of
     assert calls.get(("polygon.py", "__post_init__"), 0) == 0
     assert calls.get(("bundle.py", "_position"), 0) == 0
 
@@ -121,6 +119,19 @@ def test_reading_builds_no_link_labels(tmp_path):
     for argv in (["validate"], ["check"], ["index", "--json"]):
         assert link_labels not in profile_cli(argv[0], 32, tmp_path, *argv[1:]).stats, argv
     assert link_labels in profile_cli("links", 4, tmp_path).stats
+
+
+def test_reading_builds_no_face_record(tmp_path):
+    """Faces are read as id tables and keys: ``validate``, ``check`` and
+    ``index --json`` never build ``OrientedSurface.faces``, which
+    ``swirl_path``'s callers read (``serialize_scene`` is checked below)."""
+    faces = code_key(OrientedSurface.faces.func)
+    for argv in (["validate"], ["check"], ["index", "--json"]):
+        assert faces not in profile_cli(argv[0], 32, tmp_path, *argv[1:]).stats, argv
+    surface = grid_scene(4).surface
+    profile = cProfile.Profile()
+    profile.runcall(lambda: surface.faces)
+    assert faces in pstats.Stats(profile).stats
 
 
 def test_a_second_call_builds_no_parser(tmp_path):
@@ -174,9 +185,10 @@ def encoder_frames(stats: pstats.Stats) -> list:
 
 
 def test_serialize_and_basepoint_build_no_face(tmp_path):
-    """Faces are written and basepoints checked from the id tables, and a
-    scene or a --json report is written directly: no json.dumps call, and
-    no frame of the pure-Python encoder."""
+    """Faces are written and basepoints checked from the id tables, so
+    ``OrientedSurface.faces`` never runs, and a scene or a --json report is
+    written directly: no json.dumps call, and no frame of the pure-Python
+    encoder."""
     scene = parse_scene_text(serialize_scene(grid_scene(8)))
     profile = cProfile.Profile()
     profile.runcall(serialize_scene, scene)
@@ -185,6 +197,6 @@ def test_serialize_and_basepoint_build_no_face(tmp_path):
     for stats in (pstats.Stats(profile),
                   profile_cli("index", 8, tmp_path, "--json", "--basepoint", override)):
         calls = calls_by_name(stats)
-        assert calls.get(("complex.py", "__post_init__"), 0) == 0
+        assert code_key(OrientedSurface.faces.func) not in stats.stats
         assert calls.get(("__init__.py", "dumps"), 0) == 0
         assert encoder_frames(stats) == []

@@ -307,13 +307,13 @@ class TestHolonomy:
     def test_basepoint_rule(self, octa, conn):
         """``swirl_path`` and ``face_reports`` read one basepoint rule off
         the face tables: the least vertex, or an override on the face, and
-        NotIncident for one off it, as the face's own ``corner_order``."""
+        NotIncident for one off it, as the oracles' ``corner_order``."""
         spin, flat = octahedron_spin_field(conn), canonical_flatness(conn)
         assert face_reports(conn, flat)[1] == [min(face.vertices) for face in octa.faces]
         for face in octa.faces:
             assert swirl_path(spin, face).fiber.vertex == basepoint(face) == min(face.vertices)
             for v in octa.vertices:
-                if v in face:
+                if v in face.vertices:
                     assert swirl_path(spin, face, v).fiber.vertex == v
                     bases = face_reports(conn, flat, {face.key: v})[1]
                     assert bases[octa.face_id(face.key)] == v
@@ -398,7 +398,8 @@ class TestFlatness:
         with pytest.raises(ValidationFailed) as excinfo:
             attach_flatness(conn, lifts)
         assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
-            ("MissingFace", key, "lift given for a face not on the surface") for key in octa.keys
+            ("MissingFace", str(face), "lift given for a face not on the surface")
+            for face in octa.faces
         ] + [("MissingFace", key, "no lift supplied") for key in octa.keys]
 
     @pytest.mark.parametrize("other", [

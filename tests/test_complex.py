@@ -1,17 +1,19 @@
 """Surface construction, validation, links, and fixtures."""
 
+from dataclasses import fields
+
 import pytest
 
 from windex.complex import OrientedFace, build_surface, euler_characteristic
-from windex.errors import BadArity, NotIncident, ValidationFailed
+from windex.errors import NotIncident, ValidationFailed
 from windex.fixtures import (
     boundary_delta3,
     csaszar_torus,
     icosahedron,
     octahedron,
 )
-from oracles import cycle_complex, link
-from polygon import Polygon
+from oracles import corner_order, cycle_complex, link
+from polygon import BadArity, Polygon
 
 OCTA_FACES = [
     ("w", "b", "r"), ("w", "r", "g"), ("w", "g", "o"), ("w", "o", "b"),
@@ -84,13 +86,8 @@ def test_link_arcs_come_from_faces():
             (cycle.labels[i], cycle.label_at(i + 1))
             for i in range(cycle.n)
         }
-        from_faces = {f.corner_order(v)[1:] for f in s.faces if v in f}
+        from_faces = {corner_order(f, v)[1:] for f in s.faces if v in f.vertices}
         assert arcs == from_faces
-
-
-def test_face_equality_up_to_cycle():
-    assert OrientedFace(("w", "b", "r")) == OrientedFace(("r", "w", "b"))
-    assert OrientedFace(("w", "b", "r")) != OrientedFace(("w", "r", "b"))
 
 
 def test_orientation_clash():
@@ -114,11 +111,18 @@ def test_two_arc_link_is_a_duplicate_face():
     assert "NonPolygonLink" not in rules
 
 
-def test_face_key_made_at_construction():
-    face = OrientedFace(("w", "b", "r"))
-    assert face.vertices == ("b", "r", "w")
-    assert face.key == "b,r,w" == str(face)
-    assert "key" in vars(face)
+def test_faces_are_records_from_the_least_vertex():
+    """A face is two fields, its labels from its least vertex and its key,
+    and not a tuple: ``in`` and unpacking raise TypeError."""
+    s = octahedron()
+    face = s.faces[s.face_id("b,r,w")]
+    assert face == OrientedFace(("b", "r", "w"), "b,r,w")
+    assert [f.name for f in fields(OrientedFace)] == ["vertices", "key"]
+    assert not hasattr(face, "__dict__")
+    with pytest.raises(TypeError):
+        "b" in face
+    with pytest.raises(TypeError):
+        _, _ = face
 
 
 def test_boundary_edge():
@@ -144,9 +148,9 @@ def test_string_face_is_a_bad_face():
 
 def test_face_object_is_a_bad_face():
     # faces are label triples; an OrientedFace is reported as given
-    faces = [OrientedFace(face) for face in OCTA_FACES]
+    faces = octahedron().faces
     assert [(v.rule, v.element) for v in rejection(list("wybrgo"), faces).violations] == [
-        ("BadFace", face.key) for face in faces
+        ("BadFace", str(face)) for face in faces
     ]
 
 
@@ -172,7 +176,7 @@ def test_build_raises_with_full_report():
 
 def test_reversed_orientation_reverses_links():
     s = octahedron()
-    flipped = build_surface(s.vertices, [f.reversed().vertices for f in s.faces])
+    flipped = build_surface(s.vertices, [f.vertices[::-1] for f in s.faces])
     for v in s.vertices:
         assert link(flipped, v) == Polygon(tuple(reversed(link(s, v).labels)))
 

@@ -14,6 +14,7 @@ from windex.bundle import (
     flat_connection,
     tangent_connection,
 )
+from windex.complex import OrientedFace
 from windex.errors import NonIntegralIndex, NotIncident, ValidationFailed, WindexError
 from windex.field import (
     SwirlPath,
@@ -269,7 +270,7 @@ class TestSwirl:
         # the reversed face's edges are half-edges of the surface, but it
         # bounds no face of it
         with pytest.raises(NotIncident):
-            swirl_path(spin, face.reversed())
+            swirl_path(spin, OrientedFace(("g", "r", "w"), "g,r,w"))
         with pytest.raises(NotIncident):
             swirl_path(spin, face, "b")
 

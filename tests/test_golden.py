@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from windex import cli
+from windex.complex import OrientedFace
+from windex.scene import parse_scene_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = json.loads((GOLDEN / "outputs.json").read_text(encoding="utf-8"))
@@ -37,6 +39,22 @@ def test_cli_output_unchanged(capsys, key):
     want = OUTPUTS[key]
     assert capsys.readouterr().out == want["stdout"]
     assert code == want["code"]
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "scenes").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_faces_are_read_off_the_half_edge_tables(path):
+    """Face f of a golden scene is its three tails from 3f, from its least
+    vertex, and its key."""
+    surface = parse_scene_text(path.read_text(encoding="utf-8")).surface
+    labels, tails = surface.vertices, surface.tails
+    assert surface.faces == tuple(
+        OrientedFace((labels[tails[3 * f]], labels[tails[3 * f + 1]], labels[tails[3 * f + 2]]),
+                     key)
+        for f, key in enumerate(surface.keys)
+    )
+    for face in surface.faces:
+        assert face.vertices[0] == min(face.vertices) and face.key == ",".join(face.vertices)
 
 
 REJECTED = json.loads((GOLDEN / "rejected.json").read_text(encoding="utf-8"))

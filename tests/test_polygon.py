@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from windex.complex import OrientedFace
-from windex.errors import BadArity, UnknownLabel, WindexError
+from windex.errors import UnknownLabel, WindexError
 
 from oracles import collapse_unit_oracle, collapse_walk_oracle, subdivide_walk_oracle
 from polygon import (
     PRESERVING,
     REVERSING,
+    BadArity,
     EndpointMismatch,
     NotALoop,
     NotAnEndomorphism,
@@ -286,14 +286,12 @@ class TestCollapseSubdivide:
 
 
 @pytest.mark.parametrize("expected, call", [
-    (BadArity, lambda: OrientedFace(("a", "b"))),
-    (BadArity, lambda: OrientedFace(("a", "b", "a"))),
     (BadArity, lambda: Polygon(("a", "a", "b"))),
     (TooSmall, lambda: Polygon(())),
     (UnknownLabel, lambda: BRGO.collapse("r")[1](PolyPath(WBYG, "w", 1))),
     (UnknownLabel, lambda: BRGO.subdivide(2)[1](PolyPath(WBYG, "w", 1))),
     (EndpointMismatch, lambda: PolyIso.identity(BRGO).compose(PolyIso.identity(WBYG))),
-], ids=["face-arity", "face-repeat", "polygon-repeat", "polygon-empty",
+], ids=["polygon-repeat", "polygon-empty",
         "collapse-transfer", "subdivide-transfer", "compose"])
 def test_library_failures_are_windex_errors(expected, call):
     with pytest.raises(WindexError) as excinfo:

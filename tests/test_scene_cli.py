@@ -105,6 +105,37 @@ class TestScene:
 
         assert scene.surface.positions["0"][0] == Fraction(1, 3)
 
+    @pytest.mark.parametrize("limit", [None, 1000], ids=["default-limit", "lowered-limit"])
+    def test_coordinates_at_the_digit_limit(self, limit):
+        """A string coordinate's numerator and denominator stay below
+        10**limit, the int_max_str_digits cap, also after it changes."""
+        saved = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            cap = limit or sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            for inside in (f"9.99e{cap - 1}", f"-9.99e{cap - 1}", f"1e-{cap - 1}"):
+                assert scene_module._coordinate(inside, "x") == Fraction(inside)
+            for outside in (f"1e{cap}", f"-1e{cap}", f"1e-{cap}"):
+                with pytest.raises(SceneParseError, match="cannot read"):
+                    scene_module._coordinate(outside, "x")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_the_coordinate_bound_is_made_once(self):
+        """Every string coordinate of a scene is checked against one bound,
+        made once for the limit in force."""
+        surface = icosahedron()
+        obj = scene_to_obj(SceneFile(surface))
+        obj["surface"]["positions"] = {v: [f"{i}/7", "-1e-3", "2.5"]
+                                       for i, v in enumerate(surface.vertices)}
+        scene_module._coordinate_bound.cache_clear()
+        scene = parse_scene_text(json.dumps(obj))
+        assert scene.surface.positions[surface.vertices[3]] == (
+            Fraction(3, 7), Fraction(-1, 1000), Fraction(5, 2))
+        info = scene_module._coordinate_bound.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * len(surface.vertices) - 1)
+
     def test_bad_json_is_parse_error(self):
         with pytest.raises(SceneParseError):
             parse_scene_text("{not json")
