@@ -6,8 +6,8 @@ problems at once.  Violations name their rule as a string (DuplicateFace,
 BoundaryEdge, OrientationClash, NonPolygonLink, BadFiberMode, SizeMismatch,
 BadEdge, MissingEdge, NotInverse, OrientationReversing, UnknownLabel,
 NotAnInteger, LiftIncongruent, EndpointIncongruent, AntisymmetryViolation,
-...).  Every other failure raises WindexError or one of its subclasses
-below directly.
+TooManyDigits, ...).  Every other failure raises WindexError or one of its
+subclasses below directly.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from .bundle import (
     check_flatness_surface,
 )
 from .complex import NO_EDGES, OrientedSurface, build_surface
-from .errors import WindexError
+from .errors import ReportCollector, WindexError
 from .field import VectorField, build_field
 
 
@@ -94,11 +94,30 @@ def _only(kind: type, values) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-@lru_cache(maxsize=1)
-def _coordinate_bound(limit: int) -> int:
-    """10**limit, made once per value of the int_max_str_digits limit,
-    which can change at run time."""
-    return 10**limit
+@lru_cache(maxsize=2)
+def _power_of_ten(digits: int) -> int:
+    """10**digits, made once per value: the bounds on coordinates, lifts
+    and steps follow the int_max_str_digits limit, which can change at
+    run time."""
+    return 10**digits
+
+
+def _check_digits(values, entries, noun: str, what: str) -> None:
+    """Refuse, as rule TooManyDigits, each (element, value) of ``entries``
+    whose value has more digits than half the int_max_str_digits limit.
+    Every total and swirl a report prints is a sum of fewer than
+    10**digits lifts or steps, so it stays within the limit.  ``values``
+    are checked by one ``min`` and one ``max``; ``entries`` are read only
+    to name the faults."""
+    digits = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) // 2
+    bound = _power_of_ten(digits)
+    if not values or -bound < min(values) and max(values) < bound:
+        return
+    collector = ReportCollector()
+    for element, value in entries:
+        if not -bound < value < bound:
+            collector.add("TooManyDigits", element, f"{noun} has more than {digits} digits")
+    collector.raise_if_failed(what)
 
 
 def _coordinate(value, where: str) -> Fraction:
@@ -117,7 +136,7 @@ def _coordinate(value, where: str) -> Fraction:
             if exponent and abs(int(exponent)) > limit + len(value):
                 raise ValueError
             frac = Fraction(value)
-            if max(abs(frac.numerator), frac.denominator) < _coordinate_bound(limit):
+            if max(abs(frac.numerator), frac.denominator) < _power_of_ten(limit):
                 return frac
     except (ValueError, ZeroDivisionError):
         pass
@@ -229,6 +248,7 @@ def _parse_connection(obj, surface: OrientedSurface) -> DiscreteConnection:
 def _parse_flatness(obj, conn: DiscreteConnection) -> FlatnessStructure:
     if not (type(obj) is dict and _only(str, obj) and _only(int, obj.values())):
         raise SceneParseError("flatness: expected an object of face-key -> integer")
+    _check_digits(obj.values(), obj.items(), "lift", "invalid flatness structure")
     return attach_flatness(conn, obj)
 
 
@@ -261,6 +281,8 @@ def _parse_field(obj, conn: DiscreteConnection) -> VectorField:
     except SceneParseError:
         _check_duplicates(raw, len(ids), where)
         raise
+    edges = ("({},{})".format(*entry["edge"]) for entry in raw)
+    _check_digits(counts, zip(edges, counts), "step count", "invalid vector field")
     return build_field(conn, at, _resolved(raw, ids, counts, where))
 
 

@@ -235,6 +235,10 @@ def rejected_texts() -> dict[str, str]:
         "endpoint-incongruent": _edit("tet-link", lambda s: _entry(
             s["field"]["steps"], "0", "1").update(steps=-4)),
         "several-field": _edit("octa-link-a", _several_field),
+        # every lift raised by a multiple of 4 to 4,300 digits, which JSON
+        # still reads, so that the total flatness winding has 4,301
+        "lift-too-many-digits": _edit("octa-link-a", lambda s: s["flatness"].update(
+            {key: lift + 9 * 10**4299 for key, lift in s["flatness"].items()})),
     }
     return {name: json.dumps(scene, indent=2, sort_keys=True) + "\n"
             for name, scene in scenes.items()}

@@ -14,18 +14,23 @@ second test makes only edits that keep the type of what they change (an
 int becomes another int, a str another str, two entries swap their edge
 pairs).  Its scenes reach the builders and the reports, and a floor on
 the scenes that still validate keeps it from drifting back to the parser.
+
+The last tests edit lifts and steps at and past the digit limit, where a
+total could have more digits than Python prints.
 """
 
 import contextlib
 import copy
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from windex import cli
+from windex.errors import ValidationFailed
 from windex.scene import parse_scene_text, serialize_scene
 
 from oracles import scene_to_obj
@@ -174,3 +179,58 @@ def test_near_valid_scenes_exit_cleanly(scene_file):
     _near_valid_scenes_exit_cleanly(scene_file, validated)
     # 23 of the 200 validate, against 3 of the 200 in the test above
     assert len(validated) >= 15, f"{len(validated)} of 200 near-valid scenes validate"
+
+
+def _past_the_digit_limit(section: str) -> dict:
+    """octa-link-a with every lift, or the three steps around face b,o,y,
+    raised by 9 * 10**4299, a multiple of the fiber size 4: 4,300 digits,
+    which JSON reads, and a total flatness winding or a swirl of 4,301."""
+    scene = copy.deepcopy(BASES["octa-link-a"])
+    if section == "flatness":
+        scene["flatness"] = {key: lift + 9 * 10**4299 for key, lift in scene["flatness"].items()}
+    else:
+        steps = {tuple(entry["edge"]): entry for entry in scene["field"]["steps"]}
+        for edge, sign in ((("b", "o"), 1), (("o", "y"), 1), (("b", "y"), -1)):
+            steps[edge]["steps"] += sign * 9 * 10**4299
+    return scene
+
+
+@pytest.mark.parametrize("section", ["flatness", "field"])
+def test_lifts_and_steps_past_the_digit_limit_exit_2_from_every_command(
+        capsys, scene_file, section):
+    """No report could print such a total: every command refuses the scene
+    with exit 2 and the message ``validate`` gives, naming the rule."""
+    scene_file.write_text(json.dumps(_past_the_digit_limit(section)), encoding="utf-8")
+    errors = set()
+    for command in COMMANDS:
+        assert cli.main(command.split() + [str(scene_file)]) == 2, command
+        errors.add(capsys.readouterr().err)
+    (error,) = errors
+    assert error.startswith("validation error: ") and "TooManyDigits" in error
+
+
+@pytest.mark.parametrize("limit", [None, 1000], ids=["default-limit", "lowered-limit"])
+@pytest.mark.parametrize("section", ["flatness", "field"])
+def test_lifts_and_steps_at_the_digit_limit(limit, section):
+    """A lift or a step count may have half as many digits as the
+    int_max_str_digits cap, and not one more, also after it changes."""
+    scene = copy.deepcopy(BASES["octa-link-a"])
+    entry, field, fault = scene["flatness"], "b,o,y", "[b,o,y]: lift"
+    if section == "field":
+        entry, field, fault = scene["field"]["steps"][0], "steps", "[(b,o)]: step count"
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        digits = (limit or saved or sys.int_info.default_max_str_digits) // 2
+        for sign in (1, -1):  # the values mod 4 on either side of sign * 10**digits
+            entry[field] += sign * 4 * ((10**digits - 1 - sign * entry[field]) // 4)
+            assert len(str(abs(entry[field]))) == digits
+            parse_scene_text(json.dumps(scene))
+            entry[field] += sign * 4
+            with pytest.raises(ValidationFailed) as excinfo:
+                parse_scene_text(json.dumps(scene))
+            want = f"TooManyDigits {fault} has more than {digits} digits"
+            assert str(excinfo.value).endswith(want)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -129,11 +129,11 @@ class TestScene:
         obj = scene_to_obj(SceneFile(surface))
         obj["surface"]["positions"] = {v: [f"{i}/7", "-1e-3", "2.5"]
                                        for i, v in enumerate(surface.vertices)}
-        scene_module._coordinate_bound.cache_clear()
+        scene_module._power_of_ten.cache_clear()
         scene = parse_scene_text(json.dumps(obj))
         assert scene.surface.positions[surface.vertices[3]] == (
             Fraction(3, 7), Fraction(-1, 1000), Fraction(5, 2))
-        info = scene_module._coordinate_bound.cache_info()
+        info = scene_module._power_of_ten.cache_info()
         assert (info.misses, info.hits) == (1, 3 * len(surface.vertices) - 1)
 
     def test_bad_json_is_parse_error(self):
