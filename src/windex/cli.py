@@ -56,10 +56,17 @@ EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 
 
-def _emit(text: str) -> None:
-    if sys.stdout is None:  # the process was started with stdout closed
+def _emit(text: str, escape: bool = False) -> None:
+    """Write ``text`` to stdout, ending in a newline; with ``escape``, a
+    character stdout's encoding cannot hold (a lone surrogate in a label)
+    as its backslash escape, the spelling the JSON forms use."""
+    stdout = sys.stdout
+    if stdout is None:  # the process was started with stdout closed
         raise OSError("standard output is closed")
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    if escape:
+        encoding = stdout.encoding or "utf-8"
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -121,21 +128,16 @@ def _text_rows(heads, width: int, columns):
 
 
 def _report(args, payload: dict, lines, faces=None) -> None:
-    """Print a report stamped with the sign conventions: ``payload``, with
-    the per-face rows ``faces``, (field names, columns), in its "faces":
-    None slot, as JSON under --json, else the text ``lines``."""
+    """Print a report stamped with the sign conventions, in one write:
+    ``payload``, with the per-face rows ``faces``, (field names, columns),
+    under its "faces" key, as JSON under --json, else the text ``lines``."""
     if args.json:
         report = {"conventions": SIGN_CONVENTIONS, **payload}
         if faces is not None:
             report["faces"] = JsonText(_json_rows(*faces))
         _emit(json_text(report))
     else:
-        _emit(f"sign conventions {SIGN_CONVENTIONS}")
-        # a label stdout cannot encode (a lone surrogate) prints as its
-        # escape, the spelling the JSON forms use
-        encoding = sys.stdout.encoding or "utf-8"
-        for line in lines:
-            _emit(line.encode(encoding, "backslashreplace").decode(encoding))
+        _emit("\n".join(chain([f"sign conventions {SIGN_CONVENTIONS}"], lines)), escape=True)
 
 
 def _cmd_validate(scene: SceneFile, args) -> int:
@@ -163,7 +165,7 @@ def _cmd_curvature(scene: SceneFile, args) -> int:
     columns = face_reports(conn, flatness, overrides)
     net = net_holonomy(conn)
     total = total_flatness_winding(conn, flatness)
-    payload = {"faces": None, "net_holonomy": str(net), "total_flatness_winding": total}
+    payload = {"net_holonomy": str(net), "total_flatness_winding": total}
     _report(args, payload, chain(
         _text_rows(("curvature", "lift turns"), 11, columns),
         [f"net holonomy: {net}", f"total flatness winding: {total}"],
@@ -182,7 +184,6 @@ def _index_payload(scene: SceneFile, args):
 def _cmd_index(scene: SceneFile, args) -> int:
     report = _index_payload(scene, args)
     payload = {
-        "faces": None,
         "total_swirl": str(report.total_swirl),
         "total_index": report.total_index,
         "total_flatness_winding": report.total_flatness_winding,
