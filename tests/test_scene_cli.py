@@ -1,7 +1,6 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
 import contextlib
-import errno
 import gc
 import io
 import json
@@ -33,6 +32,7 @@ from windex.scene import (
 )
 
 from oracles import scene_to_obj, transport
+from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, windex
 from sampling import random_connection, random_field, random_lifts
 
 MINIMAL = {
@@ -608,36 +608,21 @@ def test_serialize_scene_takes_equal_sections():
     assert serialize_scene(SceneFile(octahedron(), again, flatness, field)) == text
 
 
-WINDEX = [sys.executable, "-m", "windex.cli"]
-
-
-def _process_env() -> dict:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-
-
 def test_windex_as_processes_in_a_pipe():
     """``windex fixture octahedron | windex check -`` as two real processes."""
-    env = _process_env()
-    with subprocess.Popen(WINDEX + ["fixture", "octahedron"], stdout=subprocess.PIPE,
-                          env=env) as fixture:
-        check = subprocess.run(WINDEX + ["check", "-"], stdin=fixture.stdout, capture_output=True,
-                               encoding="utf-8", env=env, timeout=60)
-        fixture.stdout.close()
-        assert fixture.wait(timeout=60) == 0
+    check = windex(["check", "-"], stdin=["fixture", "octahedron"])
     assert check.returncode == 0, check.stderr
-    assert check.stdout.endswith(": PASS\n")
+    assert check.stdout.endswith(b": PASS\n")
 
 
 POSIX = pytest.mark.skipif(os.name != "posix", reason="closes standard streams the POSIX way")
-GOLDEN_SCENE = str(Path(__file__).resolve().parent / "golden" / "scenes" / "ico-link-a.json")
+GOLDEN_SCENE = str(GOLDEN / "scenes" / "ico-link-a.json")
 
 
 def _stdio_env(buffered: bool) -> dict:
     """The process environment, with Python's stdout block-buffered or not:
     a buffered write to a closed pipe fails at the flush, not the write."""
-    env = _process_env()
+    env = dict(ENV)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -653,42 +638,28 @@ def test_a_stdout_pipe_closed_before_the_write_is_an_output_failure(argv, buffer
     """A stdout pipe whose read end is closed before windex starts fails its
     first write: exit 1, reported as an output failure, and nothing more is
     written to the pipe, so nothing fails again at exit."""
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(WINDEX + argv, stdout=write, stderr=subprocess.PIPE,
-                              env=_stdio_env(buffered), timeout=60)
-    finally:
-        os.close(write)
-    want = f"cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
-    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, want)
-
-
-def _with_closed(stream: str, argv) -> subprocess.CompletedProcess:
-    """windex started with its stdin ("<"), stdout (">") or stderr ("2>")
-    closed."""
-    return subprocess.run(["sh", "-c", f'exec "$@" {stream}&-', "sh", *WINDEX, *argv],
-                          stderr=subprocess.PIPE, env=_process_env(), timeout=60)
+    proc = windex(argv, streams="|x", env=_stdio_env(buffered))
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, BROKEN_PIPE)
 
 
 @POSIX
 def test_a_closed_stdin_is_a_read_failure():
-    proc = _with_closed("<", ["validate", "-"])
-    assert (proc.returncode, proc.stderr) == (1, b"cannot read scene: standard input is closed\n")
+    proc = windex(["validate", "-"], streams="<&-")
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, CLOSED_STDIN)
 
 
 @POSIX
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
 def test_a_closed_stdout_is_an_output_failure(form):
-    proc = _with_closed(">", ["validate", *form, GOLDEN_SCENE])
+    proc = windex(["validate", *form, GOLDEN_SCENE], streams=">&-")
     want = b"cannot write output: standard output is closed\n"
     assert (proc.returncode, proc.stderr) == (1, want)
 
 
 # a scene the builders reject, exit 2, and one that is no JSON, exit 1
 FAILING_SCENES = [
-    pytest.param((Path(GOLDEN_SCENE).parents[1] / "rejected" / "boundary-edge.json")
-                 .read_text(encoding="utf-8"), 2, id="rejected"),
+    pytest.param((GOLDEN / "rejected" / "boundary-edge.json").read_text(encoding="utf-8"), 2,
+                 id="rejected"),
     pytest.param('{"surface": ', 1, id="unparsable"),
 ]
 
@@ -700,7 +671,7 @@ def test_a_closed_stderr_keeps_the_documented_exit_code(tmp_path, text, code):
     still the documented one."""
     path = tmp_path / "scene.json"
     path.write_text(text, encoding="utf-8")
-    proc = _with_closed("2>", ["validate", str(path)])
+    proc = windex(["validate", str(path)], streams="2>&-")
     assert (proc.returncode, proc.stderr) == (code, b"")
 
 
@@ -735,8 +706,7 @@ def test_the_package_never_loads_the_reference_algebra(tmp_path):
     proc = subprocess.run([sys.executable, "-c", PRODUCT_ONLY], capture_output=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode("utf-8", "replace")
-    golden = Path(__file__).resolve().parent / "golden" / "scenes" / "fixture-octahedron.json"
-    assert proc.stdout == golden.read_bytes()
+    assert proc.stdout == (GOLDEN / "scenes" / "fixture-octahedron.json").read_bytes()
 
 
 SCENE_ARGVS = [[command, *form] for command in ("validate", "links", "curvature", "index", "check")
@@ -751,8 +721,7 @@ def test_a_lone_surrogate_label_through_a_strict_utf8_stdout(capsys, tmp_path, a
     obj = _relabel(json.loads(fixture_scene(capsys, "octahedron")), {"w": "\ud800"})
     scene = tmp_path / "surrogate.json"
     scene.write_text(json.dumps(obj), encoding="utf-8")
-    env = dict(_process_env(), PYTHONIOENCODING="utf-8")
-    proc = subprocess.run(WINDEX + argv + [str(scene)], capture_output=True, env=env, timeout=60)
+    proc = windex([*argv, str(scene)])
     err = proc.stderr.decode("utf-8")
     assert (proc.returncode, err) == (0, ""), err  # no traceback
     out = proc.stdout.decode("utf-8")
@@ -761,7 +730,6 @@ def test_a_lone_surrogate_label_through_a_strict_utf8_stdout(capsys, tmp_path, a
 
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 READ_TEXTS = {
     **{f"scenes/{p.stem}": p for p in sorted(GOLDEN.glob("scenes/*.json"))},
     **{f"rejected/{p.stem}": p for p in sorted(GOLDEN.glob("rejected/*.json"))},
