@@ -1,7 +1,14 @@
 """Call budget of ``windex validate``, ``check`` and ``curvature`` and of
-``swirl_path``: Python function calls per face on sampled torus grids,
-counted with cProfile, so a slower algorithm shows up as a count rather
-than as timing noise."""
+``swirl_path``: calls per face on sampled torus grids, counted with
+cProfile, so a slower algorithm shows up as a count rather than as timing
+noise.
+
+cProfile counts every Python function call, and every call of a C
+function made from bytecode, such as ``dict.get``.  It does not count the
+calls that a C iterator makes, such as those of ``map(index.__getitem__,
+...)``, so a loop made faster by writing its lookups out in bytecode can
+show more calls: a budget bounds the work the counted calls stand for, not
+the time."""
 
 import argparse
 import contextlib
