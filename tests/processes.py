@@ -3,7 +3,7 @@
 with real pipes and closed standard streams.  ``plan()`` lists the runs
 and what each must give, and starts none; ``main()`` makes them, on a
 strict UTF-8 stdout, and names each that goes wrong.  A stderr that is
-not checked whole must hold no traceback and no error at exit.
+not checked whole must hold no traceback, error at exit or read error.
 
     python tests/processes.py
 """
