@@ -104,14 +104,14 @@ def _json_rows(names, columns) -> str:
     each of one type throughout), as the list the json encoder writes with
     ``sort_keys=True, indent=2`` one level down, from one template with the
     fields in sorted order: a str column quoted by the stdlib encoder's
-    own function, any other written by ``%s``.  Empty columns are no rows."""
+    own function, any other written by ``str``.  Empty columns are no rows."""
     if not columns[0]:
         return "[]"
     order = sorted(range(len(names)), key=names.__getitem__)
     template = "    {\n" + ",\n".join(f'      "{names[i]}": %s' for i in order) + "\n    }"
-    values = zip(*[map(encode_basestring_ascii, columns[i]) if type(columns[i][0]) is str
-                   else columns[i] for i in order])
-    return json_block("[]", "  ", template, values)
+    return json_block("[]", "  ", template, len(columns[0]), [
+        map(encode_basestring_ascii if type(columns[i][0]) is str else str, columns[i])
+        for i in order])
 
 
 # the five leading fields of every per-face report, then curvature's own

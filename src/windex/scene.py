@@ -28,9 +28,10 @@ intern the labels into the surface's integer id tables once; the parser
 resolves the edge of each transport and step entry to its half-edge in
 the loop that type-checks the entry, and every later section is read
 into lists by half-edge, face or vertex id.
-Serialization writes labels back from those tables, entry by entry from
-fixed templates, to the bytes Python's json encoder writes with
-sort_keys=True and indent=2, without calling it.
+Serialization writes each section from a fixed template and each table
+in it column by column from those tables, labels quoted once, to the
+bytes Python's json encoder writes with sort_keys=True and indent=2,
+without calling it.
 It is canonical (sorted keys, least-rotation face lists, lexicographic
 edge directions, anchors at the fiber's first label), so parse ->
 serialize -> parse is the identity.
@@ -343,14 +344,25 @@ def parse_scene(path: str) -> SceneFile:
     return parse_scene_text(text)
 
 
-def json_block(brackets: str, indent: str, template: str, values) -> str:
-    """The list or object (``brackets`` "[]" or "{}") that the json
-    encoder writes with ``sort_keys=True, indent=2`` and its closing
-    bracket at ``indent``: one entry per value, formatted by ``template``,
-    which carries the entries' own indent and, for an object, their keys in
-    sorted order."""
-    body = ",\n".join(map(template.__mod__, values))
-    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}" if body else brackets
+def json_block(brackets: str, indent: str, template: str, count: int, columns) -> str:
+    """The list or object (``brackets`` "[]" or "{}") of ``count`` entries
+    that the json encoder writes with ``sort_keys=True, indent=2``, its
+    closing bracket at ``indent``.  The k-th ``%s`` of ``template``, one
+    entry with its indent and sorted keys, is filled from ``columns[k]``,
+    ``count`` strings, by one slice assignment: no entry is formatted."""
+    if not count:
+        return brackets
+    text = template.split("%s")
+    width = 2 * len(text) - 2  # per entry: each field and the text before it
+    # the first field's text ends the entry before, and the last's the block
+    parts = [f"{text[-1]},\n{text[0]}", None] * (width // 2)
+    parts[2::2] = text[1:-1]
+    parts *= count
+    parts[0] = f"{brackets[0]}\n{text[0]}"
+    for k, column in enumerate(columns):
+        parts[2 * k + 1::width] = column
+    parts.append(f"{text[-1]}\n{indent}{brackets[1]}")
+    return "".join(parts)
 
 
 class JsonText(str):
@@ -373,10 +385,12 @@ def json_text(value, indent: str = "") -> str:
         return str(value)
     inner = indent + "  "
     if kind is dict:
-        return json_block("{}", indent, inner + "%s: %s", [
-            (encode_basestring_ascii(k), json_text(value[k], inner)) for k in sorted(value)])
+        keys = sorted(value)
+        return json_block("{}", indent, inner + "%s: %s", len(keys), [
+            map(encode_basestring_ascii, keys), [json_text(value[k], inner) for k in keys]])
     if kind is list:
-        return json_block("[]", indent, inner + "%s", [json_text(v, inner) for v in value])
+        return json_block("[]", indent, inner + "%s", len(value),
+                          [[json_text(v, inner) for v in value]])
     if kind is bool:
         return "true" if value else "false"
     if value is None:
@@ -389,60 +403,79 @@ _FACE = "      [\n        %s,\n        %s,\n        %s\n      ]"
 _TRANSPORT = ("      {\n        \"anchor\": [\n          %s,\n          %s\n        ],\n"
               "        \"edge\": [\n          %s,\n          %s\n        ]\n      }")
 _STEP = ("      {\n        \"edge\": [\n          %s,\n          %s\n        ],\n"
-         "        \"steps\": %d\n      }")
+         "        \"steps\": %s\n      }")
+# each section of a scene file, in sorted order
+_CONNECTION = '  "connection": {\n    "fiber_mode": %s,\n    "transports": %s\n  }'
+_FIELD = '  "field": {\n    "at": %s,\n    "steps": %s\n  }'
+_SURFACE = '  "surface": {\n    "faces": %s,%s\n    "vertices": %s\n  }'
+
+
+def _fiber_labels(ring, conn: DiscreteConnection, vertices, positions) -> list[str]:
+    """The quoted label of each position in the fiber of the vertex beside
+    it: k * arc is link label k, ``ring[v][k]``, and the j-th after it x~j,
+    quoted x with ~j before its closing quote (neither needs escaping)."""
+    n = conn.sizes
+    if conn.refined is None:
+        return [ring[v][p % n[v]] for v, p in zip(vertices, positions)]
+    arcs = conn.arcs
+    return [ring[v][k] if j == 0 else f'{ring[v][k][:-1]}~{j}"'
+            for v, p in zip(vertices, positions) for k, j in [divmod(p % n[v], arcs[v])]]
 
 
 def serialize_scene(scene: SceneFile) -> str:
     """The scene as the json encoder writes it with ``sort_keys=True,
-    indent=2``, plus a newline, written by ``json_text`` without the
-    encoder.  Each table is written from its entry template, labels quoted
-    by the encoder's own function, and goes into the document as a
-    JsonText; vertex labels and face keys are already in sorted order, so
-    the ``at`` and ``flatness`` objects need no sort.  A scene whose
-    sections disagree is a WindexError: its connection and flatness must
-    lie on its surface and its field on its connection, the same object or
-    an equal one, and a flatness or field needs a connection, as in a file."""
-    surface, conn, field = scene.surface, scene.connection, scene.field
-    if conn is None and (scene.flatness is not None or field is not None):
+    indent=2``, plus a newline: each section from its template, and each
+    table in it by ``json_block`` from its entry template, with labels
+    quoted once and fiber labels read off a ring of them by vertex.  A
+    scene whose sections disagree is a WindexError: its connection and
+    flatness must lie on its surface and its field on its connection, the
+    same object or an equal one, and a flatness or field needs a
+    connection, as in a file.  Lifts and step counts that the reader
+    refuses are refused here as TooManyDigits."""
+    surface, conn, flatness, field = scene.surface, scene.connection, scene.flatness, scene.field
+    if conn is None and (flatness is not None or field is not None):
         raise WindexError("a flatness or field section needs a connection")
     if conn is not None and conn.surface is not surface and conn.surface != surface:
         raise WindexError("the connection lies on another surface than the scene")
-    if scene.flatness is not None:
-        check_flatness_surface(conn, scene.flatness)
+    if flatness is not None:
+        check_flatness_surface(conn, flatness)
+        _check_digits(flatness.lifts, zip(surface.keys, flatness.lifts),
+                      "lift", "invalid flatness structure")
     if field is not None and field.conn is not conn and field.conn != conn:
         raise WindexError("the field lies on another connection than the scene's")
     labels, tails, heads, edges = surface.vertices, surface.tails, surface.heads, surface.edge_half
-    quote = encode_basestring_ascii
+    quote, V, E, F = encode_basestring_ascii, len(labels), len(edges), len(surface.keys)
     quoted = list(map(quote, labels))
-    doc: dict = {"surface": {
-        "faces": JsonText(json_block("[]", "    ", _FACE, [
-            (quoted[tails[h]], quoted[tails[h + 1]], quoted[tails[h + 2]])
-            for h in range(0, len(tails), 3)])),
-        "vertices": JsonText(json_block("[]", "    ", "      %s", quoted)),
-    }}
-    if surface.positions is not None:
-        doc["surface"]["positions"] = {
-            v: [str(Fraction(c)) for c in coords]
-            for v, coords in sorted(surface.positions.items())
-        }
+    sections = []
     if conn is not None:
-        label, offsets = conn._label, conn.offsets
-        first = [quote(label(v, 0)) for v in range(len(labels))]
-        doc["connection"] = {
-            "fiber_mode": "link" if conn.refined is None else {"refined": conn.refined},
-            "transports": JsonText(json_block("[]", "    ", _TRANSPORT, [
-                (first[tails[h]], quote(label(heads[h], offsets[h])),
-                 quoted[tails[h]], quoted[heads[h]]) for h in edges])),
-        }
+        starts, ends = list(map(tails.__getitem__, edges)), list(map(heads.__getitem__, edges))
+        edge_ends = list(map(quoted.__getitem__, starts)), list(map(quoted.__getitem__, ends))
+        ring = [[""] * d for d in surface.degrees]
+        for t, h, k in zip(tails, heads, surface.ring_pos):
+            ring[t][k] = quoted[h]
+        anchors = _fiber_labels(ring, conn, ends, map(conn.offsets.__getitem__, edges))
+        sections.append(_CONNECTION % (
+            '"link"' if conn.refined is None else '{\n      "refined": %d\n    }' % conn.refined,
+            json_block("[]", "    ", _TRANSPORT, E,
+                       [[ring[t][0] for t in starts], anchors, *edge_ends])))
     if field is not None:
-        label, steps = field.conn._label, field.steps
-        doc["field"] = {
-            "at": JsonText(json_block("{}", "    ", "      %s: %s", [
-                (quoted[i], quote(label(i, x))) for i, x in enumerate(field.at)])),
-            "steps": JsonText(json_block("[]", "    ", _STEP, [
-                (quoted[tails[h]], quoted[heads[h]], steps[h]) for h in edges])),
-        }
-    if scene.flatness is not None:
-        doc["flatness"] = JsonText(json_block(
-            "{}", "  ", "    %s: %d", zip(map(quote, surface.keys), scene.flatness.lifts)))
-    return json_text(doc) + "\n"
+        steps = field.steps
+        _check_digits(steps, ((f"({labels[tails[h]]},{labels[heads[h]]})", steps[h])
+                              for h in edges), "step count", "invalid vector field")
+        sections.append(_FIELD % (
+            json_block("{}", "    ", "      %s: %s", V,
+                       [quoted, _fiber_labels(ring, conn, range(V), field.at)]),
+            json_block("[]", "    ", _STEP, E,
+                       [*edge_ends, map(str, map(steps.__getitem__, edges))])))
+    if flatness is not None:
+        sections.append('  "flatness": ' + json_block(
+            "{}", "  ", "    %s: %s", F, [map(quote, surface.keys), map(str, flatness.lifts)]))
+    positions = surface.positions
+    sections.append(_SURFACE % (
+        json_block("[]", "    ", _FACE, F, [map(quoted.__getitem__, tails[k::3]) for k in range(3)]),
+        "" if positions is None else '\n    "positions": %s,' % json_block(
+            "{}", "    ", "      %s: %s", len(positions), [map(quote, sorted(positions)), [
+                json_block("[]", "      ", '        "%s"', len(c), [map(str, map(Fraction, c))])
+                for _, c in sorted(positions.items())]]),
+        json_block("[]", "    ", "      %s", V, [quoted])))
+    return "{\n%s\n}\n" % ",\n".join(sections)

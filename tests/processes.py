@@ -71,7 +71,7 @@ def windex(args, stdin=None, streams: str = "", env=None) -> subprocess.Complete
 
 
 class Run(NamedTuple):
-    key: str  # the golden key, or scene file, that ``want`` comes from
+    key: str  # the golden key or scene file ``want`` comes from, or "- COMMAND"
     args: list[str]
     want: dict  # the exit "code", and the "stdout" and "stderr" where checked
     stdin: bytes | list[str] | None = None  # as ``windex`` takes it
@@ -96,12 +96,13 @@ def plan() -> list[Run]:
     runs += [Run(key, argv(key), {"code": want["code"], "stdout": want["stdout"]}
                  | ({"stderr": ""} if want["code"] == 0 else {}))
              for key, want in sorted(outputs.items())]
-    for name, what in bare:  # a write fails unless there is none; stdin is closed
+    for name, what in bare:  # a write fails unless there is none
         key, want = f"{name} {what}", outputs[f"{name} {what}"]
         runs.append(Run(key, argv(key), {"code": 1, "stderr": BROKEN_PIPE} if want["stdout"]
                         else {"code": want["code"]}, streams="|x"))
-        if name != "fixture":
-            runs.append(Run(key, [what, "-"], {"code": 1, "stderr": CLOSED_STDIN}, streams="<&-"))
+    # stdin is closed, so no scene reaches the process: once per command
+    runs += [Run(f"- {what}", [what, "-"], {"code": 1, "stderr": CLOSED_STDIN}, streams="<&-")
+             for what in sorted({what for name, what in bare if name != "fixture"})]
     runs += [Run(key, argv(key, "rejected"), {"code": rejected[key]["code"]}, streams="2>&-")
              for key in validated]
     return runs + [Run(key, argv(key), {"code": outputs[key]["code"]}, streams="2>&-")

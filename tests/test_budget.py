@@ -13,14 +13,15 @@ the time."""
 import argparse
 import contextlib
 import cProfile
+import gc
 import io
 import pstats
 from fractions import Fraction
 from random import Random
 
-from windex import bundle, cli
+from windex import bundle, cli, scene as scene_module
 from windex.complex import OrientedSurface
-from windex.bundle import canonical_flatness
+from windex.bundle import DiscreteConnection, canonical_flatness
 from windex.field import IndexReport, IndexRow, swirl_path, totals
 from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
@@ -207,3 +208,29 @@ def test_serialize_and_basepoint_build_no_face(tmp_path):
         assert code_key(OrientedSurface.faces.func) not in stats.stats
         assert calls.get(("__init__.py", "dumps"), 0) == 0
         assert encoder_frames(stats) == []
+
+
+def test_serialize_scene_calls_do_not_grow_with_the_surface():
+    """``serialize_scene`` writes every table from its columns: on a 4x4
+    and a 32x32 link-mode grid it makes the same number of counted calls,
+    none of them a per-label ``DiscreteConnection._label`` or the nested
+    ``json_text``.  A first write makes the digit bound, cached per
+    process, so the counts do not depend on whether an earlier test has;
+    the collector is paused, since the ``gc.callbacks`` a test library
+    registers are counted calls whenever a collection runs."""
+    serialize_scene(grid_scene(4))
+    totals, collecting = [], gc.isenabled()
+    for m in (4, 32):
+        scene = grid_scene(m)
+        profile = cProfile.Profile()
+        gc.disable()
+        try:
+            profile.runcall(serialize_scene, scene)
+        finally:
+            if collecting:
+                gc.enable()
+        stats = pstats.Stats(profile)
+        assert code_key(DiscreteConnection._label) not in stats.stats, m
+        assert code_key(scene_module.json_text) not in stats.stats, m
+        totals.append(stats.total_calls)
+    assert totals[0] == totals[1], totals

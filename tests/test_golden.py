@@ -97,9 +97,9 @@ def test_the_process_plan_runs_every_key():
                        if run.streams == streams and isinstance(run.stdin, stdin))
 
     fixtures = Counter(f"scenes/fixture-{name}.json" for name in generate.FIXTURES)
+    commands = ("validate", "links", "curvature", "index", "check", "export")
     scene_commands = Counter(f"{path.stem} {command}" for path in GOLDEN.glob("scenes/*.json")
-                             for command in ("validate", "links", "curvature", "index", "check",
-                                             "export"))
+                             for command in commands)
     rejected = Counter(f"{path.stem} validate" for path in GOLDEN.glob("rejected/*.json"))
     sweeps = {
         "golden": (keys(""), Counter(iter(OUTPUTS)) + fixtures),
@@ -107,7 +107,8 @@ def test_the_process_plan_runs_every_key():
         "rejected pipes": (keys("", bytes), rejected),
         "reader-less stdout": (keys("|x"), scene_commands + Counter(
             f"fixture {name}" for name in generate.FIXTURES)),
-        "closed stdin": (keys("<&-"), scene_commands),
+        # no scene reaches a closed stdin: one run per command, stdin "-"
+        "closed stdin": (keys("<&-"), Counter(f"- {command}" for command in commands)),
         "closed stderr": (keys("2>&-"), rejected + Counter(
             key for key in OUTPUTS if key.split(" ")[1] == "check")),
     }

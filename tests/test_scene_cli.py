@@ -1,6 +1,7 @@
 """Scene round-trips and CLI behavior, including exit codes."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -18,10 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windex import cli, scene as scene_module
-from windex.bundle import canonical_flatness, tangent_connection
+from windex.bundle import attach_flatness, canonical_flatness, tangent_connection
 from windex.errors import ValidationFailed, WindexError
 from windex.field import gauge_transform_field
-from windex.fixtures import icosahedron, octahedron, octahedron_connection, octahedron_spin_field
+from windex.fixtures import (
+    boundary_delta3,
+    icosahedron,
+    octahedron,
+    octahedron_connection,
+    octahedron_spin_field,
+)
 from windex.scene import (
     JsonText,
     SceneFile,
@@ -34,6 +41,7 @@ from windex.scene import (
 from oracles import scene_to_obj, transport
 from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, windex
 from sampling import random_connection, random_field, random_lifts
+from surfaces import genus2
 
 MINIMAL = {
     "surface": {
@@ -478,9 +486,9 @@ def _octahedron_obj(sections=("connection", "flatness", "field"), relabel=False)
     return {key: value for key, value in obj.items() if key == "surface" or key in sections}
 
 
-def _refined_obj() -> dict:
+def _refined_obj(surface, refined: int) -> dict:
     rng = Random(8)
-    conn = random_connection(octahedron(), 8, rng)
+    conn = random_connection(surface, refined, rng)
     return scene_to_obj(SceneFile(conn.surface, conn, random_lifts(conn, rng),
                                   random_field(conn, rng)))
 
@@ -496,7 +504,9 @@ def _positioned_obj() -> dict:
 SCENE_OBJS = {
     "escaped-labels": lambda: _octahedron_obj(relabel=True),
     "escaped-positions": _positioned_obj,
-    "refined": _refined_obj,
+    "refined": lambda: _refined_obj(octahedron(), 8),
+    # degrees 6 and 8: arcs 8 and 6 on one surface
+    "refined-genus2": lambda: _refined_obj(genus2(), 48),
     "empty-surface": lambda: {"surface": {"vertices": [], "faces": []}},
     "empty-sections": lambda: {
         "surface": {"vertices": [], "faces": []},
@@ -524,6 +534,8 @@ def test_serialize_scene_is_the_encoders_text(name):
         assert '\n    "faces": [],\n' in text and '\n    "vertices": []\n' in text
     if name == "escaped-positions":
         assert "\\ud800" in text and '"-1/2"' in text and '"1/100"' in text
+    if name == "refined-genus2":  # x~7 needs an arc of 8, x~5 one of 6 or 8
+        assert '~7"' in text and '~5"' in text
 
 
 # text the writers must escape: quotes, backslashes, control and non-ASCII
@@ -595,6 +607,52 @@ def test_serialize_scene_refuses_sections_that_disagree(name):
     scene = SceneFile(*DISAGREEING_SCENES[name](conn, octahedron_spin_field(conn)))
     with pytest.raises(WindexError):
         serialize_scene(scene)
+
+
+@pytest.mark.parametrize("digits", [3001, 5001])
+def test_serialize_scene_refuses_lifts_the_reader_refuses(digits):
+    """A fiber size of 3 * 10**3000 gives canonical lifts of 3,001 digits,
+    which the reader refuses, and 3 * 10**5000 lifts that no ``%d`` can
+    write at all: the writer refuses both as TooManyDigits, face by face."""
+    conn = tangent_connection(boundary_delta3(), 3 * 10 ** (digits - 1))
+    with pytest.raises(ValidationFailed) as excinfo:
+        serialize_scene(SceneFile(conn.surface, conn, canonical_flatness(conn)))
+    violations = excinfo.value.report.violations
+    assert [(v.rule, v.element) for v in violations] == [
+        ("TooManyDigits", key) for key in conn.surface.keys]
+
+
+@pytest.mark.parametrize("section", ["flatness", "field"])
+def test_serialize_scene_at_the_digit_limit(section):
+    """A lift or step count with as many digits as the reader takes is
+    written as the encoder writes it and read back; one fiber size more,
+    and the writer refuses it as the reader does."""
+    digits = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) // 2
+    conn = octahedron_connection()
+    obj = scene_to_obj(SceneFile(conn.surface, conn, canonical_flatness(conn),
+                                 octahedron_spin_field(conn)))
+    entry, field = (obj["flatness"], "b,o,y") if section == "flatness" else (
+        obj["field"]["steps"][0], "steps")
+    entry[field] += 4 * ((10**digits - 1 - entry[field]) // 4)  # fiber size 4
+    assert len(str(entry[field])) == digits
+    scene = parse_scene_text(json.dumps(obj))
+    text = serialize_scene(scene)
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert serialize_scene(parse_scene_text(text)) == text
+    if section == "flatness":
+        lifts = dict(zip(conn.surface.keys, scene.flatness.lifts), **{field: entry[field] + 4})
+        scene = dataclasses.replace(scene, flatness=attach_flatness(scene.connection, lifts))
+        fault = "[b,o,y]: lift"
+    else:
+        h = conn.surface.half_edge(*entry["edge"])
+        steps = list(scene.field.steps)
+        steps[h] += 4
+        steps[conn.surface.twin[h]] -= 4
+        scene = dataclasses.replace(scene, field=dataclasses.replace(scene.field, steps=steps))
+        fault = "[({},{})]: step count".format(*entry["edge"])
+    with pytest.raises(ValidationFailed) as excinfo:
+        serialize_scene(scene)
+    assert str(excinfo.value).endswith(f"TooManyDigits {fault} has more than {digits} digits")
 
 
 def test_serialize_scene_takes_equal_sections():
