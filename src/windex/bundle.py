@@ -130,10 +130,16 @@ class DiscreteConnection:
         return ring[k] if j == 0 else f"{ring[k]}~{j}"
 
     def label_at(self, v: str, position: int) -> str:
+        """The label at ``position`` in the fiber at ``v``; an ``x~j`` whose
+        j has more digits than Python prints is a WindexError."""
         i = self.surface.vertex_id(v)
         if type(position) is not int:
             raise UnknownLabel(f"{position!r} is not a position in the fiber at {v!r}")
-        return self._label(i, position)
+        try:
+            return self._label(i, position)
+        except ValueError:  # str(j) past the int_max_str_digits limit
+            raise WindexError(f"the label at this position in the fiber at {v!r} "
+                              "has too many digits to print") from None
 
     def fiber(self, v: str) -> Fiber:
         return Fiber(v, self.sizes[self.surface.vertex_id(v)])

@@ -56,17 +56,22 @@ EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 
 
-def _emit(text: str, escape: bool = False) -> None:
-    """Write ``text`` to stdout, ending in a newline; with ``escape``, a
-    character stdout's encoding cannot hold (a lone surrogate in a label)
-    as its backslash escape, the spelling the JSON forms use."""
+def _emit(*pieces: str, escape: bool = False) -> None:
+    """Write ``pieces`` to stdout, one write each, the last ending in a
+    newline; with ``escape``, a character stdout's encoding cannot hold (a
+    lone surrogate in a label) as its backslash escape, the spelling the
+    JSON forms use."""
     stdout = sys.stdout
     if stdout is None:  # the process was started with stdout closed
         raise OSError("standard output is closed")
     if escape:
         encoding = stdout.encoding or "utf-8"
-        text = text.encode(encoding, "backslashreplace").decode(encoding)
-    stdout.write(text if text.endswith("\n") else text + "\n")
+        pieces = [piece.encode(encoding, "backslashreplace").decode(encoding)
+                  for piece in pieces]
+    *first, last = pieces
+    for piece in first:
+        stdout.write(piece)
+    stdout.write(last if last.endswith("\n") else last + "\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -127,17 +132,25 @@ def _text_rows(heads, width: int, columns):
     return chain([header], map(template.format, *columns))
 
 
+# where a --json report's per-face rows go: json_text writes a JsonText as
+# it is, and escapes every control character of any other string it writes
+_ROWS = JsonText("\0")
+
+
 def _report(args, payload: dict, lines, faces=None) -> None:
-    """Print a report stamped with the sign conventions, in one write:
-    ``payload``, with the per-face rows ``faces``, (field names, columns),
-    under its "faces" key, as JSON under --json, else the text ``lines``."""
-    if args.json:
-        report = {"conventions": SIGN_CONVENTIONS, **payload}
-        if faces is not None:
-            report["faces"] = JsonText(_json_rows(*faces))
-        _emit(json_text(report))
-    else:
+    """Print a report stamped with the sign conventions: ``payload``, with
+    the per-face rows ``faces``, (field names, columns), under its "faces"
+    key, as JSON under --json, else the text ``lines``.  A JSON report with
+    rows is written in three pieces, the text before the rows, the rows and
+    the rest, so no string holds the rows twice; any other in one write."""
+    if not args.json:
         _emit("\n".join(chain([f"sign conventions {SIGN_CONVENTIONS}"], lines)), escape=True)
+    elif faces is None:
+        _emit(json_text({"conventions": SIGN_CONVENTIONS, **payload}))
+    else:
+        head, _, tail = json_text({"conventions": SIGN_CONVENTIONS, **payload,
+                                   "faces": _ROWS}).partition(_ROWS)
+        _emit(head, _json_rows(*faces), tail)
 
 
 def _cmd_validate(scene: SceneFile, args) -> int:

@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
 from .bundle import (
@@ -103,14 +103,21 @@ def _power_of_ten(digits: int) -> int:
     return 10**digits
 
 
-def _check_digits(values, entries, noun: str, what: str) -> None:
+def _digit_limit() -> int:
+    """The int_max_str_digits limit: the most digits an integer in a scene
+    file can have, since ``json.loads`` refuses a longer one."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _check_digits(values, entries, noun: str, what: str, digits: int | None = None) -> None:
     """Refuse, as rule TooManyDigits, each (element, value) of ``entries``
-    whose value has more digits than half the int_max_str_digits limit.
-    Every total and swirl a report prints is a sum of fewer than
-    10**digits lifts or steps, so it stays within the limit.  ``values``
-    are checked by one ``min`` and one ``max``; ``entries`` are read only
-    to name the faults."""
-    digits = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) // 2
+    whose value has more than ``digits`` digits, by default half the
+    int_max_str_digits limit.  Every total and swirl a report prints is a
+    sum of fewer than 10**digits lifts or steps, so it stays within the
+    limit.  ``values`` are checked by one ``min`` and one ``max``;
+    ``entries`` are read only to name the faults."""
+    if digits is None:
+        digits = _digit_limit() // 2
     bound = _power_of_ten(digits)
     if not values or -bound < min(values) and max(values) < bound:
         return
@@ -132,7 +139,7 @@ def _coordinate(value, where: str) -> Fraction:
         if isinstance(value, str):
             # the cap on JSON integers: beyond it a coordinate cannot be
             # printed again, and a huge exponent stalls Fraction() itself
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            limit = _digit_limit()
             exponent = value.lower().partition("e")[2]
             if exponent and abs(int(exponent)) > limit + len(value):
                 raise ValueError
@@ -298,11 +305,18 @@ def parse_scene_text(text: str) -> SceneFile:
     state is process-wide: a thread that switches it during a read may find
     it switched back on afterwards.
     """
+    return _read([text])
+
+
+def _read(holder: list) -> SceneFile:
+    """``parse_scene_text`` of the one text in ``holder``, which is taken
+    out as it is decoded: when no caller's frame holds the text too, it is
+    freed as soon as ``json.loads`` returns, before the builders run."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            obj = json.loads(text)
+            obj = json.loads(holder.pop())
         except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
             raise SceneParseError(f"not valid JSON: {exc}") from None
         except RecursionError:
@@ -327,21 +341,24 @@ def parse_scene_text(text: str) -> SceneFile:
 
 
 def parse_scene(path: str) -> SceneFile:
-    """Read a scene from a file path, or from stdin when path is '-'."""
+    """Read a scene from a file path, or from stdin when path is '-'.  The
+    text is handed to the reader in a list that the reader empties, and no
+    frame keeps a name for it, so it is freed once decoded: a run holds no
+    copy of it while the builders make the surface and its sections."""
     try:
         if path == "-":
             if sys.stdin is None:  # the process was started with stdin closed
                 raise OSError("standard input is closed")
-            text = sys.stdin.read()
+            holder = [sys.stdin.read()]
             # stdin may decode with surrogateescape, which turns every byte
             # that is not UTF-8 into a lone surrogate instead of failing
-            text.encode("utf-8")
+            holder[0].encode("utf-8")
         else:
             with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+                holder = [handle.read()]
     except UnicodeError:
         raise SceneParseError("not valid UTF-8") from None
-    return parse_scene_text(text)
+    return _read(holder)
 
 
 def json_block(brackets: str, indent: str, template: str, count: int, columns) -> str:
@@ -410,15 +427,16 @@ _FIELD = '  "field": {\n    "at": %s,\n    "steps": %s\n  }'
 _SURFACE = '  "surface": {\n    "faces": %s,%s\n    "vertices": %s\n  }'
 
 
-def _fiber_labels(ring, conn: DiscreteConnection, vertices, positions) -> list[str]:
+def _fiber_labels(ring, first, conn: DiscreteConnection, vertices, positions) -> list[str]:
     """The quoted label of each position in the fiber of the vertex beside
-    it: k * arc is link label k, ``ring[v][k]``, and the j-th after it x~j,
-    quoted x with ~j before its closing quote (neither needs escaping)."""
+    it: k * arc is link label k of v, ``ring[first[v] + k]``, and the j-th
+    after it x~j, quoted x with ~j before its closing quote (neither needs
+    escaping)."""
     n = conn.sizes
     if conn.refined is None:
-        return [ring[v][p % n[v]] for v, p in zip(vertices, positions)]
+        return [ring[first[v] + p % n[v]] for v, p in zip(vertices, positions)]
     arcs = conn.arcs
-    return [ring[v][k] if j == 0 else f'{ring[v][k][:-1]}~{j}"'
+    return [ring[first[v] + k] if j == 0 else f'{ring[first[v] + k][:-1]}~{j}"'
             for v, p in zip(vertices, positions) for k, j in [divmod(p % n[v], arcs[v])]]
 
 
@@ -426,12 +444,13 @@ def serialize_scene(scene: SceneFile) -> str:
     """The scene as the json encoder writes it with ``sort_keys=True,
     indent=2``, plus a newline: each section from its template, and each
     table in it by ``json_block`` from its entry template, with labels
-    quoted once and fiber labels read off a ring of them by vertex.  A
-    scene whose sections disagree is a WindexError: its connection and
-    flatness must lie on its surface and its field on its connection, the
-    same object or an equal one, and a flatness or field needs a
-    connection, as in a file.  Lifts and step counts that the reader
-    refuses are refused here as TooManyDigits."""
+    quoted once and fiber labels read off one list of the quoted link
+    labels of every vertex in turn, vertex v's from its cumulative degree
+    ``first[v]`` on.  A scene whose sections disagree is a WindexError: its
+    connection and flatness must lie on its surface and its field on its
+    connection, the same object or an equal one, and a flatness or field
+    needs a connection, as in a file.  A refined fiber size, lifts and step
+    counts that the reader refuses are refused here as TooManyDigits."""
     surface, conn, flatness, field = scene.surface, scene.connection, scene.flatness, scene.field
     if conn is None and (flatness is not None or field is not None):
         raise WindexError("a flatness or field section needs a connection")
@@ -443,6 +462,9 @@ def serialize_scene(scene: SceneFile) -> str:
                       "lift", "invalid flatness structure")
     if field is not None and field.conn is not conn and field.conn != conn:
         raise WindexError("the field lies on another connection than the scene's")
+    if conn is not None and conn.refined is not None:
+        _check_digits([conn.refined], [("fiber_mode", conn.refined)],
+                      "fiber size", "invalid fiber mode", _digit_limit())
     labels, tails, heads, edges = surface.vertices, surface.tails, surface.heads, surface.edge_half
     quote, V, E, F = encode_basestring_ascii, len(labels), len(edges), len(surface.keys)
     quoted = list(map(quote, labels))
@@ -450,21 +472,22 @@ def serialize_scene(scene: SceneFile) -> str:
     if conn is not None:
         starts, ends = list(map(tails.__getitem__, edges)), list(map(heads.__getitem__, edges))
         edge_ends = list(map(quoted.__getitem__, starts)), list(map(quoted.__getitem__, ends))
-        ring = [[""] * d for d in surface.degrees]
+        first = list(accumulate(surface.degrees, initial=0))
+        ring = [""] * len(tails)
         for t, h, k in zip(tails, heads, surface.ring_pos):
-            ring[t][k] = quoted[h]
-        anchors = _fiber_labels(ring, conn, ends, map(conn.offsets.__getitem__, edges))
+            ring[first[t] + k] = quoted[h]
+        anchors = _fiber_labels(ring, first, conn, ends, map(conn.offsets.__getitem__, edges))
         sections.append(_CONNECTION % (
             '"link"' if conn.refined is None else '{\n      "refined": %d\n    }' % conn.refined,
             json_block("[]", "    ", _TRANSPORT, E,
-                       [[ring[t][0] for t in starts], anchors, *edge_ends])))
+                       [[ring[first[t]] for t in starts], anchors, *edge_ends])))
     if field is not None:
         steps = field.steps
         _check_digits(steps, ((f"({labels[tails[h]]},{labels[heads[h]]})", steps[h])
                               for h in edges), "step count", "invalid vector field")
         sections.append(_FIELD % (
             json_block("{}", "    ", "      %s: %s", V,
-                       [quoted, _fiber_labels(ring, conn, range(V), field.at)]),
+                       [quoted, _fiber_labels(ring, first, conn, range(V), field.at)]),
             json_block("[]", "    ", _STEP, E,
                        [*edge_ends, map(str, map(steps.__getitem__, edges))])))
     if flatness is not None:

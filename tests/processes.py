@@ -23,6 +23,8 @@ WINDEX = [sys.executable, "-m", "windex.cli"]
 BROKEN_PIPE = f"cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 CLOSED_STDIN = "cannot read scene: standard input is closed\n"
 NOISE = ("Traceback", "Exception ignored", "cannot read scene")
+# the --json reports that are written in three pieces around their per-face rows
+ROW_REPORTS = ("index --json", "curvature --json")
 # this environment with ``src`` on PYTHONPATH, and strict UTF-8 stdio
 ENV = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
     filter(None, [str(GOLDEN.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
@@ -96,8 +98,11 @@ def plan() -> list[Run]:
     runs += [Run(key, argv(key), {"code": want["code"], "stdout": want["stdout"]}
                  | ({"stderr": ""} if want["code"] == 0 else {}))
              for key, want in sorted(outputs.items())]
-    for name, what in bare:  # a write fails unless there is none
-        key, want = f"{name} {what}", outputs[f"{name} {what}"]
+    # a write fails unless there is none: each flagless key, and each row report
+    piped = [" ".join(pair) for pair in bare] + [
+        key for key in sorted(outputs) if key.partition(" ")[2] in ROW_REPORTS]
+    for key in piped:
+        want = outputs[key]
         runs.append(Run(key, argv(key), {"code": 1, "stderr": BROKEN_PIPE} if want["stdout"]
                         else {"code": want["code"]}, streams="|x"))
     # stdin is closed, so no scene reaches the process: once per command

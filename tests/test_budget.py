@@ -234,3 +234,26 @@ def test_serialize_scene_calls_do_not_grow_with_the_surface():
         assert code_key(scene_module.json_text) not in stats.stats, m
         totals.append(stats.total_calls)
     assert totals[0] == totals[1], totals
+
+
+def test_a_write_starts_no_collection():
+    """``serialize_scene`` makes a fixed number of containers, none per
+    vertex: writing a link-mode 32x32 grid (1,024 vertices) right after a
+    full collection sets off no collection, counted by a ``gc.callbacks``
+    entry."""
+    scene, starts, collecting = grid_scene(32), [], gc.isenabled()
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        serialize_scene(scene)
+    finally:
+        gc.callbacks.remove(count)
+        if not collecting:
+            gc.disable()
+    assert starts == []

@@ -265,6 +265,21 @@ class TestBuild:
             getattr(conn, read)("w", value)
         assert str(excinfo.value) == f"{value!r} is not {what} the fiber at 'w'"
 
+    def test_a_label_too_long_to_print_is_a_windex_error(self):
+        """On the tetrahedron with 3 * 10**5000-point fibers, the label
+        10**4400 points on from link label 0 is x~j with a j of 4,401
+        digits, which ``str`` refuses past the int_max_str_digits limit: a
+        WindexError, not a bare ValueError.  A j of 4,001 digits is
+        written."""
+        conn = tangent_connection(boundary_delta3(), 3 * 10**5000)
+        first = conn.label_at("0", 0)
+        assert conn.label_at("0", 10**4000) == f"{first}~{10**4000}"
+        with pytest.raises(WindexError) as excinfo:
+            conn.label_at("0", 10**4400)
+        assert type(excinfo.value) is WindexError
+        assert str(excinfo.value) == (
+            "the label at this position in the fiber at '0' has too many digits to print")
+
 
 class TestHolonomy:
     def test_quarter_turn_everywhere(self, octa, conn):

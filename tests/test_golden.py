@@ -106,7 +106,9 @@ def test_the_process_plan_runs_every_key():
         "fixture pipes": (keys("", list), fixtures + Counter(["scenes/fixture-octahedron.json"])),
         "rejected pipes": (keys("", bytes), rejected),
         "reader-less stdout": (keys("|x"), scene_commands + Counter(
-            f"fixture {name}" for name in generate.FIXTURES)),
+            f"fixture {name}" for name in generate.FIXTURES) + Counter(
+            f"{path.stem} {report}" for path in GOLDEN.glob("scenes/*.json")
+            for report in processes.ROW_REPORTS)),
         # no scene reaches a closed stdin: one run per command, stdin "-"
         "closed stdin": (keys("<&-"), Counter(f"- {command}" for command in commands)),
         "closed stderr": (keys("2>&-"), rejected + Counter(

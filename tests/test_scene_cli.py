@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -39,9 +40,9 @@ from windex.scene import (
 )
 
 from oracles import scene_to_obj, transport
-from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, windex
+from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, ROW_REPORTS, windex
 from sampling import random_connection, random_field, random_lifts
-from surfaces import genus2
+from surfaces import genus2, torus_grid
 
 MINIMAL = {
     "surface": {
@@ -622,6 +623,24 @@ def test_serialize_scene_refuses_lifts_the_reader_refuses(digits):
         ("TooManyDigits", key) for key in conn.surface.keys]
 
 
+def test_serialize_scene_refuses_fiber_sizes_the_reader_refuses():
+    """A refined fiber size with more digits than the int_max_str_digits
+    limit is no JSON integer the reader takes, and no ``%d`` writes it: a
+    surface and connection with such a size are refused as TooManyDigits
+    on the fiber mode.  A size with exactly the limit's digits is written
+    and read back."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    conn = tangent_connection(boundary_delta3(), 3 * 10**limit)
+    with pytest.raises(ValidationFailed) as excinfo:
+        serialize_scene(SceneFile(conn.surface, conn))
+    assert [(v.rule, v.element, v.message) for v in excinfo.value.report.violations] == [
+        ("TooManyDigits", "fiber_mode", f"fiber size has more than {limit} digits")]
+    assert str(excinfo.value).startswith("invalid fiber mode: ")
+    conn = tangent_connection(boundary_delta3(), 3 * 10 ** (limit - 1))
+    text = serialize_scene(SceneFile(conn.surface, conn))
+    assert parse_scene_text(text).connection == conn
+
+
 @pytest.mark.parametrize("section", ["flatness", "field"])
 def test_serialize_scene_at_the_digit_limit(section):
     """A lift or step count with as many digits as the reader takes is
@@ -687,16 +706,43 @@ def _stdio_env(buffered: bool) -> dict:
     return env
 
 
+ROW_ARGVS = [report.split(" ") for report in ROW_REPORTS]
+
+
 @POSIX
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["validate", GOLDEN_SCENE], ["index", "--json", GOLDEN_SCENE],
-                                  ["check", "--json", GOLDEN_SCENE], ["fixture", "octahedron"]],
-                         ids=["validate", "index --json", "check --json", "fixture octahedron"])
+@pytest.mark.parametrize("argv", [["validate", GOLDEN_SCENE], ["check", "--json", GOLDEN_SCENE],
+                                  ["fixture", "octahedron"]]
+                         + [[*report, GOLDEN_SCENE] for report in ROW_ARGVS],
+                         ids=["validate", "check --json", "fixture octahedron", "index --json",
+                              "curvature --json"])
 def test_a_stdout_pipe_closed_before_the_write_is_an_output_failure(argv, buffered):
     """A stdout pipe whose read end is closed before windex starts fails its
     first write: exit 1, reported as an output failure, and nothing more is
     written to the pipe, so nothing fails again at exit."""
     proc = windex(argv, streams="|x", env=_stdio_env(buffered))
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, BROKEN_PIPE)
+
+
+def _grid_scene_text(m: int) -> str:
+    """A sampled m x m link-mode torus grid with lifts and a field."""
+    rng = Random(m)
+    conn = random_connection(torus_grid(m), "link", rng)
+    return serialize_scene(SceneFile(conn.surface, conn, random_lifts(conn, rng),
+                                     random_field(conn, rng)))
+
+
+@POSIX
+@pytest.mark.parametrize("report", ROW_ARGVS, ids=" ".join)
+def test_rows_past_the_pipe_buffer_into_a_closed_pipe(capsys, tmp_path, report):
+    """A --json report whose rows are more than a pipe holds, 64 KiB, into
+    an unbuffered stdout pipe whose reader is gone: the first of its three
+    writes fails, and the run exits 1 with one output failure line."""
+    path = tmp_path / "grid32.json"
+    path.write_text(_grid_scene_text(32), encoding="utf-8")
+    assert cli.main([*report, str(path)]) == 0
+    assert len(capsys.readouterr().out) > 2**16
+    proc = windex([*report, str(path)], streams="|x", env=_stdio_env(buffered=False))
     assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, BROKEN_PIPE)
 
 
@@ -707,11 +753,35 @@ def test_a_closed_stdin_is_a_read_failure():
 
 
 @POSIX
-@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
-def test_a_closed_stdout_is_an_output_failure(form):
-    proc = windex(["validate", *form, GOLDEN_SCENE], streams=">&-")
+@pytest.mark.parametrize("argv", [["validate"], ["validate", "--json"], *ROW_ARGVS],
+                         ids=["text", "json", *ROW_REPORTS])
+def test_a_closed_stdout_is_an_output_failure(argv):
+    proc = windex([*argv, GOLDEN_SCENE], streams=">&-")
     want = b"cannot write output: standard output is closed\n"
     assert (proc.returncode, proc.stderr) == (1, want)
+
+
+def test_a_run_keeps_no_copy_of_the_scene_text(capsys, tmp_path):
+    """``parse_scene`` hands the text it reads to the reader in a list that
+    the reader empties, so the text is freed once decoded: the tracemalloc
+    peak of ``windex validate`` on a sampled 32x32 grid exceeds that of
+    ``parse_scene_text`` on the same text, which its caller holds
+    throughout, by less than half the text."""
+    text = _grid_scene_text(32)
+    path = tmp_path / "grid32.json"
+    path.write_text(text, encoding="utf-8")
+    cli.build_parser()
+    peaks = []
+    for read in (lambda: parse_scene_text(text), lambda: cli.main(["validate", str(path)])):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("field: ok\n")
+    assert peaks[1] - peaks[0] < len(text) / 2, (peaks, len(text))
 
 
 # a scene the builders reject, exit 2, and one that is no JSON, exit 1
