@@ -20,6 +20,9 @@ from windex.bundle import (
 )
 from windex.complex import OrientedSurface
 from windex.field import VectorField, build_field
+from windex.scene import SceneFile
+
+from surfaces import torus_grid
 
 MAX_TURNS = 2  # random lifts and field steps leave the forced class by at most this many turns
 
@@ -55,3 +58,11 @@ def random_field(conn: DiscreteConnection, rng: Random) -> VectorField:
 
 def random_gauge(conn: DiscreteConnection, rng: Random) -> dict[str, int]:
     return {v: rng.randrange(n) for v, n in zip(conn.surface.vertices, conn.sizes)}
+
+
+def grid_scene(m: int) -> SceneFile:
+    """The m x m torus grid in link mode with a random connection, lifts
+    and field, drawn from ``Random(m)``."""
+    rng = Random(m)
+    conn = random_connection(torus_grid(m), "link", rng)
+    return SceneFile(conn.surface, conn, random_lifts(conn, rng), random_field(conn, rng))

@@ -17,24 +17,15 @@ import gc
 import io
 import pstats
 from fractions import Fraction
-from random import Random
 
 from windex import bundle, cli, scene as scene_module
 from windex.complex import OrientedSurface
 from windex.bundle import DiscreteConnection, canonical_flatness
 from windex.field import IndexReport, IndexRow, swirl_path, totals
-from windex.scene import SceneFile, parse_scene_text, serialize_scene
+from windex.scene import parse_scene_text, serialize_scene
 
 import polygon
-from sampling import random_connection, random_field, random_lifts
-from surfaces import torus_grid
-
-
-def grid_scene(m: int) -> SceneFile:
-    rng = Random(m)
-    surface = torus_grid(m)
-    conn = random_connection(surface, "link", rng)
-    return SceneFile(surface, conn, random_lifts(conn, rng), random_field(conn, rng))
+from sampling import grid_scene
 
 
 def profile_cli(command: str, m: int, tmp_path, *flags: str) -> pstats.Stats:

@@ -41,8 +41,8 @@ from windex.scene import (
 
 from oracles import scene_to_obj, transport
 from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, ROW_REPORTS, windex
-from sampling import random_connection, random_field, random_lifts
-from surfaces import genus2, torus_grid
+from sampling import grid_scene, random_connection, random_field, random_lifts
+from surfaces import genus2
 
 MINIMAL = {
     "surface": {
@@ -724,14 +724,6 @@ def test_a_stdout_pipe_closed_before_the_write_is_an_output_failure(argv, buffer
     assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, BROKEN_PIPE)
 
 
-def _grid_scene_text(m: int) -> str:
-    """A sampled m x m link-mode torus grid with lifts and a field."""
-    rng = Random(m)
-    conn = random_connection(torus_grid(m), "link", rng)
-    return serialize_scene(SceneFile(conn.surface, conn, random_lifts(conn, rng),
-                                     random_field(conn, rng)))
-
-
 @POSIX
 @pytest.mark.parametrize("report", ROW_ARGVS, ids=" ".join)
 def test_rows_past_the_pipe_buffer_into_a_closed_pipe(capsys, tmp_path, report):
@@ -739,7 +731,7 @@ def test_rows_past_the_pipe_buffer_into_a_closed_pipe(capsys, tmp_path, report):
     an unbuffered stdout pipe whose reader is gone: the first of its three
     writes fails, and the run exits 1 with one output failure line."""
     path = tmp_path / "grid32.json"
-    path.write_text(_grid_scene_text(32), encoding="utf-8")
+    path.write_text(serialize_scene(grid_scene(32)), encoding="utf-8")
     assert cli.main([*report, str(path)]) == 0
     assert len(capsys.readouterr().out) > 2**16
     proc = windex([*report, str(path)], streams="|x", env=_stdio_env(buffered=False))
@@ -767,7 +759,7 @@ def test_a_run_keeps_no_copy_of_the_scene_text(capsys, tmp_path):
     peak of ``windex validate`` on a sampled 32x32 grid exceeds that of
     ``parse_scene_text`` on the same text, which its caller holds
     throughout, by less than half the text."""
-    text = _grid_scene_text(32)
+    text = serialize_scene(grid_scene(32))
     path = tmp_path / "grid32.json"
     path.write_text(text, encoding="utf-8")
     cli.build_parser()
