@@ -14,10 +14,12 @@ modes:
   connections.  Link mode is the same with N = deg(v).
 
 Fibers are virtual: a point is its position mod the fiber size n, read
-off its label on demand: a link label through the surface's ring position
-of the half-edge from v to it, ``x~j`` j after that.  A
-transport is an offset o_ij with pos_j(t(x)) = pos_i(x) + o_ij (mod n),
-stored by half-edge id.  Holonomy around a face is the composite transport
+off its label on demand by one reader, ``_read_label``: a link label
+through the surface's ring position of the half-edge from v to it,
+``x~j`` j after that (field points and anchors look link labels up
+inline and hand the reader only those that miss).  A transport is an
+offset o_ij with pos_j(t(x)) = pos_i(x) + o_ij (mod n), stored by
+half-edge id.  Holonomy around a face is the composite transport
 along its boundary, a rotation of the basepoint fiber by r_F = the sum of
 the boundary offsets mod n, tabulated by face id when the connection is
 built; r_F / n is the curvature of the face, in turns.  A flatness lift
@@ -127,7 +129,12 @@ class DiscreteConnection:
     def _label(self, v: int, position: int) -> str:
         ring = self.surface.link_labels[v]
         k, j = divmod(position % self.sizes[v], self.arcs[v])
-        return ring[k] if j == 0 else f"{ring[k]}~{j}"
+        try:
+            return ring[k] if j == 0 else f"{ring[k]}~{j}"
+        except ValueError:  # str(j) past the int_max_str_digits limit
+            where = self.surface.vertices[v]
+            raise WindexError(f"the label at this position in the fiber at {where!r} "
+                              "has too many digits to print") from None
 
     def label_at(self, v: str, position: int) -> str:
         """The label at ``position`` in the fiber at ``v``; an ``x~j`` whose
@@ -135,11 +142,7 @@ class DiscreteConnection:
         i = self.surface.vertex_id(v)
         if type(position) is not int:
             raise UnknownLabel(f"{position!r} is not a position in the fiber at {v!r}")
-        try:
-            return self._label(i, position)
-        except ValueError:  # str(j) past the int_max_str_digits limit
-            raise WindexError(f"the label at this position in the fiber at {v!r} "
-                              "has too many digits to print") from None
+        return self._label(i, position)
 
     def fiber(self, v: str) -> Fiber:
         return Fiber(v, self.sizes[self.surface.vertex_id(v)])
@@ -199,40 +202,53 @@ def _fiber_sizes(surface: OrientedSurface, fiber_mode) -> tuple[int | None, list
     return refined, n, [size // d for size, d in zip(n, deg)]
 
 
-def _position(surface: OrientedSurface, arc: int, v: int, label: str) -> int:
-    """The position of ``label`` in the fiber at vertex id ``v``: a link
-    label at its ring position times ``arc``, read off the half-edge from
-    v to it in the row of v in ``surface.out``, and ``x~j`` j after x."""
+def _read_label(row: dict, ring_pos: list[int], arc: int, label: str) -> int | None:
+    """The position of ``label`` in the fiber of arc ``arc`` at the vertex
+    whose row of ``surface.out`` is ``row``, or None for no point: link label
+    x at the ring position of the half-edge to it times arc, and ``x~j`` j
+    after x, spelt as subdivide spells it: ASCII digits, no leading 0, j < arc."""
     base, tilde, j = label.partition("~")  # no vertex label holds a "~"
-    h = surface.out[surface.vertices[v]].get(base)
-    if h is not None and not tilde:
-        return surface.ring_pos[h] * arc
-    # only the spelling subdivide produces: ASCII digits, no leading 0
-    if h is not None and j.isascii() and j.isdigit() and j[0] != "0" and int(j) < arc:
-        return surface.ring_pos[h] * arc + int(j)
-    raise UnknownLabel(f"{label!r} is not a label of the fiber at {surface.vertices[v]!r}")
+    if (h := row.get(base)) is None:
+        return None
+    if not tilde:
+        return ring_pos[h] * arc
+    if not (j.isascii() and j.isdigit() and j[0] != "0"):
+        return None
+    try:
+        j = int(j)
+    except ValueError:  # more digits than int_max_str_digits: past any arc a scene holds
+        return None
+    return ring_pos[h] * arc + j if j < arc else None
+
+
+def _position(surface: OrientedSurface, arc: int, v: int, label: str) -> int:
+    """``_read_label`` in the fiber at vertex id ``v``, off the row of v in
+    ``surface.out``; a label of no point is UnknownLabel."""
+    row = surface.out[surface.vertices[v]]
+    if (position := _read_label(row, surface.ring_pos, arc, label)) is None:
+        raise UnknownLabel(f"{label!r} is not a label of the fiber at {surface.vertices[v]!r}")
+    return position
 
 
 def read_positions(conn: DiscreteConnection, at, collector) -> list[int]:
     """The position by vertex id of the label ``at`` gives each vertex, each
     label read once: a link label off the half-edge to it in the row of its
-    vertex in ``surface.out``, as ``_position`` reads it, and an ``x~j``
-    label, or one of no point, by ``_position``.  A vertex without a label
-    is reported as MissingVertex, a label of no point as UnknownLabel."""
+    vertex in ``surface.out``, and a label that misses there, an ``x~j``
+    or one of no point, by ``_read_label``.  A vertex without a label is
+    reported as MissingVertex, a label of no point as UnknownLabel."""
     surface = conn.surface
     out, ring_pos = surface.out, surface.ring_pos
     positions: list[int] = []
-    for i, (v, arc) in enumerate(zip(surface.vertices, conn.arcs)):
+    for v, arc in zip(surface.vertices, conn.arcs):
         if v not in at:
             collector.add("MissingVertex", v, "no fiber point supplied")
             continue
         label = str(at[v])
         if (h := out[v].get(label)) is not None:
             positions.append(ring_pos[h] * arc)
-            continue
-        try:
-            positions.append(_position(surface, arc, i, label))
-        except UnknownLabel:
+        elif (position := _read_label(out[v], ring_pos, arc, label)) is not None:
+            positions.append(position)
+        else:
             collector.add("UnknownLabel", v, f"{label!r} is not a point of the fiber at {v!r}")
     return positions
 
@@ -262,7 +278,8 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, mo
     integer (rule NotAnInteger).  With ``arcs``, the fiber arc by vertex
     id, each is a transport spec, read into its offset where it is stored:
     an anchor of two link labels from the ring positions of the half-edges
-    to them in ``surface.out``, any other spec by ``_read_transport``,
+    to them in ``surface.out``, one with an ``x~j`` by ``_read_label``, and
+    any other spec, or an anchor of no point, by ``_read_transport``,
     whose fault is reported when its edge is reached.  The reverse is its
     negation, mod ``modulus[v]`` of an end v unless ``modulus`` is None,
     and values supplied both ways must cancel, mod that or exactly, else
@@ -284,11 +301,16 @@ def antisymmetric(surface: OrientedSurface, supplied, collector, noun, clash, mo
         for h, spec in supplied:
             t, u = tails[h], heads[h]
             if (type(spec) in (list, tuple) and len(spec) == 2
-                    and type(a := spec[0]) is str and type(b := spec[1]) is str
-                    and (p := out[labels[t]].get(a)) is not None
-                    and (q := out[labels[u]].get(b)) is not None):
-                given[h] = (ring_pos[q] * arcs[u] - ring_pos[p] * arcs[t]) % modulus[u]
-            elif type(value := _read_transport(surface, modulus, arcs, h, spec)) is tuple:
+                    and type(a := spec[0]) is str and type(b := spec[1]) is str):
+                if ((p := out[labels[t]].get(a)) is not None
+                        and (q := out[labels[u]].get(b)) is not None):
+                    given[h] = (ring_pos[q] * arcs[u] - ring_pos[p] * arcs[t]) % modulus[u]
+                    continue
+                if ((p := _read_label(out[labels[t]], ring_pos, arcs[t], a)) is not None
+                        and (q := _read_label(out[labels[u]], ring_pos, arcs[u], b)) is not None):
+                    given[h] = (q - p) % modulus[u]
+                    continue
+            if type(value := _read_transport(surface, modulus, arcs, h, spec)) is tuple:
                 faults[h] = value
                 given[h] = None
             else:
@@ -329,12 +351,10 @@ def _read_transport(surface: OrientedSurface, n_at, arc, h: int, spec):
     t, u = surface.tails[h], surface.heads[h]
     n, where = n_at[u], f"({surface.vertices[t]},{surface.vertices[u]})"
     if isinstance(spec, dict):
-        try:
-            pairs = [(_position(surface, arc[t], t, str(x)), _position(surface, arc[u], u, str(y)))
-                     for x, y in spec.items()]
-        except UnknownLabel:
-            pairs = []
-        if len(pairs) != n or len({q for _, q in pairs}) != n:
+        row_t, row_u = surface.out[surface.vertices[t]], surface.out[surface.vertices[u]]
+        pairs = [(_read_label(row_t, surface.ring_pos, arc[t], str(x)),
+                  _read_label(row_u, surface.ring_pos, arc[u], str(y))) for x, y in spec.items()]
+        if len(pairs) != n or len({q for _, q in pairs}) != n or any(None in p for p in pairs):
             return "UnknownLabel", where, "full map must cover the two fibers exactly"
         if len({(q - p) % n for p, q in pairs}) == 1:
             return (pairs[0][1] - pairs[0][0]) % n

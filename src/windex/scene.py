@@ -315,12 +315,15 @@ def _read(holder: list) -> SceneFile:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        fault = None
         try:
             obj = json.loads(holder.pop())
         except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
-            raise SceneParseError(f"not valid JSON: {exc}") from None
+            fault = f"not valid JSON: {exc}"
         except RecursionError:
-            raise SceneParseError("not valid JSON: nested too deeply") from None
+            fault = "not valid JSON: nested too deeply"
+        if fault is not None:  # outside the handler: no context holds the decode error's .doc
+            raise SceneParseError(fault)
         _require_keys(obj, {"surface", "connection", "flatness", "field"}, {"surface"}, "scene")
         surface = _parse_surface(obj["surface"])
         connection = flatness = field = None

@@ -69,9 +69,11 @@ def test_check_calls_per_face(tmp_path):
     hashes = sum(nc for (_, name), nc in calls.items() if name == "__hash__")
     assert hashes == 0, f"{hashes} __hash__ calls"
     # the path runs on id tables: no link object is built, and each field
-    # label is read once, a link label by read_positions off its half-edge:
-    # _position reads only x~j labels, which a link-mode field has none of
+    # and anchor label is read once, a link label inline off its half-edge:
+    # _read_label reads only the labels that miss there, x~j labels, which
+    # a link-mode scene has none of
     assert calls.get(("polygon.py", "__post_init__"), 0) == 0
+    assert calls.get(("bundle.py", "_read_label"), 0) == 0
     assert calls.get(("bundle.py", "_position"), 0) == 0
 
 

@@ -17,7 +17,7 @@ from windex import cli
 from windex.bundle import flat_connection, tangent_connection
 from windex.errors import UnknownLabel
 from windex.fixtures import boundary_delta3, icosahedron, octahedron
-from windex.scene import SceneFile, serialize_scene
+from windex.scene import SceneFile, parse_scene_text, serialize_scene
 
 from oracles import holonomy_iso, link
 from sampling import random_field
@@ -50,7 +50,9 @@ def test_virtual_fibers_match_subdivided_polygons(make, size):
             assert conn.label_at(v, p - size) == label
 
 
-BAD_LABELS = ["w~0", "w~01", "w~²", "w~١", "w~2", "~1", "q~1", "w~", "w~1~1"]
+BAD_LABELS = ["w~0", "w~01", "w~²", "w~١", "w~2", "~1", "q~1", "w~", "w~1~1",
+              # a j that int() refuses past the int_max_str_digits limit
+              pytest.param("w~" + "1" * 5000, id="w~(5000 digits)")]
 
 
 @pytest.fixture(scope="module")
@@ -69,19 +71,35 @@ def test_misspelled_refinement_labels_are_unknown(refined_octahedron, label):
 
 
 @pytest.mark.parametrize("label", BAD_LABELS)
-@pytest.mark.parametrize("where", ["field", "anchor"])
+@pytest.mark.parametrize("where", ["field", "anchor", "anchor[0]", "map"])
 def test_misspelled_labels_exit_2(capsys, tmp_path, refined_octahedron, label, where):
+    """A misspelled label as a field point, as either end of an anchor or
+    as one key of a full map that is otherwise whole is refused with one
+    UnknownLabel line naming the element."""
     conn, vf = refined_octahedron
     obj = json.loads(serialize_scene(SceneFile(conn.surface, conn, None, vf)))
+    entry = next(e for e in obj["connection"]["transports"] if e["edge"][1] == "r")
+    tail = entry["edge"][0]
     if where == "field":
         obj["field"]["at"]["r"] = label
+        line = f"invalid vector field: UnknownLabel [r]: {label!r} is not a point of the fiber at 'r'"
+    elif where == "map":
+        offset = conn.offsets[conn.surface.half_edge(tail, "r")]
+        full = {conn.label_at(tail, p): conn.label_at("r", p + offset) for p in range(8)}
+        del entry["anchor"]
+        entry["map"] = full
+        assert parse_scene_text(json.dumps(obj)).connection == conn  # whole as spelt
+        full[label] = full.pop(conn.label_at(tail, 1))
+        line = f"invalid connection: UnknownLabel [({tail},r)]: full map must cover the two fibers exactly"
     else:
-        entry = next(e for e in obj["connection"]["transports"] if e["edge"][1] == "r")
-        entry["anchor"][1] = label
+        end, vertex = (1, "r") if where == "anchor" else (0, tail)
+        entry["anchor"][end] = label
+        line = (f"invalid connection: UnknownLabel [({tail},r)]: "
+                f"{label!r} is not a label of the fiber at {vertex!r}")
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(obj), encoding="utf-8")
     assert cli.main(["validate", str(scene)]) == 2
-    assert "UnknownLabel" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"validation error: {line}\n"
 
 
 def tetrahedron_scene(size: int) -> dict:

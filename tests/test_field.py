@@ -192,9 +192,9 @@ class TestBuild:
 
     def test_each_label_parsed_once(self, monkeypatch):
         """A link label is read once, off the half-edge to it in its
-        vertex's row of ``surface.out``; an ``x~j`` label misses there and
-        is read once more by ``_position`` (its link label x), which sees no
-        other label."""
+        vertex's row of ``surface.out``, and never reaches ``_read_label``;
+        an ``x~j`` label misses there and is read once by ``_read_label``,
+        which looks its link label x up in the same row."""
         looked_up = []
 
         class Row(dict):
@@ -207,22 +207,22 @@ class TestBuild:
         torus = flat_connection(surface, 12)  # arcs of 2: link and x~1 labels
         vf = random_field(torus, Random(5))
         labels = {v: vf.value(v) for v in surface.vertices}
-        tilde = sorted(v for v, label in labels.items() if "~" in label)
+        tilde = sorted(label for label in labels.values() if "~" in label)
         assert 0 < len(tilde) < len(labels)
-        parsed = []
-        position = bundle._position
+        read = []
+        read_label = bundle._read_label
 
-        def counted(surface, arc, v, label):
-            parsed.append(surface.vertices[v])
-            return position(surface, arc, v, label)
+        def counted(row, ring_pos, arc, label):
+            read.append(label)
+            return read_label(row, ring_pos, arc, label)
 
-        monkeypatch.setattr(bundle, "_position", counted)
+        monkeypatch.setattr(bundle, "_read_label", counted)
         looked_up.clear()
         # steps by half-edge id, so that no edge key is looked up in a row
         assert build_field(torus, labels, list(enumerate(vf.steps))) == vf
-        assert sorted(parsed) == tilde
+        assert sorted(read) == tilde
         assert sorted(looked_up) == sorted(
-            [*labels.values(), *(labels[v].partition("~")[0] for v in tilde)])
+            [*labels.values(), *(label.partition("~")[0] for label in tilde)])
 
     def test_tables_name_the_forced_endpoints(self, conn):
         # each table entry is a path from the transported value to the
@@ -462,3 +462,21 @@ class TestGaugeCarry:
         assert [(v.rule, v.element) for v in excinfo.value.report.violations] == [
             (rule, next(iter(gauge))),
         ]
+
+    def test_a_label_too_long_to_print_is_a_windex_error(self):
+        """On the tetrahedron with 3 * 10**5000-point fibers, a field at
+        position 0 carried 10**4400 steps at vertex 0 sits at x~j with a j
+        of 4,401 digits, which ``str`` refuses past the int_max_str_digits
+        limit; the swirl path of face 0 starts n/2 further on.  ``value``
+        and ``swirl_path`` raise a WindexError, not a bare ValueError."""
+        conn = tangent_connection(boundary_delta3(), 3 * 10**5000)
+        surface = conn.surface
+        vf = build_field(conn, {v: conn.label_at(v, 0) for v in surface.vertices},
+                         [(h, -conn.offsets[h]) for h in surface.edge_half])
+        carried = gauge_transform_field(vf, {"0": 10**4400})
+        for read in (lambda: carried.value("0"), lambda: swirl_path(carried, surface.faces[0])):
+            with pytest.raises(WindexError) as excinfo:
+                read()
+            assert type(excinfo.value) is WindexError
+            assert str(excinfo.value) == (
+                "the label at this position in the fiber at '0' has too many digits to print")

@@ -870,6 +870,16 @@ def _read_text(name: str) -> str:
     return text.read_text(encoding="utf-8") if isinstance(text, Path) else text
 
 
+@pytest.mark.parametrize("name", ["not-json", "deep-nesting", "long-integer"])
+def test_a_decode_error_keeps_no_context(name):
+    """A scene that is not JSON is refused with no exception context: the
+    decode error, whose ``.doc`` is the whole text, is not kept alive by
+    the SceneParseError a caller holds."""
+    with pytest.raises(SceneParseError, match="^not valid JSON: ") as excinfo:
+        parse_scene_text(_read_text(name))
+    assert excinfo.value.__context__ is None and excinfo.value.__cause__ is None
+
+
 @pytest.fixture
 def restore_collector():
     collecting = gc.isenabled()
