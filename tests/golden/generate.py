@@ -101,8 +101,16 @@ def invocations(name: str, scene: dict) -> list[list[str]]:
     return runs
 
 
+def _without_positions(text: str) -> str:
+    """A scene's text with its surface's vertex positions left out."""
+    obj = json.loads(text)
+    obj["surface"].pop("positions", None)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def scene_texts() -> dict[str, str]:
-    """Scene name -> the text of its golden input scene."""
+    """Scene name -> the text of its golden input scene, which carries no
+    vertex positions."""
     texts = {f"fixture-{name}": run(["fixture", name])["stdout"] for name in FIXTURES}
     rng = Random(SEED)
     for name, make, mode, sections in SAMPLED:
@@ -111,7 +119,7 @@ def scene_texts() -> dict[str, str]:
         flat = random_lifts(conn, rng) if "lifts" in sections else None
         field = random_field(conn, rng) if "field" in sections else None
         texts[name] = serialize_scene(SceneFile(surface, conn, flat, field))
-    return texts
+    return {name: _without_positions(text) for name, text in texts.items()}
 
 
 def _load(name: str) -> dict:

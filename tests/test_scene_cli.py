@@ -40,7 +40,7 @@ from windex.scene import (
 )
 
 from oracles import scene_to_obj, transport
-from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, ROW_REPORTS, windex
+from processes import BROKEN_PIPE, CLOSED_STDIN, ENV, GOLDEN, ROW_REPORTS, load, windex
 from sampling import grid_scene, random_connection, random_field, random_lifts
 from surfaces import genus2
 
@@ -826,7 +826,7 @@ def test_the_package_never_loads_the_reference_algebra(tmp_path):
     proc = subprocess.run([sys.executable, "-c", PRODUCT_ONLY], capture_output=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode("utf-8", "replace")
-    assert proc.stdout == (GOLDEN / "scenes" / "fixture-octahedron.json").read_bytes()
+    assert proc.stdout.decode("utf-8") == load("outputs")["fixture octahedron"]["stdout"]
 
 
 SCENE_ARGVS = [[command, *form] for command in ("validate", "links", "curvature", "index", "check")
