@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -242,38 +241,6 @@ def _cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(scene: SceneFile, args) -> int:
-    surface = scene.surface
-    if surface.positions is None:
-        raise NotIncident("export needs vertex positions in the scene")
-    missing = [v for v in surface.vertices if v not in surface.positions]
-    if missing:
-        raise NotIncident(f"export needs a position for every vertex, missing {missing}")
-    tails = surface.tails
-    lines = ["OFF", f"{len(surface.vertices)} {len(surface.keys)} {len(surface.edge_half)}"]
-    for v in surface.vertices:
-        coords = " ".join(_off_number(v, c) for c in surface.positions[v])
-        lines.append(coords)
-    for h in range(0, len(tails), 3):
-        lines.append(f"3 {tails[h]} {tails[h + 1]} {tails[h + 2]}")
-    _emit("\n".join(lines))
-    return EXIT_OK
-
-
-def _off_number(v: str, value) -> str:
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    try:
-        number = float(frac)
-    except OverflowError:
-        number = 0.0
-    if not number:  # too large, or a nonzero fraction below the least float
-        raise NotIncident(f"export cannot write the position of {v!r}: "
-                          "a coordinate is out of float range")
-    return repr(number)
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call.  Parsing
@@ -306,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fixture = sub.add_parser("fixture", help="emit a ready-made scene")
     fixture.add_argument("name", choices=list(_FIXTURES))
-
-    export = sub.add_parser("export", help="write geometry (needs positions)")
-    export.add_argument("scene", nargs="?", default="-", help="scene file ('-' = stdin)")
-    export.add_argument("--format", choices=["off"], default="off")
 
     return parser
 
@@ -346,7 +309,6 @@ def main(argv=None) -> int:
                 "curvature": _cmd_curvature,
                 "index": _cmd_index,
                 "check": _cmd_check,
-                "export": _cmd_export,
             }[args.command]
             code = handler(scene, args)
         if sys.stdout is not None:

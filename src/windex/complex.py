@@ -57,11 +57,10 @@ class OrientedSurface:
     labeled ``b``, and ``out.get(a, NO_EDGES).get(b)`` None where there is
     none.  ``keys`` holds the face keys.  The link of v runs from its least
     neighbour, at 0: ``ring_pos[h]`` is the place of ``heads[h]`` in the
-    link of ``tails[h]``, and ``degrees[v]`` the size of the link of v.  ``edge_half`` holds the half-edge of each
-    edge from its lesser end, in sorted order.  ``positions`` is
-    pass-through geometry for export only.  ``faces``, ``edges`` and
-    ``link_labels`` are label views for output and library users; windex
-    itself reads the tables.
+    link of ``tails[h]``, and ``degrees[v]`` the size of the link of v.
+    ``edge_half`` holds the half-edge of each edge from its lesser end, in
+    sorted order.  ``faces``, ``edges`` and ``link_labels`` are label views
+    for output and library users; windex itself reads the tables.
     """
 
     vertices: tuple[str, ...]
@@ -74,7 +73,6 @@ class OrientedSurface:
     ring_pos: list[int] = field(compare=False, repr=False)
     degrees: list[int] = field(compare=False, repr=False)
     edge_half: list[int] = field(compare=False, repr=False)
-    positions: dict[str, tuple] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def link_labels(self) -> list[list[str]]:
@@ -176,7 +174,7 @@ def _next_corners(corners: list) -> list:
     return heads
 
 
-def build_surface(vertices, faces, positions=None) -> OrientedSurface:
+def build_surface(vertices, faces) -> OrientedSurface:
     """Validate and assemble a surface; raises ValidationFailed listing
     every violated rule (DuplicateFace, BoundaryEdge, OrientationClash,
     NonPolygonLink, ...).  The faces close up consistently oriented exactly
@@ -263,14 +261,6 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         collector.raise_if_failed("invalid surface")
         raise AssertionError("the half-edge tables rejected a surface the report accepts")
 
-    pos = None
-    if positions is not None:
-        pos = {str(v): tuple(p) for v, p in positions.items()}
-        for v in pos:
-            if v not in index:
-                collector.add("BadLabel", v, "position given for undeclared vertex")
-        collector.raise_if_failed("invalid surface")
-
     lesser = [h for h, t, u in zip(range(H), tails, heads) if t < u]
     lesser.sort(key=heads.__getitem__)
     lesser.sort(key=tails.__getitem__)  # stable: by tail, then by head
@@ -285,5 +275,4 @@ def build_surface(vertices, faces, positions=None) -> OrientedSurface:
         ring_pos=ring_pos,
         degrees=degrees,
         edge_half=lesser,
-        positions=pos,
     )

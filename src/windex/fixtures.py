@@ -10,8 +10,6 @@ poles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .complex import OrientedSurface, build_surface
 
 
@@ -27,28 +25,14 @@ def octahedron() -> OrientedSurface:
         ("y", "o", "g"),
         ("y", "b", "o"),
     ]
-    positions = {
-        "w": (0, 0, 1),
-        "y": (0, 0, -1),
-        "b": (-1, 1, 0),
-        "r": (1, 1, 0),
-        "g": (1, -1, 0),
-        "o": (-1, -1, 0),
-    }
-    return build_surface(vertices, faces, positions)
+    return build_surface(vertices, faces)
 
 
 def boundary_delta3() -> OrientedSurface:
     """The boundary of the full 3-simplex: a tetrahedron."""
     vertices = ["0", "1", "2", "3"]
     faces = [("0", "1", "2"), ("0", "2", "3"), ("0", "3", "1"), ("1", "3", "2")]
-    positions = {
-        "0": (1, 1, 1),
-        "1": (1, -1, -1),
-        "2": (-1, 1, -1),
-        "3": (-1, -1, 1),
-    }
-    return build_surface(vertices, faces, positions)
+    return build_surface(vertices, faces)
 
 
 def icosahedron() -> OrientedSurface:
@@ -63,23 +47,7 @@ def icosahedron() -> OrientedSurface:
         faces.append((u[j], u[i], lo[i]))
         faces.append((u[j], lo[i], lo[j]))
         faces.append(("s", lo[j], lo[i]))
-    # rational approximation of a unit embedding, for export only
-    ring = [
-        (Fraction(1), Fraction(0)),
-        (Fraction(309, 1000), Fraction(951, 1000)),
-        (Fraction(-809, 1000), Fraction(588, 1000)),
-        (Fraction(-809, 1000), Fraction(-588, 1000)),
-        (Fraction(309, 1000), Fraction(-951, 1000)),
-    ]
-    h = Fraction(447, 1000)
-    positions = {"n": (0, 0, 1), "s": (0, 0, -1)}
-    for i in range(5):
-        x, y = ring[i]
-        positions[u[i]] = (x, y, h)
-        # lower ring is rotated half a step
-        xr, yr = ring[(i + 1) % 5]
-        positions[lo[i]] = ((x + xr) / 2, (y + yr) / 2, -h)
-    return build_surface(["n", "s"] + u + lo, faces, positions)
+    return build_surface(["n", "s"] + u + lo, faces)
 
 
 def csaszar_torus() -> OrientedSurface:

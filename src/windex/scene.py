@@ -6,8 +6,7 @@ optional ``connection``, ``flatness`` and ``field`` sections::
     {
       "surface": {
         "vertices": ["w", "y", ...],
-        "faces": [["w", "b", "r"], ...],
-        "positions": {"w": ["0", "0", "1"], ...}        // optional, rationals
+        "faces": [["w", "b", "r"], ...]
       },
       "connection": {
         "fiber_mode": "link",                            // or {"refined": N}
@@ -43,7 +42,6 @@ import gc
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
@@ -97,9 +95,9 @@ def _only(kind: type, values) -> bool:
 
 @lru_cache(maxsize=2)
 def _power_of_ten(digits: int) -> int:
-    """10**digits, made once per value: the bounds on coordinates, lifts
-    and steps follow the int_max_str_digits limit, which can change at
-    run time."""
+    """10**digits, made once per value: the bounds on lifts and steps,
+    and the writer's on a refined fiber size, follow the
+    int_max_str_digits limit, which can change at run time."""
     return 10**digits
 
 
@@ -128,48 +126,15 @@ def _check_digits(values, entries, noun: str, what: str, digits: int | None = No
     collector.raise_if_failed(what)
 
 
-def _coordinate(value, where: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
-        if isinstance(value, str):
-            # the cap on JSON integers: beyond it a coordinate cannot be
-            # printed again, and a huge exponent stalls Fraction() itself
-            limit = _digit_limit()
-            exponent = value.lower().partition("e")[2]
-            if exponent and abs(int(exponent)) > limit + len(value):
-                raise ValueError
-            frac = Fraction(value)
-            if max(abs(frac.numerator), frac.denominator) < _power_of_ten(limit):
-                return frac
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SceneParseError(f"{where}: cannot read {value!r} as a rational coordinate")
-
-
 def _parse_surface(obj) -> OrientedSurface:
-    _require_keys(obj, {"vertices", "faces", "positions"}, {"vertices", "faces"}, "surface")
+    _require_keys(obj, {"vertices", "faces"}, {"vertices", "faces"}, "surface")
     vertices = obj["vertices"]
     faces = obj["faces"]
     if not (type(vertices) is list and _only(str, vertices)):
         raise SceneParseError("surface.vertices: expected a list of strings")
     if not (type(faces) is list and _only(list, faces) and _only(str, chain.from_iterable(faces))):
         raise SceneParseError("surface.faces: expected a list of vertex lists")
-    positions = None
-    if "positions" in obj:
-        raw = obj["positions"]
-        if not isinstance(raw, dict):
-            raise SceneParseError("surface.positions: expected an object")
-        positions = {}
-        for v, coords in raw.items():
-            if not isinstance(coords, list) or len(coords) != 3:
-                raise SceneParseError(f"surface.positions[{v!r}]: expected 3 coordinates")
-            positions[v] = tuple(_coordinate(c, f"surface.positions[{v!r}]") for c in coords)
-    return build_surface(vertices, faces, positions)
+    return build_surface(vertices, faces)
 
 
 def _parse_fiber_mode(value):
@@ -427,7 +392,7 @@ _STEP = ("      {\n        \"edge\": [\n          %s,\n          %s\n        ],\
 # each section of a scene file, in sorted order
 _CONNECTION = '  "connection": {\n    "fiber_mode": %s,\n    "transports": %s\n  }'
 _FIELD = '  "field": {\n    "at": %s,\n    "steps": %s\n  }'
-_SURFACE = '  "surface": {\n    "faces": %s,%s\n    "vertices": %s\n  }'
+_SURFACE = '  "surface": {\n    "faces": %s,\n    "vertices": %s\n  }'
 
 
 def _fiber_labels(ring, first, conn: DiscreteConnection, vertices, positions) -> list[str]:
@@ -496,12 +461,7 @@ def serialize_scene(scene: SceneFile) -> str:
     if flatness is not None:
         sections.append('  "flatness": ' + json_block(
             "{}", "  ", "    %s: %s", F, [map(quote, surface.keys), map(str, flatness.lifts)]))
-    positions = surface.positions
     sections.append(_SURFACE % (
         json_block("[]", "    ", _FACE, F, [map(quoted.__getitem__, tails[k::3]) for k in range(3)]),
-        "" if positions is None else '\n    "positions": %s,' % json_block(
-            "{}", "    ", "      %s: %s", len(positions), [map(quote, sorted(positions)), [
-                json_block("[]", "      ", '        "%s"', len(c), [map(str, map(Fraction, c))])
-                for _, c in sorted(positions.items())]]),
         json_block("[]", "    ", "      %s", V, [quoted])))
     return "{\n%s\n}\n" % ",\n".join(sections)

@@ -85,12 +85,11 @@ def run(argv, stderr: bool = False) -> dict:
 
 
 def invocations(name: str, scene: dict) -> list[list[str]]:
-    """Every scene subcommand with and without --json, plus export and
-    the flatness and basepoint switches where the scene has the data."""
+    """Every scene subcommand with and without --json, plus the flatness
+    and basepoint switches where the scene has the data."""
     runs = []
     for command in ("validate", "links", "curvature", "index", "check"):
         runs += [[command], [command, "--json"]]
-    runs.append(["export"])
     if "flatness" in scene:
         runs.append(["curvature", "--json", "--canonical-flatness"])
         runs.append(["check", "--canonical-flatness"])
@@ -101,16 +100,8 @@ def invocations(name: str, scene: dict) -> list[list[str]]:
     return runs
 
 
-def _without_positions(text: str) -> str:
-    """A scene's text with its surface's vertex positions left out."""
-    obj = json.loads(text)
-    obj["surface"].pop("positions", None)
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def scene_texts() -> dict[str, str]:
-    """Scene name -> the text of its golden input scene, which carries no
-    vertex positions."""
+    """Scene name -> the text of its golden input scene."""
     texts = {f"fixture-{name}": run(["fixture", name])["stdout"] for name in FIXTURES}
     rng = Random(SEED)
     for name, make, mode, sections in SAMPLED:
@@ -119,7 +110,7 @@ def scene_texts() -> dict[str, str]:
         flat = random_lifts(conn, rng) if "lifts" in sections else None
         field = random_field(conn, rng) if "field" in sections else None
         texts[name] = serialize_scene(SceneFile(surface, conn, flat, field))
-    return {name: _without_positions(text) for name, text in texts.items()}
+    return texts
 
 
 def _load(name: str) -> dict:

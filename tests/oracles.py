@@ -325,11 +325,6 @@ def scene_to_obj(scene: SceneFile) -> dict:
                       for h in range(0, len(tails), 3)],
         }
     }
-    if surface.positions is not None:
-        obj["surface"]["positions"] = {
-            v: [str(Fraction(c)) for c in coords]
-            for v, coords in sorted(surface.positions.items())
-        }
     conn = scene.connection
     if conn is not None:
         mode = "link" if conn.refined is None else {"refined": conn.refined}

@@ -21,10 +21,10 @@ OCTA_FACES = [
 ]
 
 
-def rejection(vertices, faces, positions=None):
+def rejection(vertices, faces):
     """The report that ``build_surface`` raises on an invalid surface."""
     with pytest.raises(ValidationFailed) as excinfo:
-        build_surface(vertices, faces, positions)
+        build_surface(vertices, faces)
     return excinfo.value.report
 
 
@@ -195,20 +195,6 @@ def test_reserved_characters_rejected(bad):
     once each, in input order."""
     report = rejection([*bad, "c", "d", "e"], [(bad[0], "c", "d"), ("c", "d", "e")])
     assert [v.element for v in report.violations if v.rule == "BadLabel"] == bad
-
-
-def test_position_for_undeclared_vertex_rejected():
-    report = rejection(
-        octahedron().vertices,
-        OCTA_FACES,
-        positions={"nope": (0, 0, 0)},
-    )
-    assert any(v.rule == "BadLabel" for v in report.violations)
-
-
-def test_positions_pass_through():
-    s = octahedron()
-    assert s.positions["w"] == (0, 0, 1)
 
 
 def test_cycle_complex():

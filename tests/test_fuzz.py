@@ -43,7 +43,7 @@ BASES = {
     name: json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
     for name in ("tet-link", "octa-link-a", "mixed-link")
 }
-COMMANDS = ("validate", "links", "curvature", "index", "check", "export",
+COMMANDS = ("validate", "links", "curvature", "index", "check",
             "curvature --json", "index --json")
 ODD_VALUES = (0, -1, 3, 2**70, 1.5, "", "0", "x~1", "a,b", None, True, [], {})
 # labels the writers must escape: a lone surrogate, a backslash, non-ASCII

@@ -97,7 +97,7 @@ def test_the_process_plan_runs_every_key():
                        if run.streams == streams and isinstance(run.stdin, stdin))
 
     fixtures = Counter(f"scenes/fixture-{name}.json" for name in generate.FIXTURES)
-    commands = ("validate", "links", "curvature", "index", "check", "export")
+    commands = ("validate", "links", "curvature", "index", "check")
     scene_commands = Counter(f"{path.stem} {command}" for path in GOLDEN.glob("scenes/*.json")
                              for command in commands)
     rejected = Counter(f"{path.stem} validate" for path in GOLDEN.glob("rejected/*.json"))
