@@ -12,7 +12,7 @@ import pytest
 
 from windex import cli
 from windex.complex import OrientedFace
-from windex.scene import parse_scene_text
+from windex.scene import parse_scene_text, serialize_scene
 
 import processes
 from golden import generate
@@ -34,6 +34,16 @@ def test_cli_output_unchanged(capsys, key):
     want = OUTPUTS[key]
     assert capsys.readouterr().out == want["stdout"]
     assert code == want["code"]
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "scenes").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_scenes_are_the_writers_text(path):
+    """Each committed scene reads back to the text ``serialize_scene``
+    writes for it, byte for byte: the reader keeps every section, and the
+    corpus holds nothing the writer would not write."""
+    text = path.read_text(encoding="utf-8")
+    assert serialize_scene(parse_scene_text(text)) == text
 
 
 @pytest.mark.parametrize("path", sorted((GOLDEN / "scenes").glob("*.json")),

@@ -298,6 +298,24 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "invalid choice: 'export'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e10000000", "1e-10000000", "1e5000"])
+    def test_float_literals_are_parse_errors(self, capsys, tmp_path, literal):
+        """A number with an exponent, which JSON reads as a float (inf or
+        0.0 here), is refused where a scene holds an integer: a lift or a
+        step count."""
+        placeholder = 987654321
+        for section, where in (("flatness", "flatness: expected an object of face-key -> integer"),
+                               ("field", "field.steps[0].steps: expected an integer")):
+            obj = _octahedron_obj()
+            if section == "flatness":
+                obj["flatness"][min(obj["flatness"])] = placeholder
+            else:
+                obj["field"]["steps"][0]["steps"] = placeholder
+            scene = tmp_path / f"{section}.json"
+            scene.write_text(json.dumps(obj).replace(str(placeholder), literal), encoding="utf-8")
+            code, out, err = run(capsys, "check", str(scene))
+            assert (code, out, err) == (1, "", f"parse error: {where}\n"), section
+
     def test_stdin_pipe(self, capsys, monkeypatch, tmp_path):
         import io
 
@@ -752,6 +770,22 @@ def test_the_package_never_loads_the_reference_algebra(tmp_path):
 
 SCENE_ARGVS = [[command, *form] for command in ("validate", "links", "curvature", "index", "check")
                for form in ([], ["--json"])]
+
+
+@pytest.mark.parametrize("argv", SCENE_ARGVS, ids=" ".join)
+def test_a_positioned_scene_is_refused_by_every_subcommand(capsys, tmp_path, argv):
+    """The octahedron fixture with the coordinate table that scenes once
+    carried: every subcommand refuses it at the reader, exit 1, with the
+    unknown-key error and nothing on stdout."""
+    obj = json.loads(fixture_scene(capsys, "octahedron"))
+    obj["surface"]["positions"] = {
+        "b": ["-1", "1", "0"], "g": ["1", "-1", "0"], "o": ["-1", "-1", "0"],
+        "r": ["1", "1", "0"], "w": ["0", "0", "1"], "y": ["0", "0", "-1"],
+    }
+    scene = tmp_path / "positioned.json"
+    scene.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(scene))
+    assert (code, out, err) == (1, "", "parse error: surface: unknown keys ['positions']\n")
 
 
 @pytest.mark.parametrize("argv", SCENE_ARGVS, ids=" ".join)
